@@ -13,9 +13,6 @@
 //!     "crates/core/src",
 //!     "crates/serve/src",
 //! ]
-//!
-//! [cache-key-completeness.fields]
-//! radix = "covered:cached_sequences_for_stream"
 //! ```
 //!
 //! Sections (dotted names allowed), `key = "string"`, and
@@ -111,22 +108,6 @@ impl Config {
             Some(Value::Str(s)) => vec![s.clone()],
             None => Vec::new(),
         }
-    }
-
-    /// All `key = "value"` string entries of a section, in key order.
-    #[must_use]
-    pub fn entries(&self, section: &str) -> Vec<(String, String)> {
-        self.sections
-            .get(section)
-            .map(|s| {
-                s.iter()
-                    .filter_map(|(k, v)| match v {
-                        Value::Str(s) => Some((k.clone(), s.clone())),
-                        Value::List(_) => None,
-                    })
-                    .collect()
-            })
-            .unwrap_or_default()
     }
 
     /// Effective severity of `lint`: the `[severity]` table entry, or
@@ -241,8 +222,8 @@ paths = [
 ]
 one = ["solo"]
 
-[cache-key-completeness.fields]
-radix = "covered:f"
+[dotted.section]
+radix = "f"
 "#,
         )
         .expect("valid config");
@@ -252,10 +233,7 @@ radix = "covered:f"
             ["crates/core/src", "crates/serve/src"]
         );
         assert_eq!(cfg.list("unordered-map-iter", "one"), ["solo"]);
-        assert_eq!(
-            cfg.entries("cache-key-completeness.fields"),
-            [("radix".to_string(), "covered:f".to_string())]
-        );
+        assert_eq!(cfg.str("dotted.section", "radix"), Some("f"));
     }
 
     #[test]

@@ -1,17 +1,14 @@
 //! The lint registry.
 //!
-//! Each lint is a token-level (or, for `cache-key-completeness`,
-//! workspace-level) pass tuned to one of this repository's determinism
-//! invariants. Severities default to the values below and can be
-//! overridden per lint in `lint.toml`'s `[severity]` table; two
+//! Each lint is a token-level pass tuned to one of this repository's
+//! determinism invariants. Severities default to the values below and
+//! can be overridden per lint in `lint.toml`'s `[severity]` table; two
 //! meta-lints police the suppression machinery itself.
 
 use crate::config::Config;
 use crate::diag::Severity;
 use crate::workspace::SourceFile;
 
-pub mod cache_key_completeness;
-pub mod deprecated_shim_call;
 pub mod unordered_map_iter;
 pub mod unordered_par_fold;
 pub mod unwrap_in_lib;
@@ -49,21 +46,10 @@ pub const LINTS: &[LintInfo] = &[
                       #[cfg(test)]; propagate a Result or expect(\"<invariant>\")",
     },
     LintInfo {
-        name: "deprecated-shim-call",
-        default_severity: Severity::Deny,
-        description: "in-repo call to a #[deprecated] constructor shim; use the builder API",
-    },
-    LintInfo {
         name: "unordered-par-fold",
         default_severity: Severity::Deny,
         description: "par_iter() chained into sum/fold/reduce: reduction order depends on \
                       thread scheduling; collect() in order, then fold serially",
-    },
-    LintInfo {
-        name: "cache-key-completeness",
-        default_severity: Severity::Deny,
-        description: "every planning-relevant EngineConfig/Topology field must be covered \
-                      by PlanKey/fingerprint or exempted with a reason in lint.toml",
     },
     LintInfo {
         name: "malformed-pragma",
@@ -103,7 +89,7 @@ pub struct RawFinding {
     pub message: String,
 }
 
-/// Runs every per-file and workspace-level lint over `files`.
+/// Runs every lint over `files`.
 #[must_use]
 pub fn run_all(files: &[SourceFile], cfg: &Config) -> Vec<RawFinding> {
     let mut out = Vec::new();
@@ -113,8 +99,6 @@ pub fn run_all(files: &[SourceFile], cfg: &Config) -> Vec<RawFinding> {
         unwrap_in_lib::check(file, &mut out);
         unordered_par_fold::check(file, &mut out);
     }
-    deprecated_shim_call::check(files, &mut out);
-    cache_key_completeness::check(files, cfg, &mut out);
     out
 }
 

@@ -12,11 +12,7 @@ use c2m_analyze::run_files;
 
 /// Runs one fixture as if it lived at `rel`.
 fn lint_fixture(rel: &str, src: &str) -> Report {
-    lint_fixture_with(rel, src, &Config::default())
-}
-
-fn lint_fixture_with(rel: &str, src: &str, cfg: &Config) -> Report {
-    run_files(&[(rel.to_string(), src.to_string())], cfg).expect("lint run succeeds")
+    run_files(&[(rel.to_string(), src.to_string())], &Config::default()).expect("lint run succeeds")
 }
 
 /// 1-based line of the first source line containing `needle`.
@@ -87,20 +83,6 @@ fn unwrap_in_lib_fixture() {
 }
 
 #[test]
-fn deprecated_shim_call_fixture() {
-    let src = include_str!("fixtures/deprecated_shim_call.rs");
-    let report = lint_fixture("crates/core/src/fixture.rs", src);
-    let hits = of_lint(&report, "deprecated-shim-call");
-    let expected = [
-        line_of(src, "Widget::legacy_new(3); // line 27"),
-        line_of(src, "w.legacy_resize(5);"),
-    ];
-    let lines: Vec<u32> = hits.iter().map(|f| f.line).collect();
-    assert_eq!(lines, expected, "{hits:?}");
-    assert_eq!(report.suppressed, 1, "pragma'd legacy_new call");
-}
-
-#[test]
 fn unordered_par_fold_fixture() {
     let src = include_str!("fixtures/unordered_par_fold.rs");
     let report = lint_fixture("crates/core/src/fixture.rs", src);
@@ -109,74 +91,6 @@ fn unordered_par_fold_fixture() {
     let lines: Vec<u32> = hits.iter().map(|f| f.line).collect();
     assert_eq!(lines, expected, "{hits:?}");
     assert_eq!(report.suppressed, 1, "pragma'd reduce chain");
-}
-
-#[test]
-fn cache_key_completeness_fixture() {
-    let src = include_str!("fixtures/cache_key_completeness.rs");
-    let cfg = Config::parse(
-        r#"
-[cache-key-completeness]
-topology-file = "crates/dram/src/fixture.rs"
-topology-struct = "Topology"
-topology-key-fn = "fingerprint"
-engine-file = "crates/dram/src/fixture.rs"
-engine-struct = "EngineConfig"
-
-[cache-key-completeness.fields]
-radix = "covered:plan"
-stale_claim = "covered:plan"
-exempted = "exempt:fixture: never reaches a memoised value"
-"#,
-    )
-    .expect("valid fixture config");
-    let report = lint_fixture_with("crates/dram/src/fixture.rs", src, &cfg);
-    let hits = of_lint(&report, "cache-key-completeness");
-    let expected = [
-        line_of(src, "pub subarrays: usize,"),
-        line_of(src, "pub capacity: u32,"),
-        line_of(src, "pub stale_claim: usize,"),
-    ];
-    let lines: Vec<u32> = hits.iter().map(|f| f.line).collect();
-    assert_eq!(lines, expected, "{hits:?}");
-    assert!(
-        hits[0].message.contains("subarrays"),
-        "fingerprint gap names the field: {}",
-        hits[0].message
-    );
-    assert!(hits[1].message.contains("no entry"), "{}", hits[1].message);
-    assert!(hits[2].message.contains("stale"), "{}", hits[2].message);
-}
-
-#[test]
-fn cache_key_completeness_accepts_the_complete_shape() {
-    // Same fixture, but with the fingerprint gap closed and every
-    // field accounted for: zero findings.
-    let src = include_str!("fixtures/cache_key_completeness.rs").replace(
-        "((self.channels as u64) << 32)",
-        "((self.subarrays as u64) << 48) | ((self.channels as u64) << 32)",
-    );
-    let cfg = Config::parse(
-        r#"
-[cache-key-completeness]
-topology-file = "crates/dram/src/fixture.rs"
-engine-file = "crates/dram/src/fixture.rs"
-engine-struct = "EngineConfig"
-
-[cache-key-completeness.fields]
-radix = "covered:plan"
-capacity = "exempt:fixture: pricing-only"
-stale_claim = "exempt:fixture: pricing-only"
-exempted = "exempt:fixture: never reaches a memoised value"
-"#,
-    )
-    .expect("valid fixture config");
-    let report = lint_fixture_with("crates/dram/src/fixture.rs", &src, &cfg);
-    assert!(
-        of_lint(&report, "cache-key-completeness").is_empty(),
-        "{:?}",
-        report.findings
-    );
 }
 
 #[test]

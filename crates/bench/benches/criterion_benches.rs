@@ -200,7 +200,9 @@ fn bench_sharded_engine(c: &mut Criterion) {
     use c2m_core::engine::{C2mEngine, EngineConfig};
     let mut cfg = EngineConfig::c2m(16);
     cfg.dram.channels = 4;
-    let engine = C2mEngine::builder(cfg).build();
+    // Uncached: a cached engine would time a report hit after the
+    // first iteration.
+    let engine = C2mEngine::builder(cfg).no_cache().build();
     let mut rng = ChaCha12Rng::seed_from_u64(7);
     let x: Vec<i64> = (0..4096).map(|_| rng.gen_range(-128i64..128)).collect();
     c.bench_function("engine/ternary_gemv_k4096_4ch", |b| {

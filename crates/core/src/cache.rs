@@ -8,17 +8,25 @@
 //! recomputations are *exact* to memoise:
 //!
 //! * **Shard plans** are a pure function of `(axis, extent, topology,
-//!   backend policy, sizing)` — the [`PlanKey`]. The cache stores the
-//!   built [`ShardPlan`] behind an `Arc` and hands it out on repeats.
+//!   backend policy, sizing)` — the [`PlanKey`]. The cache builds a
+//!   missing [`ShardPlan`] from the key alone, stores it behind an
+//!   `Arc` and hands it out on repeats.
 //! * **Stream pricing** (the IARM/full-ripple sequence count of
 //!   [`crate::engine::C2mEngine::sequences_for_stream`]) is a pure
-//!   function of `(radix, digits, iarm-flag, stream values)`. Because
-//!   the count depends on the input *values* — the planner really runs
-//!   over them — the cache keys on the full stream content: an entry is
-//!   only served after an exact slice comparison against the stored
-//!   stream, so a cached path can never return anything the uncached
-//!   path would not have computed. (The hash bucketing is just an
-//!   index; correctness never rests on it.)
+//!   function of `(radix, digits, iarm-flag, stream values)`, and the
+//!   cache computes a missing count from exactly those. Because the
+//!   count depends on the input *values* — the planner really runs over
+//!   them — the cache keys on the full stream content: an entry is only
+//!   served after an exact slice comparison against the stored stream,
+//!   so a cached path can never return anything the uncached path would
+//!   not have computed. (The hash bucketing is just an index;
+//!   correctness never rests on it.)
+//!
+//! Neither tier takes a caller-supplied computation: whatever a plan or
+//! a count depends on must be a field of its key, so an unkeyed input
+//! cannot exist. The report tier's key words come from
+//! [`C2mEngine::report_key_words`](crate::engine::C2mEngine::report_key_words),
+//! which destructures every configuration struct without `..`.
 //!
 //! A [`PlanCache`] is interior-mutable and thread-safe, so one handle
 //! can be shared by every engine of a sweep (see
@@ -27,8 +35,10 @@
 //! surfaced through [`CacheCounters`] on every
 //! [`ExecutionReport`](c2m_dram::ExecutionReport).
 
-use crate::shard::{BackendPolicy, ShardAxis, ShardPlan, ShardSizing};
-use c2m_dram::{CacheCounters, ExecutionReport};
+use crate::engine::doubled_ternary;
+use crate::shard::{BackendPolicy, ShardAxis, ShardPlan, ShardPlanner, ShardSizing};
+use c2m_dram::{CacheCounters, ExecutionReport, Topology};
+use c2m_jc::iarm::IarmPlanner;
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
@@ -66,10 +76,9 @@ impl Default for CacheConfig {
     }
 }
 
-/// Cache key of one shard plan: everything
-/// [`ShardPlanner`](crate::shard::ShardPlanner) reads when splitting an
-/// axis. `topology_fp` is the exact packed encoding of
-/// [`Topology::fingerprint`](c2m_dram::Topology::fingerprint), and
+/// Cache key of one shard plan: everything a [`ShardPlanner`] reads
+/// when splitting an axis, and the only input a missing plan is built
+/// from.
 /// `sizing` holds the weight bit patterns of a
 /// [`ShardSizing::Weighted`] (empty for [`ShardSizing::Even`]) so the
 /// key stays hashable without losing any f64 exactness.
@@ -79,8 +88,8 @@ pub struct PlanKey {
     pub axis: ShardAxis,
     /// Axis extent (rows, K, or plane count).
     pub total: usize,
-    /// Packed topology geometry.
-    pub topology_fp: u64,
+    /// Topology geometry.
+    pub topology: Topology,
     /// Backend dispatch policy.
     pub policy: BackendPolicy,
     /// Weight bit patterns (empty = even sizing).
@@ -96,19 +105,88 @@ impl PlanKey {
             ShardSizing::Weighted(w) => w.iter().map(|v| v.to_bits()).collect(),
         }
     }
+
+    /// The plan this key names, built from the key's fields alone.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `sizing` decodes to a non-positive or non-finite weight
+    /// (see [`ShardPlanner::with_sizing`]).
+    #[must_use]
+    pub(crate) fn build(&self) -> ShardPlan {
+        let sizing = if self.sizing.is_empty() {
+            ShardSizing::Even
+        } else {
+            ShardSizing::Weighted(self.sizing.iter().map(|&b| f64::from_bits(b)).collect())
+        };
+        let planner =
+            ShardPlanner::with_policy(self.topology, self.policy.clone()).with_sizing(sizing);
+        match self.axis {
+            ShardAxis::OutputRows => planner.plan_rows(self.total),
+            ShardAxis::InnerDim => planner.plan_inner(self.total),
+            ShardAxis::CsdPlanes => planner.plan_planes(self.total),
+        }
+    }
 }
 
-/// Identity of a priced stream: the engine parameters
-/// [`sequences_for_stream`](crate::engine::C2mEngine::sequences_for_stream)
-/// reads, plus whether the stream is the doubled ternary form of the
-/// stored values (`x` then `−x`), so ternary callers can key on the
-/// undoubled input and skip materialising the doubled copy on a hit.
+/// Identity of a priced stream, and everything its count depends on
+/// besides the values: the Johnson radix and digit count, whether IARM
+/// planning is on, and whether the stream is the doubled ternary form
+/// of the stored values (`x` then `−x`), so ternary callers can key on
+/// the undoubled input and skip materialising the doubled copy on a hit.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub(crate) struct StreamParams {
     pub(crate) radix: usize,
     pub(crate) digits: usize,
     pub(crate) iarm: bool,
     pub(crate) doubled: bool,
+}
+
+impl StreamParams {
+    /// Broadcast command *sequences* needed to accumulate the signed
+    /// stream `xs` (zeros skipped, §7.2.3), doubled first when
+    /// `self.doubled`. Runs the real host-side routine: digit unpacking
+    /// plus IARM planning (or the oblivious full-ripple chain when IARM
+    /// is off).
+    pub(crate) fn count(self, xs: &[i64]) -> u64 {
+        if self.doubled {
+            let single = Self {
+                doubled: false,
+                ..self
+            };
+            return single.count(&doubled_ternary(xs));
+        }
+        if self.iarm {
+            let mut planner = IarmPlanner::new(self.radix, self.digits);
+            planner.assume_zero();
+            let mut seqs = 0u64;
+            // Addition pass, then subtraction pass (host reordering).
+            for &x in xs.iter().filter(|&&x| x > 0) {
+                seqs += planner.plan_add(x.unsigned_abs() as u128).len() as u64;
+            }
+            for &x in xs.iter().filter(|&&x| x < 0) {
+                seqs += planner.plan_sub(x.unsigned_abs() as u128).len() as u64;
+            }
+            seqs += planner.flush().len() as u64;
+            seqs
+        } else {
+            // k-ary with per-increment carry rippling (§4.5.1): each
+            // non-zero digit pays its increment plus one rippling
+            // command sequence — the paper's 2·(7n+7)-per-digit model.
+            let mut seqs = 0u64;
+            let r = self.radix as u128;
+            for &x in xs.iter().filter(|&&x| x != 0) {
+                let mut v = x.unsigned_abs() as u128;
+                while v != 0 {
+                    if !v.is_multiple_of(r) {
+                        seqs += 2;
+                    }
+                    v /= r;
+                }
+            }
+            seqs
+        }
+    }
 }
 
 #[derive(Debug)]
@@ -274,10 +352,11 @@ struct ReportEntry {
 /// `cfg_words` must be an *injective* encoding of everything the engine
 /// reads when folding a launch — see
 /// [`C2mEngine::report_key_words`](crate::engine::C2mEngine::report_key_words),
-/// whose field coverage the `cache-key-completeness` lint enforces. As
-/// with the stream tier, entries are served only after full equality of
-/// both the config words and the kernel content, so a cached launch is
-/// bit-for-bit the launch the uncached engine would have folded.
+/// whose exhaustive destructuring makes an unkeyed configuration field
+/// a compile error. As with the stream tier, entries are served only
+/// after full equality of both the config words and the kernel content,
+/// so a cached launch is bit-for-bit the launch the uncached engine
+/// would have folded.
 #[derive(Debug)]
 pub struct ReportCache {
     max: usize,
@@ -434,14 +513,19 @@ impl PlanCache {
             .clear();
     }
 
-    /// The plan under `key`, building it with `build` on a miss.
-    pub fn plan(&self, key: &PlanKey, build: impl FnOnce() -> ShardPlan) -> Arc<ShardPlan> {
+    /// The plan under `key`, built from the key alone on a miss.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `key.sizing` holds a non-positive or non-finite
+    /// weight.
+    pub fn plan(&self, key: &PlanKey) -> Arc<ShardPlan> {
         if let Some(plan) = self.plans.lock().expect("plan cache poisoned").get(key) {
             self.plan_hits.fetch_add(1, Ordering::Relaxed);
             return Arc::clone(plan);
         }
         self.plan_misses.fetch_add(1, Ordering::Relaxed);
-        let plan = Arc::new(build());
+        let plan = Arc::new(key.build());
         let mut map = self.plans.lock().expect("plan cache poisoned");
         if map.len() >= self.cfg.max_plans {
             map.clear();
@@ -450,25 +534,10 @@ impl PlanCache {
         plan
     }
 
-    /// The sequence count of the stream identified by
-    /// `(radix, digits, iarm, doubled, xs)`, computing it with `compute`
-    /// on a miss. `xs` is the *undoubled* values when `doubled` is true;
-    /// `compute` receives nothing and must price the effective stream.
-    pub fn sequences(
-        &self,
-        radix: usize,
-        digits: usize,
-        iarm: bool,
-        doubled: bool,
-        xs: &[i64],
-        compute: impl FnOnce() -> u64,
-    ) -> u64 {
-        let params = StreamParams {
-            radix,
-            digits,
-            iarm,
-            doubled,
-        };
+    /// The sequence count of `xs` under `params`, computed from exactly
+    /// those ([`StreamParams::count`]) on a miss. `xs` is the
+    /// *undoubled* values when `params.doubled` is true.
+    pub(crate) fn sequences(&self, params: StreamParams, xs: &[i64]) -> u64 {
         let index = stream_index(params, xs);
         {
             let map = self.streams.lock().expect("stream cache poisoned");
@@ -481,7 +550,7 @@ impl PlanCache {
             }
         }
         self.stream_misses.fetch_add(1, Ordering::Relaxed);
-        let seqs = compute();
+        let seqs = params.count(xs);
         let mut map = self.streams.lock().expect("stream cache poisoned");
         if map.len() >= self.cfg.max_streams {
             map.clear();
@@ -602,28 +671,22 @@ fn report_index(cfg_words: &[u64], kernel: ReportKernelRef<'_>) -> u64 {
     h.0
 }
 
-/// Full contents of a [`PlanCache`] (entries only — tallies count
-/// lookups, not contents, and are never persisted). The bridge between
-/// the live maps and [`CacheStore`](crate::store::CacheStore)'s on-disk
-/// word encoding.
+/// The persistable contents of a [`PlanCache`]: the stream and report
+/// entries. Plans are left out — rebuilding one from its [`PlanKey`]
+/// costs microseconds, and a stored plan could not be validated against
+/// the topology it claims. Tallies count lookups, not contents, and are
+/// never persisted either. The bridge between the live maps and
+/// [`CacheStore`](crate::store::CacheStore)'s on-disk word encoding.
 #[derive(Debug, Default)]
 pub(crate) struct CacheContents {
-    pub(crate) plans: Vec<(PlanKey, ShardPlan)>,
     pub(crate) streams: Vec<(StreamParams, Box<[i64]>, u64)>,
     pub(crate) reports: Vec<(Box<[u64]>, ReportKernel, ExecutionReport)>,
 }
 
 impl PlanCache {
-    /// Snapshots every entry of every tier.
+    /// Snapshots every stream and report entry.
     pub(crate) fn export_contents(&self) -> CacheContents {
         CacheContents {
-            plans: self
-                .plans
-                .lock()
-                .expect("plan cache poisoned")
-                .iter()
-                .map(|(k, p)| (k.clone(), (**p).clone()))
-                .collect(),
             streams: self
                 .streams
                 .lock()
@@ -647,15 +710,6 @@ impl PlanCache {
     /// nor a miss until something looks it up). Indices are recomputed
     /// from content, so a snapshot survives hash-function changes.
     pub(crate) fn import_contents(&self, contents: CacheContents) {
-        {
-            let mut map = self.plans.lock().expect("plan cache poisoned");
-            for (key, plan) in contents.plans {
-                if map.len() >= self.cfg.max_plans {
-                    break;
-                }
-                map.insert(key, Arc::new(plan));
-            }
-        }
         {
             let mut map = self.streams.lock().expect("stream cache poisoned");
             for (params, xs, seqs) in contents.streams {
@@ -690,48 +744,113 @@ impl PlanCache {
 mod tests {
     use super::*;
     use c2m_cim::Backend;
-    use c2m_dram::Topology;
 
     fn key(total: usize) -> PlanKey {
         PlanKey {
             axis: ShardAxis::InnerDim,
             total,
-            topology_fp: Topology::single(16).fingerprint(),
+            topology: Topology::single(16),
             policy: BackendPolicy::Uniform(Backend::Ambit),
             sizing: PlanKey::sizing_bits(&ShardSizing::Even),
         }
     }
 
-    fn plan(total: usize) -> ShardPlan {
-        crate::shard::ShardPlanner::new(Topology::single(16)).plan_inner(total)
-    }
+    const PARAMS: StreamParams = StreamParams {
+        radix: 4,
+        digits: 32,
+        iarm: true,
+        doubled: false,
+    };
 
     #[test]
     fn plan_lookups_count_hits_and_misses() {
         let c = PlanCache::default();
-        let a = c.plan(&key(64), || plan(64));
-        let b = c.plan(&key(64), || unreachable!("second lookup must hit"));
-        assert!(Arc::ptr_eq(&a, &b));
-        let c64 = c.plan(&key(128), || plan(128));
-        assert_eq!(c64.total, 128);
+        let a = c.plan(&key(64));
+        let b = c.plan(&key(64));
+        assert!(Arc::ptr_eq(&a, &b), "second lookup must hit");
+        let c128 = c.plan(&key(128));
+        assert_eq!(c128.total, 128);
         let t = c.counters();
         assert_eq!((t.plan_hits, t.plan_misses), (1, 2));
+    }
+
+    #[test]
+    fn plan_keys_never_alias_distinct_topologies() {
+        // Each variant widens one dimension of `base` by exactly 2^16,
+        // which a 16-bit-per-dimension packed key would wrap onto
+        // `base`. Keyed on the topology value, every one must miss.
+        let c = PlanCache::default();
+        let base = Topology::single(16);
+        let key_on = |topology| PlanKey { topology, ..key(8) };
+        let base_plan = c.plan(&key_on(base));
+        let widen: [fn(&mut Topology); 4] = [
+            |t| t.channels += 1 << 16,
+            |t| t.ranks += 1 << 16,
+            |t| t.banks += 1 << 16,
+            |t| t.subarrays += 1 << 16,
+        ];
+        for (i, widen) in widen.iter().enumerate() {
+            let mut t = base;
+            widen(&mut t);
+            let plan = c.plan(&key_on(t));
+            assert_eq!(c.counters().plan_misses, 2 + i as u64, "{t:?} aliased");
+            assert_eq!(*plan, key_on(t).build());
+            if t.banks == base.banks {
+                assert_ne!(*plan, *base_plan, "{t:?} must split differently");
+            }
+        }
+    }
+
+    #[test]
+    fn plan_key_build_matches_the_planner() {
+        let topology = Topology {
+            channels: 4,
+            ranks: 2,
+            banks: 16,
+            subarrays: 2,
+        };
+        let policy = BackendPolicy::PerChannel(vec![Backend::Ambit, Backend::Fcdram]);
+        for sizing in [ShardSizing::Even, ShardSizing::Weighted(vec![1.0, 0.4])] {
+            let planner =
+                ShardPlanner::with_policy(topology, policy.clone()).with_sizing(sizing.clone());
+            for (axis, expect) in [
+                (ShardAxis::OutputRows, planner.plan_rows(37)),
+                (ShardAxis::InnerDim, planner.plan_inner(37)),
+                (ShardAxis::CsdPlanes, planner.plan_planes(37)),
+            ] {
+                let key = PlanKey {
+                    axis,
+                    total: 37,
+                    topology,
+                    policy: policy.clone(),
+                    sizing: PlanKey::sizing_bits(&sizing),
+                };
+                assert_eq!(key.build(), expect, "{axis:?} {sizing:?}");
+            }
+        }
     }
 
     #[test]
     fn stream_lookups_serve_only_exact_content() {
         let c = PlanCache::default();
         let xs = vec![1i64, -2, 3, 0, 5];
-        let a = c.sequences(4, 32, true, false, &xs, || 42);
-        assert_eq!(a, 42);
-        let b = c.sequences(4, 32, true, false, &xs, || unreachable!());
-        assert_eq!(b, 42);
+        let a = c.sequences(PARAMS, &xs);
+        assert_eq!(a, PARAMS.count(&xs));
+        assert_eq!(c.sequences(PARAMS, &xs), a);
         // Different values, params, or doubling flag must all miss.
         let mut ys = xs.clone();
         ys[4] = 6;
-        assert_eq!(c.sequences(4, 32, true, false, &ys, || 7), 7);
-        assert_eq!(c.sequences(4, 32, false, false, &xs, || 8), 8);
-        assert_eq!(c.sequences(4, 32, true, true, &xs, || 9), 9);
+        let no_iarm = StreamParams {
+            iarm: false,
+            ..PARAMS
+        };
+        let doubled = StreamParams {
+            doubled: true,
+            ..PARAMS
+        };
+        for (params, values) in [(PARAMS, &ys), (no_iarm, &xs), (doubled, &xs)] {
+            assert_eq!(c.sequences(params, values), params.count(values));
+        }
         let t = c.counters();
         assert_eq!((t.stream_hits, t.stream_misses), (1, 4));
     }
@@ -744,10 +863,10 @@ mod tests {
             max_reports: 2,
         });
         for total in 1..=10usize {
-            let p = c.plan(&key(total), || plan(total));
+            let p = c.plan(&key(total));
             assert_eq!(p.total, total, "evicted caches still build correctly");
-            let s = c.sequences(4, 32, true, false, &[total as i64], || total as u64);
-            assert_eq!(s, total as u64);
+            let xs = [total as i64];
+            assert_eq!(c.sequences(PARAMS, &xs), PARAMS.count(&xs));
         }
         assert!(c.plans.lock().unwrap().len() <= 2);
         assert!(c.streams.lock().unwrap().len() <= 2);
@@ -756,9 +875,9 @@ mod tests {
     #[test]
     fn clear_keeps_tallies() {
         let c = PlanCache::default();
-        let _ = c.plan(&key(1), || plan(1));
+        let _ = c.plan(&key(1));
         c.clear();
-        let _ = c.plan(&key(1), || plan(1));
+        let _ = c.plan(&key(1));
         let t = c.counters();
         assert_eq!(t.plan_misses, 2, "cleared entry is a future miss");
     }
@@ -825,9 +944,8 @@ mod tests {
     #[test]
     fn contents_round_trip_through_export_import() {
         let c = PlanCache::default();
-        let _ = c.plan(&key(64), || plan(64));
         let xs = vec![1i64, -2, 3];
-        let _ = c.sequences(4, 32, true, false, &xs, || 42);
+        let seqs = c.sequences(PARAMS, &xs);
         let k = ReportKernelRef::TernaryGemv { n: 16, x: &xs };
         c.reports().insert(&[5, 6], k, &fake_report(3.5));
 
@@ -835,15 +953,12 @@ mod tests {
         fresh.import_contents(c.export_contents());
         // Imports never count as lookups…
         assert_eq!(fresh.counters(), CacheCounters::default());
-        // …but every tier serves the restored entries.
-        let p = fresh.plan(&key(64), || unreachable!("restored plan must hit"));
-        assert_eq!(p.total, 64);
-        assert_eq!(
-            fresh.sequences(4, 32, true, false, &xs, || unreachable!()),
-            42
-        );
+        // …but both persisted tiers serve the restored entries.
+        assert_eq!(fresh.sequences(PARAMS, &xs), seqs);
         let hit = fresh.reports().lookup(&[5, 6], k).expect("restored report");
         assert_eq!(hit.elapsed_ns.to_bits(), 3.5f64.to_bits());
+        let t = fresh.counters();
+        assert_eq!((t.stream_hits, t.stream_misses), (1, 0));
     }
 
     #[test]

@@ -27,7 +27,7 @@
 //! Ambit policy every path reduces bit-for-bit to the paper's
 //! single-channel model.
 
-use crate::cache::{CacheConfig, PlanCache, PlanKey, ReportKernelRef};
+use crate::cache::{CacheConfig, PlanCache, PlanKey, ReportKernelRef, StreamParams};
 use crate::shard::{BackendPolicy, ShardAxis, ShardPlan, ShardPlanner, ShardSizing};
 use crate::store::CacheStore;
 use c2m_cim::Backend;
@@ -41,7 +41,6 @@ use c2m_dram::{
 use c2m_ecc::protect::{ProtectionAnalysis, ProtectionKind};
 use c2m_jc::codec::JohnsonCode;
 use c2m_jc::cost::digits_for_capacity;
-use c2m_jc::iarm::IarmPlanner;
 use c2m_trace::{TraceEvent, TraceSink, Track};
 use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
@@ -394,8 +393,8 @@ impl EngineBuilder {
         };
         if let (Some(path), Some(c)) = (&self.cache_path, &cache) {
             // Warm start from the persistent store; any guard failure
-            // (missing file, version or fingerprint-scheme mismatch,
-            // corruption) just leaves the cache cold.
+            // (missing file, version mismatch, corruption) just leaves
+            // the cache cold.
             let _ = CacheStore::load_into(path, c);
         }
         let mut engine = C2mEngine {
@@ -476,57 +475,6 @@ impl C2mEngine {
         self.trace = Some(TraceHandle::new(sink));
     }
 
-    /// Creates an engine from a configuration, dispatching every shard
-    /// to Ambit (the paper's substrate).
-    ///
-    /// # Panics
-    ///
-    /// Panics on invalid radix/capacity combinations.
-    #[deprecated(since = "0.6.0", note = "use `C2mEngine::builder(cfg).build()`")]
-    #[must_use]
-    pub fn new(cfg: EngineConfig) -> Self {
-        Self::builder(cfg).build()
-    }
-
-    /// Creates an engine with an explicit per-shard backend dispatch
-    /// policy (§4.6 heterogeneous execution).
-    ///
-    /// # Panics
-    ///
-    /// Panics on invalid radix/capacity combinations, and on degenerate
-    /// DRAM geometry (zero channels/ranks, or more compute banks than
-    /// the rank has) — the same checks as [`Topology::from_config`],
-    /// applied at construction so the kernel methods cannot fail later.
-    #[deprecated(
-        since = "0.6.0",
-        note = "use `C2mEngine::builder(cfg).backends(policy).build()`"
-    )]
-    #[must_use]
-    pub fn with_backends(cfg: EngineConfig, backends: BackendPolicy) -> Self {
-        Self::builder(cfg).backends(backends).build()
-    }
-
-    /// Replaces the shard-length sizing policy (see [`ShardSizing`]).
-    /// The default [`ShardSizing::Even`] is the seed behaviour;
-    /// [`Self::heterogeneity_weights`] builds the weighted sizing that
-    /// equalises per-channel makespan under this engine's backend
-    /// policy.
-    ///
-    /// # Panics
-    ///
-    /// Panics on an empty or non-positive weight vector.
-    #[deprecated(
-        since = "0.6.0",
-        note = "use `C2mEngine::builder(cfg).sizing(s).build()` (or `.balanced_sizing()`)"
-    )]
-    #[must_use]
-    pub fn with_shard_sizing(mut self, sizing: ShardSizing) -> Self {
-        // Validate eagerly through the planner's checks.
-        let _ = ShardPlanner::new(self.topology()).with_sizing(sizing.clone());
-        self.sizing = sizing;
-        self
-    }
-
     /// The shard-length sizing policy in force.
     #[must_use]
     pub fn shard_sizing(&self) -> &ShardSizing {
@@ -537,9 +485,9 @@ impl C2mEngine {
     /// channel `c` weighs `1 / backend_factor(backend_for(c))`, so a
     /// channel whose increments cost `f×` Ambit's receives `1/f` of the
     /// work and every channel finishes its shard at the same time.
-    /// Feeding this to [`Self::with_shard_sizing`] rebalances
-    /// mixed-backend topologies; on a uniform policy it reduces to the
-    /// even split.
+    /// Feeding this to [`EngineBuilder::sizing`] (or building with
+    /// [`EngineBuilder::balanced_sizing`]) rebalances mixed-backend
+    /// topologies; on a uniform policy it reduces to the even split.
     #[must_use]
     pub fn heterogeneity_weights(&self) -> ShardSizing {
         let weights: Vec<f64> = (0..self.cfg.dram.channels)
@@ -565,8 +513,8 @@ impl C2mEngine {
     /// [`Self::salp_streams`] concurrent subarray streams per bank.
     ///
     /// The *effective* (clamped) stream count is baked into the
-    /// topology, so [`Topology::fingerprint`] — and hence every
-    /// [`PlanKey`] — covers the subarray sizing exactly.
+    /// topology, so every [`PlanKey`] — which holds the topology
+    /// itself — covers the subarray sizing exactly.
     ///
     /// # Panics
     ///
@@ -638,35 +586,17 @@ impl C2mEngine {
     /// full-ripple chain when IARM is off).
     #[must_use]
     pub fn sequences_for_stream(&self, xs: &[i64]) -> u64 {
-        if self.cfg.iarm {
-            let mut planner = IarmPlanner::new(self.cfg.radix, self.digits);
-            planner.assume_zero();
-            let mut seqs = 0u64;
-            // Addition pass, then subtraction pass (host reordering).
-            for &x in xs.iter().filter(|&&x| x > 0) {
-                seqs += planner.plan_add(x.unsigned_abs() as u128).len() as u64;
-            }
-            for &x in xs.iter().filter(|&&x| x < 0) {
-                seqs += planner.plan_sub(x.unsigned_abs() as u128).len() as u64;
-            }
-            seqs += planner.flush().len() as u64;
-            seqs
-        } else {
-            // k-ary with per-increment carry rippling (§4.5.1): each
-            // non-zero digit pays its increment plus one rippling
-            // command sequence — the paper's 2·(7n+7)-per-digit model.
-            let mut seqs = 0u64;
-            let r = self.cfg.radix as u128;
-            for &x in xs.iter().filter(|&&x| x != 0) {
-                let mut v = x.unsigned_abs() as u128;
-                while v != 0 {
-                    if !v.is_multiple_of(r) {
-                        seqs += 2;
-                    }
-                    v /= r;
-                }
-            }
-            seqs
+        self.stream_params(false).count(xs)
+    }
+
+    /// The stream-tier key of this engine: everything a sequence count
+    /// reads besides the values.
+    fn stream_params(&self, doubled: bool) -> StreamParams {
+        StreamParams {
+            radix: self.cfg.radix,
+            digits: self.digits,
+            iarm: self.cfg.iarm,
+            doubled,
         }
     }
 
@@ -710,14 +640,20 @@ impl C2mEngine {
 
     /// The report-cache key words of this engine: an **injective**
     /// bit-exact word encoding of everything a launch's report depends
-    /// on besides the kernel inputs — every [`EngineConfig`] field
-    /// (enums as tag + payload, floats as IEEE bit patterns,
+    /// on besides the kernel inputs — every [`EngineConfig`] field down
+    /// to the fields of its DRAM geometry, timing, energy and area
+    /// models (enums as tag + payload, floats as IEEE bit patterns,
     /// length-prefixed variable sections) plus the backend policy and
     /// the resolved shard sizing. Two engines share a word vector only
     /// if every field is equal, so a [`ReportCache`](crate::cache::ReportCache)
     /// entry keyed on these words can never be served across differing
-    /// configurations. Field coverage is enforced by the
-    /// `cache-key-completeness` lint.
+    /// configurations.
+    ///
+    /// The compiler enforces that coverage: every struct is
+    /// destructured without `..` and every binding must be used
+    /// (`#[deny(unused_variables)]`), so a new field does not build
+    /// until it is keyed here.
+    #[deny(unused_variables)]
     #[must_use]
     pub fn report_key_words(&self) -> Vec<u64> {
         fn backend_code(b: Backend) -> u64 {
@@ -728,13 +664,74 @@ impl C2mEngine {
                 Backend::Magic => 3,
             }
         }
-        let cfg = &self.cfg;
+        // `code` and `digits` derive from `radix` and `capacity_bits`;
+        // the cache handle, store path and trace hook never reach a
+        // report.
+        let Self {
+            cfg,
+            code: _,
+            digits: _,
+            backends,
+            sizing,
+            cache: _,
+            cache_path: _,
+            trace: _,
+        } = self;
+        let EngineConfig {
+            radix,
+            capacity_bits,
+            banks,
+            subarrays,
+            protection,
+            fault_rate,
+            ecc_row_bits,
+            iarm,
+            dram,
+            timing,
+            energy,
+            area,
+        } = cfg;
+        let DramConfig {
+            channels,
+            ranks,
+            chips,
+            ecc_chips,
+            banks: dram_banks,
+            subarrays_per_bank,
+            rows_per_subarray,
+            row_bytes_per_chip,
+            chip_gbit,
+        } = dram;
+        let TimingParams {
+            t_ck,
+            t_rcd,
+            t_ras,
+            t_rp,
+            t_rrd,
+            t_faw,
+            t_ccd,
+            t_burst,
+            t_rank_switch,
+            t_subarray_gate,
+        } = timing;
+        let EnergyModel {
+            e_act_pre_nj,
+            e_aap_nj,
+            e_ap_nj,
+            e_rd_nj,
+            e_wr_nj,
+            p_static_w,
+        } = energy;
+        let AreaModel {
+            chip_area_mm2,
+            cim_overhead_frac,
+        } = area;
         let mut w = Vec::with_capacity(48);
-        w.push(cfg.radix as u64);
-        w.push(u64::from(cfg.capacity_bits));
-        w.push(cfg.banks as u64);
-        w.push(cfg.subarrays as u64);
-        match cfg.protection {
+        w.push(*radix as u64);
+        w.push(u64::from(*capacity_bits));
+        w.push(*banks as u64);
+        w.push(*subarrays as u64);
+        match *protection {
             ProtectionKind::None => w.extend([0, 0, 0]),
             ProtectionKind::Tmr => w.extend([1, 0, 0]),
             ProtectionKind::Ecc {
@@ -742,46 +739,42 @@ impl C2mEngine {
                 fuse_inverted_feedback,
             } => w.extend([2, u64::from(fr_checks), u64::from(fuse_inverted_feedback)]),
         }
-        w.push(cfg.fault_rate.to_bits());
-        w.push(cfg.ecc_row_bits as u64);
-        w.push(u64::from(cfg.iarm));
-        let d = &cfg.dram;
+        w.push(fault_rate.to_bits());
+        w.push(*ecc_row_bits as u64);
+        w.push(u64::from(*iarm));
         w.extend([
-            d.channels as u64,
-            d.ranks as u64,
-            d.chips as u64,
-            d.ecc_chips as u64,
-            d.banks as u64,
-            d.subarrays_per_bank as u64,
-            d.rows_per_subarray as u64,
-            d.row_bytes_per_chip as u64,
-            d.chip_gbit as u64,
+            *channels as u64,
+            *ranks as u64,
+            *chips as u64,
+            *ecc_chips as u64,
+            *dram_banks as u64,
+            *subarrays_per_bank as u64,
+            *rows_per_subarray as u64,
+            *row_bytes_per_chip as u64,
+            *chip_gbit as u64,
         ]);
-        let t = &cfg.timing;
         w.extend([
-            t.t_ck.to_bits(),
-            t.t_rcd.to_bits(),
-            t.t_ras.to_bits(),
-            t.t_rp.to_bits(),
-            t.t_rrd.to_bits(),
-            t.t_faw.to_bits(),
-            t.t_ccd.to_bits(),
-            t.t_burst.to_bits(),
-            t.t_rank_switch.to_bits(),
-            t.t_subarray_gate.to_bits(),
+            t_ck.to_bits(),
+            t_rcd.to_bits(),
+            t_ras.to_bits(),
+            t_rp.to_bits(),
+            t_rrd.to_bits(),
+            t_faw.to_bits(),
+            t_ccd.to_bits(),
+            t_burst.to_bits(),
+            t_rank_switch.to_bits(),
+            t_subarray_gate.to_bits(),
         ]);
-        let e = &cfg.energy;
         w.extend([
-            e.e_act_pre_nj.to_bits(),
-            e.e_aap_nj.to_bits(),
-            e.e_ap_nj.to_bits(),
-            e.e_rd_nj.to_bits(),
-            e.e_wr_nj.to_bits(),
-            e.p_static_w.to_bits(),
+            e_act_pre_nj.to_bits(),
+            e_aap_nj.to_bits(),
+            e_ap_nj.to_bits(),
+            e_rd_nj.to_bits(),
+            e_wr_nj.to_bits(),
+            p_static_w.to_bits(),
         ]);
-        let a = &cfg.area;
-        w.extend([a.chip_area_mm2.to_bits(), a.cim_overhead_frac.to_bits()]);
-        match &self.backends {
+        w.extend([chip_area_mm2.to_bits(), cim_overhead_frac.to_bits()]);
+        match backends {
             BackendPolicy::Uniform(b) => w.extend([0, backend_code(*b)]),
             BackendPolicy::PerChannel(list) => {
                 w.push(1);
@@ -789,7 +782,7 @@ impl C2mEngine {
                 w.extend(list.iter().map(|&b| backend_code(b)));
             }
         }
-        match &self.sizing {
+        match sizing {
             ShardSizing::Even => w.push(0),
             // Weights are validated non-empty at build, so the length
             // prefix (≥ 1) never collides with the `Even` tag.
@@ -846,17 +839,7 @@ impl C2mEngine {
     /// bit-for-bit the same count, memoised on the stream content.
     #[must_use]
     pub fn cached_sequences_for_stream(&self, xs: &[i64]) -> u64 {
-        match &self.cache {
-            Some(c) => c.sequences(
-                self.cfg.radix,
-                self.digits,
-                self.cfg.iarm,
-                false,
-                xs,
-                || self.sequences_for_stream(xs),
-            ),
-            None => self.sequences_for_stream(xs),
-        }
+        self.cached_sequences(self.stream_params(false), xs)
     }
 
     /// Sequence count for the doubled ternary stream of `x`
@@ -865,53 +848,48 @@ impl C2mEngine {
     /// stream entirely.
     #[must_use]
     pub fn cached_sequences_for_doubled(&self, x: &[i64]) -> u64 {
+        self.cached_sequences(self.stream_params(true), x)
+    }
+
+    fn cached_sequences(&self, params: StreamParams, xs: &[i64]) -> u64 {
         match &self.cache {
-            Some(c) => c.sequences(self.cfg.radix, self.digits, self.cfg.iarm, true, x, || {
-                self.sequences_for_stream(&doubled_ternary(x))
-            }),
-            None => self.sequences_for_stream(&doubled_ternary(x)),
+            Some(c) => c.sequences(params, xs),
+            None => params.count(xs),
         }
     }
 
     /// Shard plan for `total` elements along `axis`, through the plan
-    /// cache when one is enabled. The key covers everything the planner
-    /// reads: the axis, the element count, the topology fingerprint,
-    /// the backend policy and the sizing weights.
+    /// cache when one is enabled. Cached or not, the plan is built from
+    /// its [`PlanKey`] alone: the axis, the element count, the
+    /// topology, the backend policy and the sizing weights.
     fn plan_for(&self, axis: ShardAxis, total: usize) -> Arc<ShardPlan> {
-        let build = || match axis {
-            ShardAxis::OutputRows => self.planner().plan_rows(total),
-            ShardAxis::InnerDim => self.planner().plan_inner(total),
-            ShardAxis::CsdPlanes => self.planner().plan_planes(total),
+        let key = PlanKey {
+            axis,
+            total,
+            topology: self.topology(),
+            policy: self.backends.clone(),
+            sizing: PlanKey::sizing_bits(&self.sizing),
         };
         match &self.cache {
-            Some(c) => {
-                let key = PlanKey {
-                    axis,
-                    total,
-                    topology_fp: self.topology().fingerprint(),
-                    policy: self.backends.clone(),
-                    sizing: PlanKey::sizing_bits(&self.sizing),
-                };
-                match &self.trace {
-                    Some(tr) => {
-                        let hits_before = c.counters().plan_hits;
-                        let plan = c.plan(&key, build);
-                        tr.sink.record(TraceEvent::Instant {
-                            t_ns: tr.now(),
-                            name: if c.counters().plan_hits > hits_before {
-                                "plan_cached"
-                            } else {
-                                "plan_built"
-                            },
-                            cat: "core",
-                            track: Track::core(0),
-                        });
-                        plan
-                    }
-                    None => c.plan(&key, build),
+            Some(c) => match &self.trace {
+                Some(tr) => {
+                    let hits_before = c.counters().plan_hits;
+                    let plan = c.plan(&key);
+                    tr.sink.record(TraceEvent::Instant {
+                        t_ns: tr.now(),
+                        name: if c.counters().plan_hits > hits_before {
+                            "plan_cached"
+                        } else {
+                            "plan_built"
+                        },
+                        cat: "core",
+                        track: Track::core(0),
+                    });
+                    plan
                 }
-            }
-            None => Arc::new(build()),
+                None => c.plan(&key),
+            },
+            None => Arc::new(key.build()),
         }
     }
 
@@ -2067,7 +2045,7 @@ mod tests {
         );
     }
 
-    // ---- builder validation, caching and deprecated shims ----
+    // ---- builder validation and caching ----
 
     #[test]
     fn try_build_reports_each_validation_failure() {
@@ -2105,38 +2083,6 @@ mod tests {
                 .try_build(),
             Err(EngineBuildError::InvalidSizing(_))
         ));
-    }
-
-    #[test]
-    #[allow(deprecated)]
-    fn deprecated_constructors_match_the_builder() {
-        let xs = int8_stream(1024, 101);
-        let old = C2mEngine::new(EngineConfig::c2m(16)).ternary_gemv(&xs, 2048);
-        let new = C2mEngine::builder(EngineConfig::c2m(16))
-            .build()
-            .ternary_gemv(&xs, 2048);
-        assert_eq!(old.elapsed_ns, new.elapsed_ns);
-        assert_eq!(old.energy_nj, new.energy_nj);
-
-        let policy = BackendPolicy::Uniform(Backend::Fcdram);
-        let old = C2mEngine::with_backends(cfg_with_channels(2, 1), policy.clone())
-            .ternary_gemv(&xs, 2048);
-        let new = C2mEngine::builder(cfg_with_channels(2, 1))
-            .backends(policy.clone())
-            .build()
-            .ternary_gemv(&xs, 2048);
-        assert_eq!(old.elapsed_ns, new.elapsed_ns);
-
-        let w = ShardSizing::Weighted(vec![2.0, 1.0]);
-        let old = C2mEngine::with_backends(cfg_with_channels(2, 1), policy.clone())
-            .with_shard_sizing(w.clone())
-            .ternary_gemv(&xs, 2048);
-        let new = C2mEngine::builder(cfg_with_channels(2, 1))
-            .backends(policy)
-            .sizing(w)
-            .build()
-            .ternary_gemv(&xs, 2048);
-        assert_eq!(old.elapsed_ns, new.elapsed_ns);
     }
 
     #[test]

@@ -5,38 +5,35 @@
 //! still pays the full cold start. [`CacheStore`] closes that gap for
 //! the sweep binaries and benches (`--cache-dir`) and for
 //! [`EngineBuilder::cache_path`](crate::engine::EngineBuilder::cache_path):
-//! all three cache tiers — shard plans, priced streams and whole launch
-//! reports — serialise through the vendored serde shim and restore into
-//! a fresh cache with their equality-gate content intact, so a restored
-//! entry is exactly as trustworthy as a freshly computed one.
+//! the priced-stream and whole-launch report tiers serialise through
+//! the vendored serde shim and restore into a fresh cache with their
+//! equality-gate content intact. The plan tier is not persisted: a plan
+//! is a microsecond-cheap pure function of its
+//! [`PlanKey`](crate::cache::PlanKey), so a warm process rebuilds it
+//! rather than trusting shard coordinates from a file.
 //!
 //! # Format
 //!
-//! A store file is a JSON object with four keys:
+//! A store file is a JSON object with three keys:
 //!
 //! * `magic` — the literal `"c2m-cache"`.
 //! * `format_version` — [`CacheStore::FORMAT_VERSION`]; bumped whenever
 //!   the word layout below changes.
-//! * `fingerprint_scheme` — [`Topology::FINGERPRINT_SCHEME`]; plan keys
-//!   embed topology fingerprints, which are only comparable under the
-//!   scheme that packed them.
 //! * `words` — the cache contents as a flat `u64` word stream
 //!   (length-prefixed sections; floats as IEEE-754 bit patterns; the
 //!   vendored `serde_json` round-trips integers exactly, so every word
 //!   survives the text encoding bit-for-bit).
 //!
 //! **Stale or mismatched files are ignored, never trusted**: any guard
-//! failure — missing file, wrong magic, version or scheme mismatch,
-//! malformed JSON, truncated or nonsensical words — makes
+//! failure — missing file, wrong magic, version mismatch, malformed
+//! JSON, truncated or nonsensical words — makes
 //! [`CacheStore::load_into`] return `false` and leave the cache cold.
-//! Loading never panics on file content.
+//! Loading never panics on file content, and no stored value is ever
+//! used as an index, so no stored word can make a later launch panic.
 
-use crate::cache::{CacheContents, PlanCache, PlanKey, ReportKernel, StreamParams};
-use crate::shard::{BackendPolicy, Shard, ShardAxis, ShardPlan};
-use c2m_cim::Backend;
+use crate::cache::{CacheContents, PlanCache, ReportKernel, StreamParams};
 use c2m_dram::{
     CacheCounters, CommandKind, CommandStats, EnergyBreakdown, ExecutionReport, ShardEnergy,
-    Topology,
 };
 use serde::Value;
 use std::path::Path;
@@ -62,7 +59,9 @@ const MAGIC: &str = "c2m-cache";
 
 impl CacheStore {
     /// Version of the word layout. Readers reject any other value.
-    pub const FORMAT_VERSION: u64 = 1;
+    /// Version 2 dropped the plan section and the topology-fingerprint
+    /// header.
+    pub const FORMAT_VERSION: u64 = 2;
 
     /// Writes `cache`'s entries to `path` (creating parent directories),
     /// replacing any existing file. Tallies are not persisted — they
@@ -83,10 +82,6 @@ impl CacheStore {
             (
                 "format_version".into(),
                 Value::Int(i128::from(Self::FORMAT_VERSION)),
-            ),
-            (
-                "fingerprint_scheme".into(),
-                Value::Int(i128::from(Topology::FINGERPRINT_SCHEME)),
             ),
             (
                 "words".into(),
@@ -114,9 +109,7 @@ impl CacheStore {
         let Some(contents) = parse(&text) else {
             return false;
         };
-        let any = !contents.plans.is_empty()
-            || !contents.streams.is_empty()
-            || !contents.reports.is_empty();
+        let any = !contents.streams.is_empty() || !contents.reports.is_empty();
         cache.import_contents(contents);
         any
     }
@@ -147,9 +140,6 @@ fn parse(text: &str) -> Option<CacheContents> {
     if field("format_version")? != &Value::Int(i128::from(CacheStore::FORMAT_VERSION)) {
         return None;
     }
-    if field("fingerprint_scheme")? != &Value::Int(i128::from(Topology::FINGERPRINT_SCHEME)) {
-        return None;
-    }
     let Value::Array(raw) = field("words")? else {
         return None;
     };
@@ -172,11 +162,6 @@ fn parse(text: &str) -> Option<CacheContents> {
 
 fn encode(contents: CacheContents) -> Vec<u64> {
     let mut w = Vec::new();
-    w.push(contents.plans.len() as u64);
-    for (key, plan) in &contents.plans {
-        encode_plan_key(&mut w, key);
-        encode_plan(&mut w, plan);
-    }
     w.push(contents.streams.len() as u64);
     for (params, xs, seqs) in &contents.streams {
         w.push(params.radix as u64);
@@ -195,59 +180,6 @@ fn encode(contents: CacheContents) -> Vec<u64> {
         encode_report(&mut w, report);
     }
     w
-}
-
-fn axis_code(axis: ShardAxis) -> u64 {
-    match axis {
-        ShardAxis::InnerDim => 0,
-        ShardAxis::OutputRows => 1,
-        ShardAxis::CsdPlanes => 2,
-    }
-}
-
-fn backend_code(b: Backend) -> u64 {
-    match b {
-        Backend::Ambit => 0,
-        Backend::Fcdram => 1,
-        Backend::Pinatubo => 2,
-        Backend::Magic => 3,
-    }
-}
-
-fn encode_policy(w: &mut Vec<u64>, policy: &BackendPolicy) {
-    match policy {
-        BackendPolicy::Uniform(b) => w.extend([0, backend_code(*b)]),
-        BackendPolicy::PerChannel(list) => {
-            w.push(1);
-            w.push(list.len() as u64);
-            w.extend(list.iter().map(|&b| backend_code(b)));
-        }
-    }
-}
-
-fn encode_plan_key(w: &mut Vec<u64>, key: &PlanKey) {
-    w.push(axis_code(key.axis));
-    w.push(key.total as u64);
-    w.push(key.topology_fp);
-    encode_policy(w, &key.policy);
-    w.push(key.sizing.len() as u64);
-    w.extend(key.sizing.iter().copied());
-}
-
-fn encode_plan(w: &mut Vec<u64>, plan: &ShardPlan) {
-    w.push(axis_code(plan.axis));
-    w.push(plan.total as u64);
-    w.push(plan.shards.len() as u64);
-    for s in &plan.shards {
-        w.extend([
-            s.channel as u64,
-            s.rank as u64,
-            s.subarray as u64,
-            backend_code(s.backend),
-            s.start as u64,
-            s.len as u64,
-        ]);
-    }
 }
 
 fn encode_kernel(w: &mut Vec<u64>, kernel: &ReportKernel) {
@@ -376,73 +308,6 @@ impl<'a> Reader<'a> {
     }
 }
 
-fn decode_axis(r: &mut Reader<'_>) -> Option<ShardAxis> {
-    match r.u()? {
-        0 => Some(ShardAxis::InnerDim),
-        1 => Some(ShardAxis::OutputRows),
-        2 => Some(ShardAxis::CsdPlanes),
-        _ => None,
-    }
-}
-
-fn decode_backend(r: &mut Reader<'_>) -> Option<Backend> {
-    match r.u()? {
-        0 => Some(Backend::Ambit),
-        1 => Some(Backend::Fcdram),
-        2 => Some(Backend::Pinatubo),
-        3 => Some(Backend::Magic),
-        _ => None,
-    }
-}
-
-fn decode_policy(r: &mut Reader<'_>) -> Option<BackendPolicy> {
-    match r.u()? {
-        0 => Some(BackendPolicy::Uniform(decode_backend(r)?)),
-        1 => {
-            let len = r.len()?;
-            let list = (0..len).map(|_| decode_backend(r)).collect::<Option<_>>()?;
-            Some(BackendPolicy::PerChannel(list))
-        }
-        _ => None,
-    }
-}
-
-fn decode_plan_key(r: &mut Reader<'_>) -> Option<PlanKey> {
-    Some(PlanKey {
-        axis: decode_axis(r)?,
-        total: r.n()?,
-        topology_fp: r.u()?,
-        policy: decode_policy(r)?,
-        sizing: {
-            let len = r.len()?;
-            (0..len).map(|_| r.u()).collect::<Option<_>>()?
-        },
-    })
-}
-
-fn decode_plan(r: &mut Reader<'_>) -> Option<ShardPlan> {
-    let axis = decode_axis(r)?;
-    let total = r.n()?;
-    let len = r.len()?;
-    let shards = (0..len)
-        .map(|_| {
-            Some(Shard {
-                channel: r.n()?,
-                rank: r.n()?,
-                subarray: r.n()?,
-                backend: decode_backend(r)?,
-                start: r.n()?,
-                len: r.n()?,
-            })
-        })
-        .collect::<Option<_>>()?;
-    Some(ShardPlan {
-        axis,
-        total,
-        shards,
-    })
-}
-
 fn decode_kernel(r: &mut Reader<'_>) -> Option<ReportKernel> {
     match r.u()? {
         0 => Some(ReportKernel::TernaryGemv {
@@ -529,12 +394,6 @@ fn decode_report(r: &mut Reader<'_>) -> Option<ExecutionReport> {
 fn decode(words: &[u64]) -> Option<CacheContents> {
     let mut r = Reader { words, pos: 0 };
     let mut contents = CacheContents::default();
-    let plans = r.len()?;
-    for _ in 0..plans {
-        let key = decode_plan_key(&mut r)?;
-        let plan = decode_plan(&mut r)?;
-        contents.plans.push((key, plan));
-    }
     let streams = r.len()?;
     for _ in 0..streams {
         let params = StreamParams {
@@ -591,9 +450,9 @@ mod tests {
         let restored = CacheStore::load(&path, CacheConfig::default());
         std::fs::remove_file(&path).ok();
 
+        // Every persisted tier (streams and reports) comes back whole.
         let before = cache.export_contents();
         let after = restored.export_contents();
-        assert_eq!(before.plans.len(), after.plans.len());
         assert_eq!(before.streams.len(), after.streams.len());
         assert_eq!(before.reports.len(), after.reports.len());
         assert!(!before.reports.is_empty(), "warm-up must store reports");
@@ -622,7 +481,6 @@ mod tests {
             std::fs::remove_file(&path).ok();
             assert!(!loaded, "{name} must be treated as cold");
             let contents = cache.export_contents();
-            assert!(contents.plans.is_empty());
             assert!(contents.streams.is_empty());
             assert!(contents.reports.is_empty());
         };
@@ -630,25 +488,22 @@ mod tests {
         cold(Some("not json at all"), "corrupt_text");
         cold(Some("{\"magic\": \"c2m-cache\"}"), "missing_fields");
         cold(
-            Some("{\"magic\": \"other\", \"format_version\": 1, \"fingerprint_scheme\": 1, \"words\": []}"),
+            Some("{\"magic\": \"other\", \"format_version\": 2, \"words\": []}"),
             "wrong_magic",
         );
 
-        // A real store with a bumped version or scheme must also be cold.
+        // A real store under a newer or an older (version 1, with a plan
+        // section) format version must also be cold.
         let path = temp_store("stale");
         CacheStore::save(&path, &warm_cache()).expect("save");
         let text = std::fs::read_to_string(&path).unwrap();
         for (from, to, name) in [
             (
-                "\"format_version\":1",
+                "\"format_version\":2",
                 "\"format_version\":999",
                 "version_bump",
             ),
-            (
-                "\"fingerprint_scheme\":1",
-                "\"fingerprint_scheme\":999",
-                "scheme_bump",
-            ),
+            ("\"format_version\":2", "\"format_version\":1", "version_1"),
         ] {
             assert!(text.contains(from), "store text must contain {from}");
             cold(Some(&text.replace(from, to)), name);
@@ -660,5 +515,61 @@ mod tests {
         };
         cold(Some(&truncated), "truncated_words");
         std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn corrupt_words_never_panic_a_later_launch() {
+        // Every word of a small 4-channel store is set to 99 in turn.
+        // Whether or not the load accepts the file, launching the saved
+        // input and a fresh one must not panic, and the fresh launch —
+        // which no stored entry covers — must price exactly as an
+        // uncached engine does.
+        let mut cfg = EngineConfig::c2m(16);
+        cfg.dram.channels = 4;
+        let saved: Vec<i64> = (0..64).map(|i| i64::from(i % 3) - 1).collect();
+        let fresh: Vec<i64> = (0..64).map(|i| 1 - i64::from(i % 3)).collect();
+        let cache = Arc::new(PlanCache::default());
+        let _ = C2mEngine::builder(cfg.clone())
+            .shared_cache(Arc::clone(&cache))
+            .build()
+            .ternary_gemv(&saved, 64);
+        let path = temp_store("corrupt_words");
+        CacheStore::save(&path, &cache).expect("save");
+        let text = std::fs::read_to_string(&path).expect("store written");
+        let Ok(Value::Object(fields)) = serde_json::from_str(&text) else {
+            panic!("store is a JSON object");
+        };
+        let words_at = fields
+            .iter()
+            .position(|(k, _)| k == "words")
+            .expect("words field");
+        let Value::Array(words) = &fields[words_at].1 else {
+            panic!("words is an array");
+        };
+        let expect = C2mEngine::builder(cfg.clone())
+            .no_cache()
+            .build()
+            .ternary_gemv(&fresh, 64);
+
+        let mut accepted = 0;
+        for i in 0..words.len() {
+            let mut corrupt = words.clone();
+            corrupt[i] = Value::Int(99);
+            let mut file = fields.clone();
+            file[words_at].1 = Value::Array(corrupt);
+            std::fs::write(&path, serde_json::to_string(&Value::Object(file)).unwrap()).unwrap();
+            let cache = Arc::new(PlanCache::default());
+            accepted += usize::from(CacheStore::load_into(&path, &cache));
+            let engine = C2mEngine::builder(cfg.clone()).shared_cache(cache).build();
+            let _ = engine.ternary_gemv(&saved, 64);
+            let got = engine.ternary_gemv(&fresh, 64);
+            assert_eq!(
+                (got.elapsed_ns.to_bits(), got.energy_nj.to_bits()),
+                (expect.elapsed_ns.to_bits(), expect.energy_nj.to_bits()),
+                "word {i}: a corrupt store changed an uncovered launch"
+            );
+        }
+        std::fs::remove_file(&path).ok();
+        assert!(accepted > 0, "some corrupt stores must load and be served");
     }
 }

@@ -55,8 +55,8 @@ fn policies() -> Vec<BackendPolicy> {
 }
 
 /// Two configs that differ ONLY in the SALP stream count must never
-/// share a cache entry: `Topology::fingerprint` folds `subarrays` into
-/// every `PlanKey`, so the second geometry's first lookup through a
+/// share a cache entry: every `PlanKey` holds the engine's `Topology`,
+/// `subarrays` included, so the second geometry's first lookup through a
 /// shared cache is a plan MISS, and each cached price still equals its
 /// uncached twin bit-for-bit.
 #[test]

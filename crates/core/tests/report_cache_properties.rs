@@ -125,8 +125,8 @@ fn corrupt_or_stale_store_degrades_to_cold_with_identical_output() {
     let good = std::fs::read_to_string(&path).expect("store written");
 
     let mutations = [
-        good.replace("\"format_version\":1", "\"format_version\":2"),
-        good.replace("\"fingerprint_scheme\":1", "\"fingerprint_scheme\":2"),
+        good.replace("\"format_version\":2", "\"format_version\":3"),
+        good.replace("\"magic\":\"c2m-cache\"", "\"magic\":\"c2m-other\""),
         good[..good.len() / 2].to_string(),
         "{]".to_string(),
     ];

@@ -21,7 +21,10 @@ use crate::{CommandKind, DramCommand};
 use serde::{Deserialize, Serialize};
 
 /// Parallel compute topology of the memory system.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+///
+/// Plan caches key on the value itself (it is `Ord + Hash`), so every
+/// dimension — and any dimension added later — is part of the key.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
 pub struct Topology {
     /// Independent memory channels.
     pub channels: usize,
@@ -38,14 +41,6 @@ pub struct Topology {
 }
 
 impl Topology {
-    /// Version of the [`Self::fingerprint`] packing scheme. Persistent
-    /// cache stores record this next to their format version: a stored
-    /// fingerprint is only comparable to a live one under the same
-    /// scheme, so loaders must treat a file written under a different
-    /// scheme as cold. Bump whenever the field layout of
-    /// [`Self::fingerprint`] changes.
-    pub const FINGERPRINT_SCHEME: u64 = 1;
-
     /// Single channel, single rank — the paper's Table 2 setup.
     #[must_use]
     pub fn single(banks: usize) -> Self {
@@ -120,31 +115,6 @@ impl Topology {
     #[must_use]
     pub fn is_single(&self) -> bool {
         self.channels == 1 && self.ranks == 1
-    }
-
-    /// Compact, **exact** encoding of the geometry for use in cache
-    /// keys: 16 bits per dimension (channels, ranks, banks, subarray
-    /// streams), packed. Not a hash — two topologies collide only if a
-    /// dimension exceeds 2¹⁶, at which point the debug assertion fires
-    /// first. Plan caches key on this fingerprint so a cache handle
-    /// shared across engines of different geometry — including engines
-    /// differing only in their subarray sizing — can never serve a
-    /// stale plan.
-    #[must_use]
-    pub fn fingerprint(&self) -> u64 {
-        const WIDTH: u32 = 16;
-        const MASK: usize = (1 << WIDTH) - 1;
-        debug_assert!(
-            self.channels <= MASK
-                && self.ranks <= MASK
-                && self.banks <= MASK
-                && self.subarrays <= MASK,
-            "topology dimension exceeds fingerprint field width"
-        );
-        ((self.channels & MASK) as u64) << (3 * WIDTH)
-            | ((self.ranks & MASK) as u64) << (2 * WIDTH)
-            | ((self.banks & MASK) as u64) << WIDTH
-            | (self.subarrays & MASK) as u64
     }
 }
 
@@ -261,38 +231,12 @@ mod tests {
     }
 
     #[test]
-    fn fingerprint_is_injective_over_distinct_geometries() {
-        let mut seen = std::collections::BTreeSet::new();
-        for channels in 1..=8 {
-            for ranks in 1..=4 {
-                for banks in [1, 8, 16, 32] {
-                    for subarrays in [1, 8, 32, 128] {
-                        let t = Topology {
-                            channels,
-                            ranks,
-                            banks,
-                            subarrays,
-                        };
-                        assert!(seen.insert(t.fingerprint()), "collision at {t:?}");
-                        assert_eq!(t.fingerprint(), t.fingerprint());
-                    }
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn subarray_sizing_changes_the_fingerprint() {
-        // Cache-correctness regression: two topologies differing only
-        // in their subarray stream count must never share a plan key.
+    fn with_subarrays_multiplies_shard_slots() {
         let base = Topology::single(16);
-        assert_eq!(base.subarrays, 1);
-        assert_ne!(
-            base.fingerprint(),
-            base.with_subarrays(8).fingerprint(),
-            "subarray field must be covered by the fingerprint"
-        );
-        assert_eq!(base.with_subarrays(8).shard_slots(), 8);
+        assert_eq!((base.subarrays, base.shard_slots()), (1, 1));
+        let salp = base.with_subarrays(8);
+        assert_ne!(base, salp);
+        assert_eq!(salp.shard_slots(), 8);
     }
 
     #[test]
