@@ -217,10 +217,11 @@ fn exec(
     let rep = runtime.run(trace);
     let pcts = rep.latency_percentiles_ns(&[50.0, 95.0, 99.0]);
     let classes = rep.class_stats();
-    let (hi, lo) = match (classes.last(), classes.first()) {
-        (Some(hi), Some(lo)) => (*hi, *lo),
-        _ => panic!("served trace has at least one class"),
-    };
+    let (hi, lo) = classes
+        .last()
+        .zip(classes.first())
+        .map(|(hi, lo)| (*hi, *lo))
+        .expect("served trace has at least one class");
     let row = ServeRow {
         sweep: job.sweep.to_string(),
         channels: job.channels,

@@ -1,9 +1,8 @@
 //! Experiment harness utilities shared by the per-figure binaries.
 //!
 //! Each binary in `src/bin/` regenerates one table or figure of the
-//! paper (see DESIGN.md §4 for the index) and prints both a
-//! human-readable table and, with `--json`, a machine-readable dump used
-//! to populate EXPERIMENTS.md.
+//! paper (the README's *Figure binary index* lists them) and prints both
+//! a human-readable table and, with `--json`, a machine-readable dump.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -353,10 +353,11 @@ impl AmbitSubarray {
             // true-wordline read yields the complement of what was driven).
             AmbitAddr::Dcc(i) => self.dcc[usize::from(i)] = v.clone(),
             AmbitAddr::DccNeg(i) => self.dcc[usize::from(i)] = v.not(),
-            AmbitAddr::C0 | AmbitAddr::C1 => {
-                // c2m-lint: allow(unwrap-in-lib, reason = "documented hardware contract: writing a C-group control row is a program bug")
-                panic!("C-group control rows are read-only")
-            }
+            #[expect(
+                clippy::panic,
+                reason = "documented hardware contract: writing a C-group control row is a program bug"
+            )]
+            AmbitAddr::C0 | AmbitAddr::C1 => panic!("C-group control rows are read-only"),
             AmbitAddr::PairT0Dcc0 => {
                 self.t[0] = v.clone();
                 self.dcc[0] = v.not();

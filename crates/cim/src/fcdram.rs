@@ -147,7 +147,6 @@ impl FcdramPair {
     /// compute rows and scratch rows `s0`/`s1`. Returns the command count
     /// consumed (6: one NOT+copy-back, two ANDs, one OR, plus an operand
     /// re-copy since APA destroys its inputs).
-    #[allow(clippy::too_many_arguments)]
     pub fn masked_update(
         &mut self,
         keep: usize,

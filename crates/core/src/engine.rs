@@ -175,7 +175,8 @@ impl EngineConfig {
 /// value; [`EngineBuilder::build`] panics with the same message.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum EngineBuildError {
-    /// The Johnson-digit radix is not an even number ≥ 2.
+    /// The Johnson-digit radix is not an even number in
+    /// `2..=`[`JohnsonCode::MAX_RADIX`].
     InvalidRadix(String),
     /// The DRAM geometry is degenerate (zero channels/ranks/banks, or
     /// more compute banks than the rank has).
@@ -325,15 +326,17 @@ impl EngineBuilder {
     ///
     /// # Errors
     ///
-    /// Returns an [`EngineBuildError`] on an odd or sub-2 radix,
-    /// degenerate DRAM geometry (zero channels/ranks/banks or more
-    /// compute banks than the rank has), an empty per-channel backend
-    /// list, or empty/non-positive/non-finite sizing weights.
+    /// Returns an [`EngineBuildError`] on a radix that is odd or outside
+    /// `2..=`[`JohnsonCode::MAX_RADIX`], degenerate DRAM geometry (zero
+    /// channels/ranks/banks or more compute banks than the rank has), an
+    /// empty per-channel backend list, or empty/non-positive/non-finite
+    /// sizing weights.
     pub fn try_build(self) -> Result<C2mEngine, EngineBuildError> {
         let cfg = self.cfg;
-        if cfg.radix < 2 || !cfg.radix.is_multiple_of(2) {
+        if !(2..=JohnsonCode::MAX_RADIX).contains(&cfg.radix) || !cfg.radix.is_multiple_of(2) {
             return Err(EngineBuildError::InvalidRadix(format!(
-                "Johnson-digit radix must be an even number >= 2, got {}",
+                "Johnson-digit radix must be an even number in 2..={}, got {}",
+                JohnsonCode::MAX_RADIX,
                 cfg.radix
             )));
         }
@@ -425,7 +428,10 @@ impl EngineBuilder {
     pub fn build(self) -> C2mEngine {
         match self.try_build() {
             Ok(engine) => engine,
-            // c2m-lint: allow(unwrap-in-lib, reason = "documented panic contract of build(); try_build is the fallible API")
+            #[expect(
+                clippy::panic,
+                reason = "documented panic contract of build(); try_build is the fallible API"
+            )]
             Err(e) => panic!("invalid engine configuration: {e}"),
         }
     }
@@ -2083,6 +2089,24 @@ mod tests {
                 .try_build(),
             Err(EngineBuildError::InvalidSizing(_))
         ));
+    }
+
+    #[test]
+    fn try_build_rejects_radix_wider_than_a_32_bit_counter() {
+        for radix in [0, 66, 128] {
+            let mut cfg = EngineConfig::c2m(16);
+            cfg.radix = radix;
+            assert!(
+                matches!(
+                    C2mEngine::builder(cfg).try_build(),
+                    Err(EngineBuildError::InvalidRadix(_))
+                ),
+                "radix {radix}"
+            );
+        }
+        let mut widest = EngineConfig::c2m(16);
+        widest.radix = JohnsonCode::MAX_RADIX;
+        assert!(C2mEngine::builder(widest).try_build().is_ok());
     }
 
     #[test]

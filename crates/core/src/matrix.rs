@@ -140,7 +140,10 @@ impl TernaryMatrix {
                     1 => plus.set(r, c, true),
                     -1 => minus.set(r, c, true),
                     0 => {}
-                    // c2m-lint: allow(unwrap-in-lib, reason = "documented panic contract: from_rows requires entries in {-1, 0, 1}")
+                    #[expect(
+                        clippy::panic,
+                        reason = "documented panic contract: from_rows requires entries in {-1, 0, 1}"
+                    )]
                     other => panic!("ternary entry out of range: {other}"),
                 }
             }

@@ -398,7 +398,7 @@ mod tests {
             let clean = rs.encode(&data);
             let mut cw = clean.clone();
             let n_err = rng.gen_range(1..=3);
-            let mut hit = std::collections::HashSet::new();
+            let mut hit = std::collections::BTreeSet::new();
             for _ in 0..n_err {
                 let pos = loop {
                     let p = rng.gen_range(0..cw.len());

@@ -15,6 +15,9 @@ pub struct JohnsonCode {
 }
 
 impl JohnsonCode {
+    /// The largest supported radix: a 32-bit counter.
+    pub const MAX_RADIX: usize = 64;
+
     /// Creates a codec for `n`-bit counters (radix `2n`).
     ///
     /// # Panics
@@ -22,7 +25,10 @@ impl JohnsonCode {
     /// Panics if `n` is zero or exceeds 32.
     #[must_use]
     pub fn new(n: usize) -> Self {
-        assert!((1..=32).contains(&n), "JC width must be 1..=32 bits");
+        assert!(
+            (1..=Self::MAX_RADIX / 2).contains(&n),
+            "JC width must be 1..=32 bits"
+        );
         Self { n }
     }
 

@@ -371,7 +371,7 @@ mod tests {
         let _ = planner.plan_add(999);
         let first = planner.flush();
         let second = planner.flush();
-        assert!(!first.is_empty() || first.is_empty()); // flush ran
+        assert!(!first.is_empty(), "999 leaves pending carries to flush");
         assert!(second.is_empty(), "second flush must be a no-op");
     }
 }

@@ -46,6 +46,12 @@
 //! assert!(!lowered.program.is_empty());
 //! ```
 
+#![expect(
+    clippy::disallowed_types,
+    reason = "the HashMaps here are lookup-only (structural hashing, row placement, refcounts); \
+              nothing iterates them, so their order never reaches an output"
+)]
+
 pub mod counting;
 pub mod graph;
 pub mod lower;

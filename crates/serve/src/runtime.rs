@@ -369,7 +369,10 @@ impl ServeConfigBuilder {
     pub fn build_runtime(self, engine: C2mEngine) -> ServeRuntime {
         match self.try_build_runtime(engine) {
             Ok(rt) => rt,
-            // c2m-lint: allow(unwrap-in-lib, reason = "documented panic contract of build_runtime(); try_build_runtime is the fallible API")
+            #[expect(
+                clippy::panic,
+                reason = "documented panic contract of build_runtime(); try_build_runtime is the fallible API"
+            )]
             Err(e) => panic!("invalid serve configuration: {e}"),
         }
     }
@@ -398,7 +401,10 @@ impl ServeConfigBuilder {
     pub fn build(self) -> ServeConfig {
         match self.try_build() {
             Ok(cfg) => cfg,
-            // c2m-lint: allow(unwrap-in-lib, reason = "documented panic contract of build(); try_build is the fallible API")
+            #[expect(
+                clippy::panic,
+                reason = "documented panic contract of build(); try_build is the fallible API"
+            )]
             Err(e) => panic!("invalid serve configuration: {e}"),
         }
     }
@@ -595,9 +601,12 @@ impl ServeRuntime {
     /// the module's static idle floor (no schedule can comply: the
     /// ranks burn that much doing nothing).
     #[must_use]
+    #[expect(
+        clippy::panic,
+        reason = "documented panic contract of ServeRuntime::new; the builder path validates first"
+    )]
     pub fn new(engine: C2mEngine, cfg: ServeConfig) -> Self {
         if let Err(m) = cfg.validate() {
-            // c2m-lint: allow(unwrap-in-lib, reason = "documented panic contract of ServeRuntime::new; the builder path validates first")
             panic!("{m}");
         }
         if let Some(cap) = cfg.power_budget_w {

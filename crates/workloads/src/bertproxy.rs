@@ -6,7 +6,7 @@
 //! multi-layer perceptron classifier whose matmuls run through the
 //! (faulty) CIM kernels — preserving the claims under test: accuracy
 //! collapses sharply once faults exceed a threshold, JC degrades later
-//! than RCA, and ECC beats TMR (see DESIGN.md §2).
+//! than RCA, and ECC beats TMR.
 
 use c2m_core::kernels::{ternary_gemv, KernelConfig};
 use c2m_core::matrix::TernaryMatrix;
@@ -157,7 +157,7 @@ mod tests {
         let mlp = TernaryMlp::new(7);
         let cfg = KernelConfig::compact();
         let mut rng = ChaCha12Rng::seed_from_u64(8);
-        let mut seen = std::collections::HashSet::new();
+        let mut seen = std::collections::BTreeSet::new();
         for _ in 0..24 {
             let x = TernaryMlp::sample_input(&mut rng);
             seen.insert(mlp.forward(&cfg, &x));

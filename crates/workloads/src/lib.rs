@@ -1,8 +1,8 @@
 //! Workload generators for the paper's evaluation (§7.1).
 //!
 //! Every dataset the paper evaluates on is proprietary, large, or
-//! hardware-bound; this crate provides the synthetic equivalents defined
-//! in `DESIGN.md` §2, each exercising the same code paths:
+//! hardware-bound; this crate provides synthetic equivalents, each
+//! exercising the same code paths:
 //!
 //! * [`llama`] — the Table 3 GEMV/GEMM shapes from LLaMA / LLaMA-2.
 //! * [`distributions`] — the Fig. 3 input-value distributions (short-read

@@ -7,7 +7,6 @@
 //! c2m radix-sweep [--max-radix R]
 //! c2m trace  --out FILE [--metrics FILE] [--requests N] [--tenants T]
 //! c2m trace  --check FILE [--expect dram,core,serve]
-//! c2m lint   [--json] [--deny] [--root DIR]
 //! c2m experiments
 //! ```
 //!
@@ -16,14 +15,14 @@
 //! latency, `radix-sweep` reproduces the Fig. 8 cost curves at small
 //! scale, `trace` records a small serving workload into a
 //! Chrome-trace/Perfetto JSON (or validates an existing one), and
-//! `experiments` lists the paper-artefact bench binaries. `lint` runs
-//! the `c2m_analyze` determinism lint engine over the workspace.
+//! `experiments` lists the paper-artefact bench binaries.
 
 use count2multiply::arch::engine::{C2mEngine, EngineConfig};
 use count2multiply::arch::kernels::{ternary_gemv, KernelConfig};
 use count2multiply::arch::matrix::TernaryMatrix;
 use count2multiply::arch::placement::{self, CounterSpec, KernelShape, MaskEncoding};
 use count2multiply::dram::DramConfig;
+use count2multiply::jc::codec::JohnsonCode;
 use count2multiply::jc::cost;
 use count2multiply::serve::{open_loop, OpenLoopConfig, ServeConfig, TenantSpec};
 use count2multiply::trace::{validate_chrome_trace, RecordingSink, TraceSink};
@@ -61,11 +60,32 @@ fn get<T: std::str::FromStr>(
     }
 }
 
+/// A Johnson-digit radix flag: even and within what the codec supports.
+fn get_radix(flags: &BTreeMap<String, String>, key: &str, default: usize) -> Result<usize, String> {
+    let radix: usize = get(flags, key, default)?;
+    if !(2..=JohnsonCode::MAX_RADIX).contains(&radix) || !radix.is_multiple_of(2) {
+        return Err(format!(
+            "--{key} must be an even number in 2..={}, got {radix}",
+            JohnsonCode::MAX_RADIX
+        ));
+    }
+    Ok(radix)
+}
+
+/// A kernel dimension flag: at least 1.
+fn get_dim(flags: &BTreeMap<String, String>, key: &str, default: usize) -> Result<usize, String> {
+    let dim: usize = get(flags, key, default)?;
+    if dim == 0 {
+        return Err(format!("--{key} must be at least 1"));
+    }
+    Ok(dim)
+}
+
 fn cmd_plan(flags: &BTreeMap<String, String>) -> Result<(), String> {
-    let radix: usize = get(flags, "radix", 4)?;
+    let radix = get_radix(flags, "radix", 4)?;
     let capacity: u32 = get(flags, "capacity", 64)?;
-    let k: usize = get(flags, "k", 512)?;
-    let n: usize = get(flags, "n", 8192)?;
+    let k = get_dim(flags, "k", 512)?;
+    let n = get_dim(flags, "n", 8192)?;
     let subarrays: usize = get(flags, "subarrays", 1)?;
     let encoding = match flags.get("encoding").map(String::as_str) {
         None | Some("ternary") => MaskEncoding::Ternary,
@@ -137,10 +157,10 @@ fn cmd_plan(flags: &BTreeMap<String, String>) -> Result<(), String> {
 }
 
 fn cmd_gemv(flags: &BTreeMap<String, String>) -> Result<(), String> {
-    let k: usize = get(flags, "k", 128)?;
-    let n: usize = get(flags, "n", 64)?;
+    let k = get_dim(flags, "k", 128)?;
+    let n = get_dim(flags, "n", 64)?;
     let sparsity: f64 = get(flags, "sparsity", 0.0)?;
-    let radix: usize = get(flags, "radix", 4)?;
+    let radix = get_radix(flags, "radix", 4)?;
     let seed: u64 = get(flags, "seed", 42)?;
     if !(0.0..=1.0).contains(&sparsity) {
         return Err("--sparsity must be in [0, 1]".into());
@@ -186,6 +206,12 @@ fn cmd_gemv(flags: &BTreeMap<String, String>) -> Result<(), String> {
 
 fn cmd_radix_sweep(flags: &BTreeMap<String, String>) -> Result<(), String> {
     let max_radix: usize = get(flags, "max-radix", 20)?;
+    if max_radix > JohnsonCode::MAX_RADIX {
+        return Err(format!(
+            "--max-radix must be at most {}, got {max_radix}",
+            JohnsonCode::MAX_RADIX
+        ));
+    }
     println!("average AAP commands to accumulate one uniform 8-bit input");
     println!("(64-bit capacity, k-ary increments + full rippling — Fig. 8a):\n");
     println!("{:>6} | {:>10}", "radix", "AAP/input");
@@ -330,74 +356,8 @@ fn cmd_experiments() {
     }
 }
 
-/// `c2m lint [--json] [--deny] [--root DIR]`: the determinism lint
-/// engine (`c2m_analyze`) over the workspace, configured by the
-/// committed `lint.toml`. Takes bare switches, so it parses its own
-/// arguments instead of going through `parse_flags`.
-fn cmd_lint(args: &[String]) -> ExitCode {
-    let mut json = false;
-    let mut deny = false;
-    let mut root = std::path::PathBuf::from(".");
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--json" => json = true,
-            "--deny" => deny = true,
-            "--root" => {
-                let Some(dir) = args.get(i + 1) else {
-                    eprintln!("error: --root needs a directory");
-                    return ExitCode::FAILURE;
-                };
-                root = std::path::PathBuf::from(dir);
-                i += 1;
-            }
-            other => {
-                eprintln!("error: unknown lint flag `{other}`");
-                return ExitCode::FAILURE;
-            }
-        }
-        i += 1;
-    }
-    let config_path = root.join("lint.toml");
-    let cfg = if config_path.is_file() {
-        let src = match std::fs::read_to_string(&config_path) {
-            Ok(s) => s,
-            Err(e) => {
-                eprintln!("error: cannot read {}: {e}", config_path.display());
-                return ExitCode::FAILURE;
-            }
-        };
-        match c2m_analyze::config::Config::parse(&src) {
-            Ok(c) => c,
-            Err(e) => {
-                eprintln!("error: {}: {e}", config_path.display());
-                return ExitCode::FAILURE;
-            }
-        }
-    } else {
-        c2m_analyze::config::Config::default()
-    };
-    let report = match c2m_analyze::run_root(&root, &cfg) {
-        Ok(r) => r,
-        Err(e) => {
-            eprintln!("error: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    if json {
-        println!("{}", report.render_json());
-    } else {
-        print!("{}", report.render_human());
-    }
-    if report.fails(deny) {
-        ExitCode::FAILURE
-    } else {
-        ExitCode::SUCCESS
-    }
-}
-
 fn usage() -> &'static str {
-    "usage: c2m <plan|gemv|radix-sweep|trace|lint|experiments> [--flag value]...\n\
+    "usage: c2m <plan|gemv|radix-sweep|trace|experiments> [--flag value]...\n\
      try `c2m experiments` for the paper-artefact harness"
 }
 
@@ -407,10 +367,6 @@ fn main() -> ExitCode {
         eprintln!("{}", usage());
         return ExitCode::FAILURE;
     };
-    // `lint` takes bare switches, which `parse_flags` rejects.
-    if cmd == "lint" {
-        return cmd_lint(&args[1..]);
-    }
     let flags = match parse_flags(&args[1..]) {
         Ok(f) => f,
         Err(e) => {

@@ -27,8 +27,8 @@
 //!   launches → serving pipeline), with a Chrome-trace/Perfetto JSON
 //!   exporter and log-bucketed latency histograms.
 //!
-//! See `README.md` for a quickstart and `DESIGN.md` for the system
-//! inventory and experiment index.
+//! See `README.md` for a quickstart, the workspace layout and the
+//! figure binary index.
 
 #![forbid(unsafe_code)]
 

@@ -32,7 +32,7 @@ proptest! {
         let data: Vec<u8> = (0..k).map(|_| (next() & 0xFF) as u8).collect();
         let clean = rs.encode(&data);
         let mut cw = clean.clone();
-        let mut hit = std::collections::HashSet::new();
+        let mut hit = std::collections::BTreeSet::new();
         for _ in 0..n_err {
             let pos = loop {
                 let p = next() % cw.len();
