@@ -27,7 +27,7 @@
 //! Ambit policy every path reduces bit-for-bit to the paper's
 //! single-channel model.
 
-use crate::cache::{CacheConfig, PlanCache, PlanKey, ReportKernelRef, StreamParams};
+use crate::cache::{CacheConfig, PlanCache, PlanKey, StreamParams};
 use crate::shard::{BackendPolicy, ShardAxis, ShardPlan, ShardPlanner, ShardSizing};
 use crate::store::CacheStore;
 use c2m_cim::Backend;
@@ -437,6 +437,15 @@ impl EngineBuilder {
     }
 }
 
+/// What a kernel's pricing hands [`C2mEngine::sharded_report`]: one
+/// effective-AAP count per plan shard (in plan order), the host-gather
+/// bursts, and the useful operations.
+struct LaunchCost {
+    shard_ops: Vec<f64>,
+    gather_bursts: u64,
+    useful: u64,
+}
+
 /// The analytic Count2Multiply engine.
 ///
 /// Construct via [`C2mEngine::builder`]. Cloning an engine shares its
@@ -651,9 +660,8 @@ impl C2mEngine {
     /// models (enums as tag + payload, floats as IEEE bit patterns,
     /// length-prefixed variable sections) plus the backend policy and
     /// the resolved shard sizing. Two engines share a word vector only
-    /// if every field is equal, so a [`ReportCache`](crate::cache::ReportCache)
-    /// entry keyed on these words can never be served across differing
-    /// configurations.
+    /// if every field is equal, so a report keyed on these words can
+    /// never be served across differing configurations.
     ///
     /// The compiler enforces that coverage: every struct is
     /// destructured without `..` and every binding must be used
@@ -800,47 +808,6 @@ impl C2mEngine {
         w
     }
 
-    /// Report-cache lookup for one launch. Counts a hit or a miss,
-    /// emits the `report_{hit,miss}` trace instant, and re-stamps a
-    /// hit's `cache` snapshot with this engine's cumulative tallies
-    /// (the stored snapshot belongs to the run that folded it).
-    fn cached_report(&self, kernel: ReportKernelRef<'_>) -> Option<ExecutionReport> {
-        let cache = self.cache.as_ref()?;
-        if !cache.reports().enabled() {
-            return None;
-        }
-        let words = self.report_key_words();
-        let hit = cache.reports().lookup(&words, kernel);
-        if let Some(tr) = &self.trace {
-            tr.sink.record(TraceEvent::Instant {
-                t_ns: tr.now(),
-                name: if hit.is_some() {
-                    "report_hit"
-                } else {
-                    "report_miss"
-                },
-                cat: "core",
-                track: Track::core(0),
-            });
-        }
-        hit.map(|mut report| {
-            report.cache = self.cache_stats();
-            report
-        })
-    }
-
-    /// Stores a freshly folded launch report under this engine's key
-    /// words (no-op when the report tier is disabled or absent).
-    fn store_report(&self, kernel: ReportKernelRef<'_>, report: &ExecutionReport) {
-        if let Some(cache) = &self.cache {
-            if cache.reports().enabled() {
-                cache
-                    .reports()
-                    .insert(&self.report_key_words(), kernel, report);
-            }
-        }
-    }
-
     /// [`Self::sequences_for_stream`] through the pricing cache:
     /// bit-for-bit the same count, memoised on the stream content.
     #[must_use]
@@ -876,27 +843,84 @@ impl C2mEngine {
             policy: self.backends.clone(),
             sizing: PlanKey::sizing_bits(&self.sizing),
         };
-        match &self.cache {
-            Some(c) => match &self.trace {
-                Some(tr) => {
-                    let hits_before = c.counters().plan_hits;
-                    let plan = c.plan(&key);
-                    tr.sink.record(TraceEvent::Instant {
-                        t_ns: tr.now(),
-                        name: if c.counters().plan_hits > hits_before {
-                            "plan_cached"
-                        } else {
-                            "plan_built"
-                        },
-                        cat: "core",
-                        track: Track::core(0),
-                    });
-                    plan
-                }
-                None => c.plan(&key),
-            },
-            None => Arc::new(key.build()),
+        let Some(c) = &self.cache else {
+            return Arc::new(key.build());
+        };
+        let (plan, cached) = c.plan(&key);
+        self.instant(if cached { "plan_cached" } else { "plan_built" });
+        plan
+    }
+
+    /// Records a core-track instant at the launch clock's frontier when
+    /// a trace sink is attached.
+    fn instant(&self, name: &'static str) {
+        if let Some(tr) = &self.trace {
+            tr.sink.record(TraceEvent::Instant {
+                t_ns: tr.now(),
+                name,
+                cat: "core",
+                track: Track::core(0),
+            });
         }
+    }
+
+    /// One kernel launch through the report tier. The launch's key is
+    /// the kernel's words — `head` (a tag and the shape), then each of
+    /// `inputs` length-prefixed — followed by
+    /// [`Self::report_key_words`]. In order: look the key up, emit the
+    /// `report_hit`/`report_miss` instant, and on a miss plan `total`
+    /// elements along `axis`, `price` the plan, fold it with
+    /// [`Self::sharded_report`] and store the report. A hit re-stamps
+    /// the stored report's `cache` snapshot with this engine's
+    /// cumulative tallies (the stored one belongs to the run that
+    /// folded it).
+    fn launch(
+        &self,
+        head: &[u64],
+        inputs: &[&[i64]],
+        axis: ShardAxis,
+        total: usize,
+        n_out: usize,
+        price: impl FnOnce(&ShardPlan) -> LaunchCost,
+    ) -> ExecutionReport {
+        let reports = self
+            .cache
+            .as_deref()
+            .map(|c| &c.reports)
+            .filter(|m| m.enabled());
+        let mut key = Vec::new();
+        if let Some(reports) = reports {
+            let cfg = self.report_key_words();
+            let len = head.len() + inputs.iter().map(|x| 1 + x.len()).sum::<usize>();
+            key.reserve_exact(len + cfg.len());
+            key.extend_from_slice(head);
+            for x in inputs {
+                key.push(x.len() as u64);
+                key.extend(x.iter().map(|&v| v as u64));
+            }
+            key.extend(cfg);
+            let hit = reports.get(key.as_slice());
+            self.instant(if hit.is_some() {
+                "report_hit"
+            } else {
+                "report_miss"
+            });
+            if let Some(mut report) = hit {
+                report.cache = self.cache_stats();
+                return report;
+            }
+        }
+        let plan = self.plan_for(axis, total);
+        let LaunchCost {
+            shard_ops,
+            gather_bursts,
+            useful,
+        } = price(&plan);
+        let report = self.sharded_report(&plan, &shard_ops, gather_bursts, useful, n_out);
+        if let Some(reports) = reports {
+            reports.insert(key.into_boxed_slice(), report.clone());
+        }
+        report
     }
 
     /// Ternary GEMV report: `y[1×N] = x[1×K] · Z[K×N]` with ternary Z.
@@ -909,30 +933,31 @@ impl C2mEngine {
     /// `⌈log₂(units)⌉` cross-unit counter-addition rounds.
     #[must_use]
     pub fn ternary_gemv(&self, x: &[i64], n: usize) -> ExecutionReport {
-        let kernel = ReportKernelRef::TernaryGemv { n, x };
-        if let Some(report) = self.cached_report(kernel) {
-            return report;
-        }
-        let plan = self.plan_for(ShardAxis::InnerDim, x.len());
-        // The unit's intra-unit merge (banks × SALP streams) rides on
-        // its first shard; accumulation and merge both execute on the
-        // shard's backend.
-        let work: Vec<(usize, f64)> = self
-            .unit_reduction_extras(&plan)
-            .into_iter()
-            .enumerate()
-            .collect();
-        let shard_ops: Vec<f64> = work
-            .par_iter()
-            .map(|&(i, red)| {
-                let shard = &plan.shards[i];
-                let seqs = self.cached_sequences_for_doubled(&x[shard.start..shard.end()]);
-                (seqs as f64 * self.ops_per_sequence() + red) * self.backend_factor(shard.backend)
-            })
-            .collect();
-        let report = self.sharded_report(&plan, &shard_ops, 0, useful_ops(1, n, x.len()), n);
-        self.store_report(kernel, &report);
-        report
+        let head = [0, n as u64];
+        self.launch(&head, &[x], ShardAxis::InnerDim, x.len(), n, |plan| {
+            // The unit's intra-unit merge (banks × SALP streams) rides on
+            // its first shard; accumulation and merge both execute on the
+            // shard's backend.
+            let work: Vec<(usize, f64)> = self
+                .unit_reduction_extras(plan)
+                .into_iter()
+                .enumerate()
+                .collect();
+            let shard_ops = work
+                .par_iter()
+                .map(|&(i, red)| {
+                    let shard = &plan.shards[i];
+                    let seqs = self.cached_sequences_for_doubled(&x[shard.start..shard.end()]);
+                    (seqs as f64 * self.ops_per_sequence() + red)
+                        * self.backend_factor(shard.backend)
+                })
+                .collect();
+            LaunchCost {
+                shard_ops,
+                gather_bursts: 0,
+                useful: useful_ops(1, n, x.len()),
+            }
+        })
     }
 
     /// Prices a *batch* of `B` ternary GEMVs sharing one weight matrix
@@ -951,39 +976,36 @@ impl C2mEngine {
         n: usize,
     ) -> ExecutionReport {
         let rows: Vec<&[i64]> = xs.iter().map(AsRef::as_ref).collect();
-        let kernel = ReportKernelRef::TernaryGemvBatch { n, xs: &rows };
-        if let Some(report) = self.cached_report(kernel) {
-            return report;
-        }
-        let plan = self.plan_for(ShardAxis::OutputRows, xs.len());
-        let copy_out = self.copy_out_ops(n);
-        let priced: Vec<(f64, u64)> = plan
-            .shards
-            .par_iter()
-            .map(|shard| {
-                let mut ops = 0.0f64;
-                let mut useful = 0u64;
-                for x in &xs[shard.start..shard.end()] {
-                    let x = x.as_ref();
-                    let seqs = self.cached_sequences_for_doubled(x);
-                    ops +=
-                        seqs as f64 * self.ops_per_sequence() * self.backend_factor(shard.backend)
+        let head = [1, n as u64, rows.len() as u64];
+        self.launch(&head, &rows, ShardAxis::OutputRows, rows.len(), n, |plan| {
+            let copy_out = self.copy_out_ops(n);
+            let priced: Vec<(f64, u64)> = plan
+                .shards
+                .par_iter()
+                .map(|shard| {
+                    let mut ops = 0.0f64;
+                    let mut useful = 0u64;
+                    for &x in &rows[shard.start..shard.end()] {
+                        let seqs = self.cached_sequences_for_doubled(x);
+                        ops += seqs as f64
+                            * self.ops_per_sequence()
+                            * self.backend_factor(shard.backend)
                             + copy_out;
-                    useful += useful_ops(1, n, x.len());
-                }
-                (ops, useful)
-            })
-            .collect();
-        let shard_ops: Vec<f64> = priced.iter().map(|&(ops, _)| ops).collect();
-        let useful: u64 = priced.iter().map(|&(_, u)| u).sum();
-        let gather_bursts = if plan.cr_units_used() > 1 {
-            xs.len() as u64 * self.output_row_bursts(n)
-        } else {
-            0
-        };
-        let report = self.sharded_report(&plan, &shard_ops, gather_bursts, useful, n);
-        self.store_report(kernel, &report);
-        report
+                        useful += useful_ops(1, n, x.len());
+                    }
+                    (ops, useful)
+                })
+                .collect();
+            LaunchCost {
+                shard_ops: priced.iter().map(|&(ops, _)| ops).collect(),
+                gather_bursts: if plan.cr_units_used() > 1 {
+                    rows.len() as u64 * self.output_row_bursts(n)
+                } else {
+                    0
+                },
+                useful: priced.iter().map(|&(_, u)| u).sum(),
+            }
+        })
     }
 
     /// Ternary GEMM report for `M` output rows, each accumulating the
@@ -1020,39 +1042,32 @@ impl C2mEngine {
         // The kernel key omits `k` because it is always the sample
         // length; the assert keeps that true for future callers.
         debug_assert_eq!(k, sample.len());
-        let kernel = ReportKernelRef::Rows {
-            m,
-            n,
-            doubled,
-            sample,
-        };
-        if let Some(report) = self.cached_report(kernel) {
-            return report;
-        }
-        let plan = self.plan_for(ShardAxis::OutputRows, m);
-        let seqs = if doubled {
-            self.cached_sequences_for_doubled(sample)
-        } else {
-            self.cached_sequences_for_stream(sample)
-        };
-        let accum = seqs as f64 * self.ops_per_sequence();
-        let copy_out = self.copy_out_ops(n);
-        let shard_ops: Vec<f64> = plan
-            .shards
-            .iter()
-            .map(|shard| {
-                let per_row = accum * self.backend_factor(shard.backend) + copy_out;
-                per_row * shard.len as f64
-            })
-            .collect();
-        let gather_bursts = if plan.cr_units_used() > 1 {
-            m as u64 * self.output_row_bursts(n)
-        } else {
-            0
-        };
-        let report = self.sharded_report(&plan, &shard_ops, gather_bursts, useful_ops(m, n, k), n);
-        self.store_report(kernel, &report);
-        report
+        let head = [2, m as u64, n as u64, u64::from(doubled)];
+        self.launch(&head, &[sample], ShardAxis::OutputRows, m, n, |plan| {
+            let seqs = if doubled {
+                self.cached_sequences_for_doubled(sample)
+            } else {
+                self.cached_sequences_for_stream(sample)
+            };
+            let accum = seqs as f64 * self.ops_per_sequence();
+            let copy_out = self.copy_out_ops(n);
+            LaunchCost {
+                shard_ops: plan
+                    .shards
+                    .iter()
+                    .map(|shard| {
+                        let per_row = accum * self.backend_factor(shard.backend) + copy_out;
+                        per_row * shard.len as f64
+                    })
+                    .collect(),
+                gather_bursts: if plan.cr_units_used() > 1 {
+                    m as u64 * self.output_row_bursts(n)
+                } else {
+                    0
+                },
+                useful: useful_ops(m, n, k),
+            }
+        })
     }
 
     /// Integer×integer GEMV via CSD bit-slicing (§5.2.3): the weight
@@ -1072,46 +1087,48 @@ impl C2mEngine {
         n: usize,
         plane_exponents: &[(u32, bool)],
     ) -> ExecutionReport {
-        let kernel = ReportKernelRef::IntGemv {
-            n,
-            planes: plane_exponents,
-            x,
-        };
-        if let Some(report) = self.cached_report(kernel) {
-            return report;
-        }
-        let plan = self.plan_for(ShardAxis::CsdPlanes, plane_exponents.len());
-        let work: Vec<(usize, f64)> = self
-            .unit_reduction_extras(&plan)
-            .into_iter()
-            .enumerate()
-            .collect();
-        let shard_ops: Vec<f64> = work
-            .par_iter()
-            .map(|&(i, red)| {
-                let shard = &plan.shards[i];
-                let mut ops = 0.0f64;
-                for &(e, neg) in &plane_exponents[shard.start..shard.end()] {
-                    let stream: Vec<i64> = x
-                        .iter()
-                        .map(|&v| {
-                            let scaled = v << e;
-                            if neg {
-                                -scaled
-                            } else {
-                                scaled
-                            }
-                        })
-                        .collect();
-                    ops +=
-                        self.cached_sequences_for_stream(&stream) as f64 * self.ops_per_sequence();
-                }
-                (ops + red) * self.backend_factor(shard.backend)
-            })
-            .collect();
-        let report = self.sharded_report(&plan, &shard_ops, 0, useful_ops(1, n, x.len()), n);
-        self.store_report(kernel, &report);
-        report
+        let mut head = vec![3, n as u64, plane_exponents.len() as u64];
+        head.extend(
+            plane_exponents
+                .iter()
+                .map(|&(shift, neg)| u64::from(shift) << 1 | u64::from(neg)),
+        );
+        let planes = plane_exponents.len();
+        self.launch(&head, &[x], ShardAxis::CsdPlanes, planes, n, |plan| {
+            let work: Vec<(usize, f64)> = self
+                .unit_reduction_extras(plan)
+                .into_iter()
+                .enumerate()
+                .collect();
+            let shard_ops = work
+                .par_iter()
+                .map(|&(i, red)| {
+                    let shard = &plan.shards[i];
+                    let mut ops = 0.0f64;
+                    for &(e, neg) in &plane_exponents[shard.start..shard.end()] {
+                        let stream: Vec<i64> = x
+                            .iter()
+                            .map(|&v| {
+                                let scaled = v << e;
+                                if neg {
+                                    -scaled
+                                } else {
+                                    scaled
+                                }
+                            })
+                            .collect();
+                        ops += self.cached_sequences_for_stream(&stream) as f64
+                            * self.ops_per_sequence();
+                    }
+                    (ops + red) * self.backend_factor(shard.backend)
+                })
+                .collect();
+            LaunchCost {
+                shard_ops,
+                gather_bursts: 0,
+                useful: useful_ops(1, n, x.len()),
+            }
+        })
     }
 
     /// Commands for the log₂(banks) partial-sum merge rounds within one
@@ -2131,6 +2148,49 @@ mod tests {
             assert!(tallies.report_hits > 0);
             assert_eq!(uncached.cache_stats(), CacheCounters::default());
         }
+    }
+
+    #[test]
+    fn report_keys_lay_out_tag_shape_and_length_prefixed_inputs() {
+        // Each kernel's key is a tag, its shape, then its inputs, each
+        // length-prefixed, followed by the engine's config words.
+        let cfg_words = C2mEngine::builder(EngineConfig::c2m(16))
+            .build()
+            .report_key_words();
+        let kernel_words = |launch: &dyn Fn(&C2mEngine)| -> Vec<u64> {
+            let e = C2mEngine::builder(EngineConfig::c2m(16)).build();
+            launch(&e);
+            let keys: Vec<Box<[u64]>> = e
+                .cache()
+                .expect("cached engine")
+                .reports
+                .read(|m| m.keys().cloned().collect());
+            assert_eq!(keys.len(), 1);
+            let (kernel, cfg) = keys[0].split_at(keys[0].len() - cfg_words.len());
+            assert_eq!(cfg, cfg_words.as_slice(), "config words come last");
+            kernel.to_vec()
+        };
+        let minus_two = (-2i64) as u64;
+        assert_eq!(
+            kernel_words(&|e| drop(e.ternary_gemv(&[1, -2], 8))),
+            [0, 8, 2, 1, minus_two]
+        );
+        assert_eq!(
+            kernel_words(&|e| drop(e.ternary_gemv_batch(&[vec![1, 2], vec![3]], 8))),
+            [1, 8, 2, 2, 1, 2, 1, 3]
+        );
+        assert_eq!(
+            kernel_words(&|e| drop(e.ternary_gemm(4, 8, &[5]))),
+            [2, 4, 8, 1, 1, 5]
+        );
+        assert_eq!(
+            kernel_words(&|e| drop(e.binary_gemm(4, 8, &[5]))),
+            [2, 4, 8, 0, 1, 5]
+        );
+        assert_eq!(
+            kernel_words(&|e| drop(e.int_gemv(&[5], 8, &[(3, true), (1, false)]))),
+            [3, 8, 2, 7, 2, 1, 5]
+        );
     }
 
     #[test]

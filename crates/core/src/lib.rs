@@ -17,13 +17,15 @@
 //!   counts → `tRRD`/`tFAW`-scheduled latency, energy and area reports
 //!   for the paper-scale shapes of Table 3 (§7.2). Built via
 //!   [`C2mEngine::builder`].
-//! * [`cache`] — the plan/pricing/report cache behind the engine:
-//!   memoised shard plans, priced command streams and whole launch
-//!   reports, bit-for-bit identical to uncached execution, shareable
-//!   across engines for fleet-scale sweeps.
+//! * [`cache`] — the plan/pricing/report cache behind the engine: one
+//!   exact-key [`cache::Memo`] each for shard plans, priced command
+//!   streams and whole launch reports, bit-for-bit identical to
+//!   uncached execution, shareable across engines for fleet-scale
+//!   sweeps.
 //! * [`store`] — the persistent cache store: snapshot a warm
-//!   [`PlanCache`] to a versioned file and reload it in a later
-//!   process, so sweeps and benches start warm across invocations.
+//!   [`PlanCache`]'s stream and report entries (opaque key words plus
+//!   values) to a versioned file and reload it in a later process, so
+//!   sweeps and benches start warm across invocations.
 //! * [`shard`] — topology-aware work partitioning: GEMM rows, GEMV
 //!   inner dimension and CSD planes split over channels → ranks → banks,
 //!   with per-shard backend dispatch (§4.6).
@@ -47,7 +49,7 @@ pub mod residency;
 pub mod shard;
 pub mod store;
 
-pub use cache::{CacheConfig, PlanCache, PlanKey, ReportCache, ReportKernel, ReportKernelRef};
+pub use cache::{CacheConfig, PlanCache, PlanKey};
 pub use engine::{C2mEngine, EngineBuildError, EngineBuilder, EngineConfig};
 pub use matrix::{BinaryMatrix, TernaryMatrix};
 pub use nn::{AttentionShape, ConvShape};

@@ -1,16 +1,16 @@
 //! Persistent cache store: snapshot a warm [`PlanCache`] to a file and
 //! reload it in a later process.
 //!
-//! PR 6 made repeated work cheap *within* a process; every new process
-//! still pays the full cold start. [`CacheStore`] closes that gap for
-//! the sweep binaries and benches (`--cache-dir`) and for
+//! The cache makes repeated work cheap *within* a process; every new
+//! process still pays the full cold start. [`CacheStore`] closes that
+//! gap for the sweep binaries and benches (`--cache-dir`) and for
 //! [`EngineBuilder::cache_path`](crate::engine::EngineBuilder::cache_path):
-//! the priced-stream and whole-launch report tiers serialise through
-//! the vendored serde shim and restore into a fresh cache with their
-//! equality-gate content intact. The plan tier is not persisted: a plan
-//! is a microsecond-cheap pure function of its
-//! [`PlanKey`](crate::cache::PlanKey), so a warm process rebuilds it
-//! rather than trusting shard coordinates from a file.
+//! the stream and report tiers serialise through the vendored serde
+//! shim and restore into a fresh cache with their exact keys intact.
+//! The plan tier is not persisted: a plan is a microsecond-cheap pure
+//! function of its [`PlanKey`](crate::cache::PlanKey), so a warm
+//! process rebuilds it rather than trusting shard coordinates from a
+//! file.
 //!
 //! # Format
 //!
@@ -19,23 +19,30 @@
 //! * `magic` — the literal `"c2m-cache"`.
 //! * `format_version` — [`CacheStore::FORMAT_VERSION`]; bumped whenever
 //!   the word layout below changes.
-//! * `words` — the cache contents as a flat `u64` word stream
-//!   (length-prefixed sections; floats as IEEE-754 bit patterns; the
+//! * `words` — the cache contents as a flat `u64` word stream (the
 //!   vendored `serde_json` round-trips integers exactly, so every word
-//!   survives the text encoding bit-for-bit).
+//!   survives the text encoding bit-for-bit): the stream tier, then the
+//!   report tier. Each tier is an entry count followed by its entries
+//!   in key order, and each entry is its key length, its key words,
+//!   then its value — the sequence count for a stream, the report's
+//!   fields (floats as IEEE-754 bit patterns) for a report.
 //!
 //! **Stale or mismatched files are ignored, never trusted**: any guard
 //! failure — missing file, wrong magic, version mismatch, malformed
-//! JSON, truncated or nonsensical words — makes
-//! [`CacheStore::load_into`] return `false` and leave the cache cold.
-//! Loading never panics on file content, and no stored value is ever
-//! used as an index, so no stored word can make a later launch panic.
+//! JSON, a length prefix longer than the words left, trailing words, or
+//! a malformed report — makes [`CacheStore::load_into`] return `false`
+//! and leave the cache cold. Keys are opaque: a lookup serves an entry
+//! only under a key equal to the one a query builds, so a corrupt key
+//! is an entry that is never served. Loading never panics on file
+//! content, and no stored value is ever used as an index, so no stored
+//! word can make a later launch panic.
 
-use crate::cache::{CacheContents, PlanCache, ReportKernel, StreamParams};
+use crate::cache::PlanCache;
 use c2m_dram::{
     CacheCounters, CommandKind, CommandStats, EnergyBreakdown, ExecutionReport, ShardEnergy,
 };
 use serde::Value;
+use std::collections::BTreeMap;
 use std::path::Path;
 
 /// Snapshot/load of a [`PlanCache`] to/from a versioned store file.
@@ -59,9 +66,9 @@ const MAGIC: &str = "c2m-cache";
 
 impl CacheStore {
     /// Version of the word layout. Readers reject any other value.
-    /// Version 2 dropped the plan section and the topology-fingerprint
-    /// header.
-    pub const FORMAT_VERSION: u64 = 2;
+    /// Version 3 stores every entry as its opaque key words plus its
+    /// value.
+    pub const FORMAT_VERSION: u64 = 3;
 
     /// Writes `cache`'s entries to `path` (creating parent directories),
     /// replacing any existing file. Tallies are not persisted — they
@@ -76,7 +83,7 @@ impl CacheStore {
                 std::fs::create_dir_all(parent)?;
             }
         }
-        let words = encode(cache.export_contents());
+        let words = encode(cache);
         let file = Value::Object(vec![
             ("magic".into(), Value::Str(MAGIC.into())),
             (
@@ -106,26 +113,22 @@ impl CacheStore {
         let Ok(text) = std::fs::read_to_string(path) else {
             return false;
         };
-        let Some(contents) = parse(&text) else {
+        let Some((streams, reports)) = parse(&text) else {
             return false;
         };
-        let any = !contents.streams.is_empty() || !contents.reports.is_empty();
-        cache.import_contents(contents);
+        let any = !streams.is_empty() || !reports.is_empty();
+        cache.streams.restore(streams);
+        cache.reports.restore(reports);
         any
-    }
-
-    /// Convenience: a fresh [`PlanCache`] with the given limits, warmed
-    /// from `path` when the store file is present and valid.
-    #[must_use]
-    pub fn load(path: &Path, cfg: crate::cache::CacheConfig) -> PlanCache {
-        let cache = PlanCache::new(cfg);
-        let _ = Self::load_into(path, &cache);
-        cache
     }
 }
 
-/// Parses and guards a store file, returning its contents or `None`.
-fn parse(text: &str) -> Option<CacheContents> {
+/// One persisted tier's entries: key words and value.
+type Entries<V> = Vec<(Box<[u64]>, V)>;
+
+/// Parses and guards a store file, returning its stream and report
+/// entries or `None`.
+fn parse(text: &str) -> Option<(Entries<u64>, Entries<ExecutionReport>)> {
     let Ok(value) = serde_json::from_str(text) else {
         return None;
     };
@@ -156,68 +159,33 @@ fn parse(text: &str) -> Option<CacheContents> {
 }
 
 // ---------------------------------------------------------------------
-// Word encoding. Every section is length-prefixed; enums are tags;
-// floats are IEEE bit patterns; `i64` stream values are stored as their
-// two's-complement `u64` bits.
+// Word encoding. Every tier and key is length-prefixed; floats are IEEE
+// bit patterns.
 
-fn encode(contents: CacheContents) -> Vec<u64> {
+fn encode(cache: &PlanCache) -> Vec<u64> {
     let mut w = Vec::new();
-    w.push(contents.streams.len() as u64);
-    for (params, xs, seqs) in &contents.streams {
-        w.push(params.radix as u64);
-        w.push(params.digits as u64);
-        w.push(u64::from(params.iarm));
-        w.push(u64::from(params.doubled));
-        w.push(xs.len() as u64);
-        w.extend(xs.iter().map(|&v| v as u64));
-        w.push(*seqs);
-    }
-    w.push(contents.reports.len() as u64);
-    for (cfg_words, kernel, report) in &contents.reports {
-        w.push(cfg_words.len() as u64);
-        w.extend(cfg_words.iter().copied());
-        encode_kernel(&mut w, kernel);
-        encode_report(&mut w, report);
-    }
+    cache
+        .streams
+        .read(|entries| encode_tier(&mut w, entries, |w, &seqs| w.push(seqs)));
+    cache
+        .reports
+        .read(|entries| encode_tier(&mut w, entries, encode_report));
     w
 }
 
-fn encode_kernel(w: &mut Vec<u64>, kernel: &ReportKernel) {
-    match kernel {
-        ReportKernel::TernaryGemv { n, x } => {
-            w.extend([0, *n as u64, x.len() as u64]);
-            w.extend(x.iter().map(|&v| v as u64));
-        }
-        ReportKernel::TernaryGemvBatch { n, xs } => {
-            w.extend([1, *n as u64, xs.len() as u64]);
-            for row in xs.iter() {
-                w.push(row.len() as u64);
-                w.extend(row.iter().map(|&v| v as u64));
-            }
-        }
-        ReportKernel::Rows {
-            m,
-            n,
-            doubled,
-            sample,
-        } => {
-            w.extend([
-                2,
-                *m as u64,
-                *n as u64,
-                u64::from(*doubled),
-                sample.len() as u64,
-            ]);
-            w.extend(sample.iter().map(|&v| v as u64));
-        }
-        ReportKernel::IntGemv { n, planes, x } => {
-            w.extend([3, *n as u64, planes.len() as u64]);
-            for &(shift, neg) in planes.iter() {
-                w.push(u64::from(shift) << 1 | u64::from(neg));
-            }
-            w.push(x.len() as u64);
-            w.extend(x.iter().map(|&v| v as u64));
-        }
+/// A tier's entry count, then each entry (in key order, so a loaded
+/// store saves back byte-identically) as its key length, key words and
+/// value.
+fn encode_tier<V>(
+    w: &mut Vec<u64>,
+    entries: &BTreeMap<Box<[u64]>, V>,
+    value: impl Fn(&mut Vec<u64>, &V),
+) {
+    w.push(entries.len() as u64);
+    for (key, v) in entries {
+        w.push(key.len() as u64);
+        w.extend_from_slice(key);
+        value(w, v);
     }
 }
 
@@ -278,18 +246,6 @@ impl<'a> Reader<'a> {
         Some(f64::from_bits(self.u()?))
     }
 
-    fn i(&mut self) -> Option<i64> {
-        Some(self.u()? as i64)
-    }
-
-    fn flag(&mut self) -> Option<bool> {
-        match self.u()? {
-            0 => Some(false),
-            1 => Some(true),
-            _ => None,
-        }
-    }
-
     /// A length prefix, rejected when it exceeds the words remaining
     /// (each element takes at least one word), so corrupt lengths can
     /// never drive a huge allocation.
@@ -298,51 +254,16 @@ impl<'a> Reader<'a> {
         (len <= self.words.len() - self.pos).then_some(len)
     }
 
-    fn i64_vec(&mut self) -> Option<Box<[i64]>> {
+    /// A length-prefixed run of key words.
+    fn key(&mut self) -> Option<Box<[u64]>> {
         let len = self.len()?;
-        (0..len).map(|_| self.i()).collect()
+        let words = self.words.get(self.pos..self.pos + len)?.into();
+        self.pos += len;
+        Some(words)
     }
 
     fn done(&self) -> bool {
         self.pos == self.words.len()
-    }
-}
-
-fn decode_kernel(r: &mut Reader<'_>) -> Option<ReportKernel> {
-    match r.u()? {
-        0 => Some(ReportKernel::TernaryGemv {
-            n: r.n()?,
-            x: r.i64_vec()?,
-        }),
-        1 => {
-            let n = r.n()?;
-            let rows = r.len()?;
-            let xs = (0..rows).map(|_| r.i64_vec()).collect::<Option<_>>()?;
-            Some(ReportKernel::TernaryGemvBatch { n, xs })
-        }
-        2 => Some(ReportKernel::Rows {
-            m: r.n()?,
-            n: r.n()?,
-            doubled: r.flag()?,
-            sample: r.i64_vec()?,
-        }),
-        3 => {
-            let n = r.n()?;
-            let len = r.len()?;
-            let planes = (0..len)
-                .map(|_| {
-                    let packed = r.u()?;
-                    let shift = u32::try_from(packed >> 1).ok()?;
-                    Some((shift, packed & 1 == 1))
-                })
-                .collect::<Option<_>>()?;
-            Some(ReportKernel::IntGemv {
-                n,
-                planes,
-                x: r.i64_vec()?,
-            })
-        }
-        _ => None,
     }
 }
 
@@ -391,32 +312,26 @@ fn decode_report(r: &mut Reader<'_>) -> Option<ExecutionReport> {
     })
 }
 
-fn decode(words: &[u64]) -> Option<CacheContents> {
+fn decode(words: &[u64]) -> Option<(Entries<u64>, Entries<ExecutionReport>)> {
     let mut r = Reader { words, pos: 0 };
-    let mut contents = CacheContents::default();
-    let streams = r.len()?;
-    for _ in 0..streams {
-        let params = StreamParams {
-            radix: r.n()?,
-            digits: r.n()?,
-            iarm: r.flag()?,
-            doubled: r.flag()?,
-        };
-        let xs = r.i64_vec()?;
-        let seqs = r.u()?;
-        contents.streams.push((params, xs, seqs));
-    }
-    let reports = r.len()?;
-    for _ in 0..reports {
-        let cfg_len = r.len()?;
-        let cfg_words = (0..cfg_len).map(|_| r.u()).collect::<Option<_>>()?;
-        let kernel = decode_kernel(&mut r)?;
-        let report = decode_report(&mut r)?;
-        contents.reports.push((cfg_words, kernel, report));
-    }
+    let streams = decode_tier(&mut r, Reader::u)?;
+    let reports = decode_tier(&mut r, decode_report)?;
     // Trailing words mean the file disagrees with this layout — distrust
     // all of it.
-    r.done().then_some(contents)
+    r.done().then_some((streams, reports))
+}
+
+fn decode_tier<'a, V>(
+    r: &mut Reader<'a>,
+    value: impl Fn(&mut Reader<'a>) -> Option<V>,
+) -> Option<Entries<V>> {
+    let len = r.len()?;
+    (0..len)
+        .map(|_| {
+            let key = r.key()?;
+            Some((key, value(r)?))
+        })
+        .collect()
 }
 
 #[cfg(test)]
@@ -445,17 +360,31 @@ mod tests {
     #[test]
     fn save_then_load_restores_every_tier() {
         let path = temp_store("round_trip");
+        let resaved = temp_store("round_trip_resaved");
         let cache = warm_cache();
         CacheStore::save(&path, &cache).expect("save");
-        let restored = CacheStore::load(&path, CacheConfig::default());
+        let restored = PlanCache::new(CacheConfig::default());
+        assert!(CacheStore::load_into(&path, &restored));
+        CacheStore::save(&resaved, &restored).expect("resave");
+        let (saved, again) = (std::fs::read(&path), std::fs::read(&resaved));
         std::fs::remove_file(&path).ok();
+        std::fs::remove_file(&resaved).ok();
 
-        // Every persisted tier (streams and reports) comes back whole.
-        let before = cache.export_contents();
-        let after = restored.export_contents();
-        assert_eq!(before.streams.len(), after.streams.len());
-        assert_eq!(before.reports.len(), after.reports.len());
-        assert!(!before.reports.is_empty(), "warm-up must store reports");
+        // Every persisted tier (streams and reports) comes back whole,
+        // and saves back byte for byte.
+        assert_eq!(
+            cache.streams.read(BTreeMap::clone),
+            restored.streams.read(BTreeMap::clone)
+        );
+        assert_eq!(
+            cache.reports.read(BTreeMap::len),
+            restored.reports.read(BTreeMap::len)
+        );
+        assert!(
+            cache.reports.read(BTreeMap::len) > 0,
+            "warm-up must store reports"
+        );
+        assert_eq!(saved.expect("saved"), again.expect("resaved"));
         // Loading installs entries without counting lookups.
         assert_eq!(restored.counters(), CacheCounters::default());
         // And the restored entries serve: a repeat launch on the
@@ -480,30 +409,29 @@ mod tests {
             let loaded = CacheStore::load_into(&path, &cache);
             std::fs::remove_file(&path).ok();
             assert!(!loaded, "{name} must be treated as cold");
-            let contents = cache.export_contents();
-            assert!(contents.streams.is_empty());
-            assert!(contents.reports.is_empty());
+            assert!(cache.streams.read(BTreeMap::is_empty));
+            assert!(cache.reports.read(BTreeMap::is_empty));
         };
         cold(None, "missing");
         cold(Some("not json at all"), "corrupt_text");
         cold(Some("{\"magic\": \"c2m-cache\"}"), "missing_fields");
         cold(
-            Some("{\"magic\": \"other\", \"format_version\": 2, \"words\": []}"),
+            Some("{\"magic\": \"other\", \"format_version\": 3, \"words\": []}"),
             "wrong_magic",
         );
 
-        // A real store under a newer or an older (version 1, with a plan
-        // section) format version must also be cold.
+        // A real store under a newer or an older (version 2, with typed
+        // kernel keys) format version must also be cold.
         let path = temp_store("stale");
         CacheStore::save(&path, &warm_cache()).expect("save");
         let text = std::fs::read_to_string(&path).unwrap();
         for (from, to, name) in [
             (
-                "\"format_version\":2",
+                "\"format_version\":3",
                 "\"format_version\":999",
                 "version_bump",
             ),
-            ("\"format_version\":2", "\"format_version\":1", "version_1"),
+            ("\"format_version\":3", "\"format_version\":2", "version_2"),
         ] {
             assert!(text.contains(from), "store text must contain {from}");
             cold(Some(&text.replace(from, to)), name);

@@ -98,7 +98,8 @@ proptest! {
             let first = build(channels, 1, Some(Arc::clone(&warm))).ternary_gemv(&xs, 256);
             CacheStore::save(&path, &warm).expect("save");
 
-            let restored = Arc::new(CacheStore::load(&path, CacheConfig::default()));
+            let restored = Arc::new(PlanCache::new(CacheConfig::default()));
+            prop_assert!(CacheStore::load_into(&path, &restored));
             std::fs::remove_file(&path).ok();
             let engine = build(channels, 1, Some(Arc::clone(&restored)));
             let replay = engine.ternary_gemv(&xs, 256);
@@ -125,7 +126,7 @@ fn corrupt_or_stale_store_degrades_to_cold_with_identical_output() {
     let good = std::fs::read_to_string(&path).expect("store written");
 
     let mutations = [
-        good.replace("\"format_version\":2", "\"format_version\":3"),
+        good.replace("\"format_version\":3", "\"format_version\":4"),
         good.replace("\"magic\":\"c2m-cache\"", "\"magic\":\"c2m-other\""),
         good[..good.len() / 2].to_string(),
         "{]".to_string(),
@@ -149,4 +150,43 @@ fn corrupt_or_stale_store_degrades_to_cold_with_identical_output() {
         assert_eq!(engine.cache_stats().report_misses, 1);
     }
     std::fs::remove_file(&path).ok();
+}
+
+/// Launch pairs over the same inputs that differ only in batch split
+/// points, kernel kind or the GEMM doubling flag. Through one shared
+/// cache every launch must be a report miss, and every report must
+/// serialise byte-equal to an uncached launch. (The engine's unit tests
+/// pin the key layout itself: tags, shapes and length prefixes.)
+#[test]
+fn kernel_keys_never_alias() {
+    let n = 256;
+    let x = stream(64, 0xA11A5);
+    let y = stream(64, 0xA11A6);
+    let cached = build(2, 1, Some(Arc::new(PlanCache::default())));
+    let uncached = build(2, 1, None);
+    let launches: [&dyn Fn(&C2mEngine) -> ExecutionReport; 8] = [
+        &|e| e.ternary_gemv_batch(&[vec![1, 2], vec![3]], n),
+        &|e| e.ternary_gemv_batch(&[vec![1], vec![2, 3]], n),
+        &|e| e.ternary_gemv(&x, n),
+        &|e| e.ternary_gemv_batch(std::slice::from_ref(&x), n),
+        &|e| e.ternary_gemm(8, n, &x),
+        &|e| e.binary_gemm(8, n, &x),
+        &|e| e.int_gemv(&y, n, &[(0, false)]),
+        &|e| e.ternary_gemv(&y, n),
+    ];
+    for (i, launch) in launches.iter().enumerate() {
+        let before = cached.cache_stats();
+        let report = launch(&cached);
+        let d = cached.cache_stats().delta_since(&before);
+        assert_eq!(
+            (d.report_hits, d.report_misses),
+            (0, 1),
+            "launch {i} must miss"
+        );
+        assert_eq!(
+            report_json(&report),
+            report_json(&launch(&uncached)),
+            "launch {i} differs from its uncached twin"
+        );
+    }
 }

@@ -20,10 +20,12 @@
 //!   ([`ServeConfig::residency_rows`]) charges mask-plane reloads on
 //!   tenant switches, and execution dispatches through
 //!   [`c2m_core::engine::C2mEngine::ternary_gemv_batch`].
-//! * [`cache`] — the priced-batch cache: the content-only part of a
-//!   batch's pricing (host planning sequences + engine launch)
-//!   memoises on the batch signature, bit-for-bit identical to
-//!   uncached serving; hit/miss tallies surface in [`ServeReport`].
+//!   The content-only part of a batch's pricing (host planning
+//!   sequences + engine launch) memoises in a
+//!   [`Memo`](c2m_core::cache::Memo) keyed on the batch's exact
+//!   content — tenant, output width and member inputs — bit-for-bit
+//!   identical to uncached serving; hit/miss tallies surface in
+//!   [`ServeReport`].
 //! * [`report`] — per-request and per-class latency percentiles
 //!   (p50/p95/p99), deadline-miss rates, throughput over the busy
 //!   window, batch shapes, residency reloads and queue-depth timelines.
@@ -37,13 +39,11 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod cache;
 pub mod report;
 pub mod request;
 pub mod runtime;
 pub mod traffic;
 
-pub use cache::{BatchPrice, BatchPriceCache};
 pub use report::{
     BatchRecord, ClassBreakdown, ClassStats, LatencyComponents, PowerSample, QueueSample,
     RequestOutcome, ServeReport,

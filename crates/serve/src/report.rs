@@ -202,15 +202,14 @@ pub struct ServeReport {
     /// The rolling window the power timeline (and any power cap)
     /// averages over, ns.
     pub power_window_ns: f64,
-    /// Priced-batch cache hits at report time (cumulative over the
-    /// runtime's lifetime, like the engine tallies; zero when the cache
-    /// is disabled). Observational only — caching never changes
-    /// results.
+    /// Priced-batch lookups this run served from the memo (this run
+    /// only, like `engine_cache`; zero when the tier is disabled).
+    /// Observational only — caching never changes results.
     pub batch_cache_hits: u64,
-    /// Priced-batch cache misses at report time.
+    /// Priced-batch lookups this run had to price.
     pub batch_cache_misses: u64,
-    /// Engine plan/stream cache tallies at report time (all zeros when
-    /// the engine was built with caching disabled).
+    /// Engine plan/stream/report cache tallies this run generated (all
+    /// zeros when the engine was built with caching disabled).
     pub engine_cache: c2m_dram::CacheCounters,
 }
 

@@ -68,10 +68,10 @@
 //! With `power_budget_w: None` the pipeline is byte-identical to the
 //! uncapped runtime.
 
-use crate::cache::{BatchPrice, BatchPriceCache};
 use crate::report::{BatchRecord, PowerSample, QueueSample, RequestOutcome, ServeReport};
 use crate::request::ServeRequest;
 use crate::traffic::{request_input, ClosedLoopConfig};
+use c2m_core::cache::Memo;
 use c2m_core::engine::C2mEngine;
 use c2m_core::residency::{ResidencyModel, ResidencyOutcome};
 use c2m_dram::{hit_fraction, BatchWindow, CacheCounters, MemoryRequest, RequestQueue};
@@ -155,11 +155,11 @@ pub struct ServeConfig {
     /// policy alone.
     pub power_budget_w: Option<f64>,
     /// Memoise the pure part of batch pricing (host planning cost and
-    /// engine execution) on the batch signature — tenant, output width
-    /// and member input vectors (see [`crate::cache::BatchPriceCache`]).
+    /// engine execution) on the batch's exact content — tenant, output
+    /// width and member input vectors — in a [`Memo`] of 4096 entries.
     /// Observational only: cached and uncached serving are bit-for-bit
-    /// identical, because the stateful fetch-queue and residency pricing
-    /// always run live. Disable for cache-equivalence testing.
+    /// identical, because the stateful fetch-queue and residency
+    /// pricing always run live. Disable for cache-equivalence testing.
     pub batch_cache: bool,
 }
 
@@ -382,7 +382,8 @@ impl ServeConfigBuilder {
     /// # Errors
     ///
     /// Returns a [`ServeConfigError`] on a zero batch cap, a negative
-    /// or NaN window, a zero residency budget, or a non-positive /
+    /// or NaN window, a negative or non-finite host planning cost or
+    /// dispatch overhead, a zero residency budget, or a non-positive /
     /// non-finite power window — the same engine-independent invariants
     /// [`ServeRuntime::new`] asserts.
     pub fn try_build(self) -> Result<ServeConfig, ServeConfigError> {
@@ -426,6 +427,12 @@ impl ServeConfig {
         if self.window_ns.is_nan() || self.window_ns < 0.0 {
             return Err("window must be non-negative".into());
         }
+        if !self.host_ns_per_seq.is_finite() || self.host_ns_per_seq < 0.0 {
+            return Err("host planning cost per sequence must be finite and non-negative".into());
+        }
+        if !self.dispatch_ns.is_finite() || self.dispatch_ns < 0.0 {
+            return Err("dispatch overhead must be finite and non-negative".into());
+        }
         if self.residency_rows == Some(0) {
             return Err("residency budget must be positive".into());
         }
@@ -439,16 +446,51 @@ impl ServeConfig {
     }
 }
 
+/// Entries the priced-batch memo holds before it clears (epoch
+/// eviction; a full epoch is far larger than any steady-state working
+/// set).
+const BATCH_PRICE_CAP: usize = 4096;
+
+/// The memoised pure pricing of one batch composition.
+#[derive(Debug, Clone, Copy)]
+struct BatchPrice {
+    /// Σ over members of the planned sequence count, as the f64 sum the
+    /// runtime folds (multiply by `host_ns_per_seq` for plan time).
+    plan_seqs: f64,
+    /// Engine launch latency, ns.
+    exec_ns: f64,
+    /// Engine launch energy, nJ.
+    exec_energy_nj: f64,
+}
+
+/// The priced-batch key of `batch`: `[tenant, n, members]`, then each
+/// member's input vector, length-prefixed, in dispatch (FCFS) order.
+fn batch_key(batch: &[ServeRequest]) -> Box<[u64]> {
+    let len = 3 + batch.iter().map(|r| 1 + r.x.len()).sum::<usize>();
+    let mut key = Vec::with_capacity(len);
+    key.extend([
+        batch[0].tenant as u64,
+        batch[0].n as u64,
+        batch.len() as u64,
+    ]);
+    for r in batch {
+        key.push(r.x.len() as u64);
+        key.extend(r.x.iter().map(|&v| v as u64));
+    }
+    key.into_boxed_slice()
+}
+
 /// The serving runtime: owns a configured engine and prices request
 /// traces through the admit → fetch → plan → execute pipeline.
 ///
-/// Clones share the priced-batch cache (and, through the engine, the
+/// Clones share the priced-batch memo (and, through the engine, the
 /// plan/pricing cache), so clones warm each other.
 #[derive(Debug, Clone)]
 pub struct ServeRuntime {
     engine: C2mEngine,
     cfg: ServeConfig,
-    batch_cache: Option<Arc<BatchPriceCache>>,
+    /// Priced batches; a cap of 0 (`batch_cache: false`) disables it.
+    batch_prices: Arc<Memo<Box<[u64]>, BatchPrice>>,
     trace: Option<Arc<dyn TraceSink>>,
 }
 
@@ -596,10 +638,11 @@ impl ServeRuntime {
     ///
     /// # Panics
     ///
-    /// Panics on a zero batch cap, negative window, zero residency
-    /// budget, non-positive power window, or a power cap at or below
-    /// the module's static idle floor (no schedule can comply: the
-    /// ranks burn that much doing nothing).
+    /// Panics on a zero batch cap, negative window, negative or
+    /// non-finite host planning cost or dispatch overhead, zero
+    /// residency budget, non-positive power window, or a power cap at
+    /// or below the module's static idle floor (no schedule can comply:
+    /// the ranks burn that much doing nothing).
     #[must_use]
     #[expect(
         clippy::panic,
@@ -618,13 +661,11 @@ impl ServeRuntime {
                  floor {floor} W — no schedule can comply"
             );
         }
-        let batch_cache = cfg
-            .batch_cache
-            .then(|| Arc::new(BatchPriceCache::default()));
+        let cap = if cfg.batch_cache { BATCH_PRICE_CAP } else { 0 };
         Self {
             engine,
             cfg,
-            batch_cache,
+            batch_prices: Arc::new(Memo::new(cap)),
             trace: None,
         }
     }
@@ -821,8 +862,8 @@ impl ServeRuntime {
     /// finished report can carry per-run deltas.
     fn cache_baseline(&self) -> CacheBaseline {
         CacheBaseline {
-            batch_hits: self.batch_cache.as_ref().map_or(0, |c| c.hits()),
-            batch_misses: self.batch_cache.as_ref().map_or(0, |c| c.misses()),
+            batch_hits: self.batch_prices.hits(),
+            batch_misses: self.batch_prices.misses(),
             engine: self.engine.cache_stats(),
         }
     }
@@ -833,10 +874,8 @@ impl ServeRuntime {
     /// runtime each report only their own hits and misses, not the
     /// runtime's lifetime totals.
     fn stamp_cache_counters(&self, report: &mut ServeReport, base: &CacheBaseline) {
-        if let Some(c) = &self.batch_cache {
-            report.batch_cache_hits = c.hits().saturating_sub(base.batch_hits);
-            report.batch_cache_misses = c.misses().saturating_sub(base.batch_misses);
-        }
+        report.batch_cache_hits = self.batch_prices.hits() - base.batch_hits;
+        report.batch_cache_misses = self.batch_prices.misses() - base.batch_misses;
         report.engine_cache = self.engine.cache_stats().delta_since(&base.engine);
     }
 
@@ -1066,7 +1105,7 @@ impl ServeRuntime {
 
         // The pure part of the pricing — host planning sequences and
         // the engine launch — depends only on the batch's own content,
-        // so it memoises on the batch signature. The stateful parts
+        // so it memoises under `batch_key`. The stateful parts
         // (fetch queue, residency LRU) always run live above/below.
         let pure = self.pure_price(batch);
         let plan_ns = pure.plan_seqs * self.cfg.host_ns_per_seq;
@@ -1117,8 +1156,8 @@ impl ServeRuntime {
     /// The content-only part of a batch's pricing: the host planning
     /// sequence count and the engine launch — the seed GEMV path for a
     /// lone request (bit compatible with the paper model), the
-    /// row-sharded batch entry point otherwise. Memoised on the batch
-    /// signature when the priced-batch cache is enabled.
+    /// row-sharded batch entry point otherwise. Memoised under
+    /// [`batch_key`] when the priced-batch memo is enabled.
     fn pure_price(&self, batch: &[ServeRequest]) -> BatchPrice {
         let compute = || {
             // Host planning: the real IARM pass over each request's
@@ -1142,13 +1181,11 @@ impl ServeRuntime {
                 exec_energy_nj: exec.energy_nj,
             }
         };
-        match &self.batch_cache {
-            Some(c) => {
-                let xs: Vec<&[i64]> = batch.iter().map(|r| r.x.as_slice()).collect();
-                c.price(batch[0].tenant, batch[0].n, &xs, compute)
-            }
-            None => compute(),
+        if !self.batch_prices.enabled() {
+            return compute();
         }
+        self.batch_prices
+            .get_or_insert_with(batch_key(batch), compute)
     }
 
     /// Where a priced batch lands on the pipeline clocks:
@@ -1961,6 +1998,76 @@ mod tests {
                 "{err} should mention {needle:?}"
             );
         }
+    }
+
+    #[test]
+    fn config_builder_rejects_nan_negative_and_infinite_host_costs() {
+        // Unchecked, a NaN dispatch overhead panics `run`, and a
+        // negative one reports negative latencies and a wrapped queue
+        // depth.
+        let bad = [f64::NAN, -1e9, -1.0, f64::INFINITY];
+        for v in bad {
+            for (builder, needle) in [
+                (ServeConfig::builder().dispatch_ns(v), "dispatch overhead"),
+                (ServeConfig::builder().host_ns_per_seq(v), "planning cost"),
+            ] {
+                let err = builder.clone().try_build().expect_err("must be rejected");
+                assert!(err.to_string().contains(needle), "{v}: {err}");
+                assert!(builder.try_build_runtime(engine(1)).is_err(), "{v}");
+            }
+        }
+        let free = ServeConfig::builder()
+            .dispatch_ns(0.0)
+            .host_ns_per_seq(0.0)
+            .try_build();
+        assert!(free.is_ok(), "zero costs are valid");
+    }
+
+    #[test]
+    fn batch_keys_distinguish_tenant_width_order_and_membership() {
+        let member = |id: u64, tenant: usize, n: usize, x: &[i64]| ServeRequest {
+            id,
+            arrival_ns: 0.0,
+            tenant,
+            class: ServiceClass::BEST_EFFORT,
+            n,
+            x: x.to_vec(),
+        };
+        let a = |tenant, n| member(0, tenant, n, &[1, 2, 3]);
+        let b = |tenant, n| member(1, tenant, n, &[1, 2, 4]);
+        // `[tenant, n, members]`, then each member length-prefixed.
+        assert_eq!(
+            &*batch_key(&[a(0, 64), b(0, 64)]),
+            &[0, 64, 2, 3, 1, 2, 3, 3, 1, 2, 4]
+        );
+        let keys = [
+            batch_key(&[a(0, 64), b(0, 64)]),
+            batch_key(&[a(1, 64), b(1, 64)]),
+            batch_key(&[a(0, 32), b(0, 32)]),
+            batch_key(&[b(0, 64), a(0, 64)]),
+            batch_key(&[a(0, 64)]),
+            // Equal concatenated inputs: only the member lengths differ.
+            batch_key(&[member(0, 0, 64, &[1, 2]), member(1, 0, 64, &[3])]),
+            batch_key(&[member(0, 0, 64, &[1]), member(1, 0, 64, &[2, 3])]),
+        ];
+        for (i, ki) in keys.iter().enumerate() {
+            for kj in &keys[..i] {
+                assert_ne!(ki, kj, "key {i} aliases an earlier one");
+            }
+        }
+        // Through the memo, only the identical composition hits.
+        let memo = Memo::new(BATCH_PRICE_CAP);
+        let price = |v: f64| BatchPrice {
+            plan_seqs: v,
+            exec_ns: 2.0 * v,
+            exec_energy_nj: 3.0 * v,
+        };
+        for (i, key) in keys.iter().enumerate() {
+            let _ = memo.get_or_insert_with(key.clone(), || price(i as f64));
+        }
+        let again = memo.get_or_insert_with(keys[0].clone(), || unreachable!("must hit"));
+        assert_eq!(again.exec_ns.to_bits(), 0.0f64.to_bits());
+        assert_eq!((memo.hits(), memo.misses()), (1, keys.len() as u64));
     }
 
     #[test]
