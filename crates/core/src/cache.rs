@@ -39,10 +39,10 @@
 //! surfaced through [`CacheCounters`] on every
 //! [`ExecutionReport`].
 
-use crate::engine::doubled_ternary;
 use crate::shard::{BackendPolicy, ShardAxis, ShardPlan, ShardPlanner, ShardSizing};
 use c2m_dram::{CacheCounters, ExecutionReport, Topology};
-use c2m_jc::iarm::IarmPlanner;
+use c2m_jc::digits::Digits;
+use c2m_jc::iarm::{ActionCount, IarmPlanner};
 use std::borrow::Borrow;
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -273,49 +273,67 @@ impl StreamParams {
     }
 
     /// Broadcast command *sequences* needed to accumulate the signed
-    /// stream `xs` (zeros skipped, §7.2.3), doubled first when
-    /// `self.doubled`. Runs the real host-side routine: digit unpacking
-    /// plus IARM planning (or the oblivious full-ripple chain when IARM
-    /// is off).
+    /// stream `xs` (zeros skipped, §7.2.3), or its doubled ternary form
+    /// ([`doubled_ternary`](crate::engine::doubled_ternary)) when
+    /// `self.doubled`, without building that copy. Runs the real
+    /// host-side routine: the IARM planner's one state machine feeding
+    /// an [`ActionCount`], so the count is the length of the plan the
+    /// same planner hands a counter bank (or the oblivious full-ripple
+    /// chain when IARM is off). Either way a value costs one [`Digits`]
+    /// step per digit up to its most significant non-zero one.
     pub(crate) fn count(self, xs: &[i64]) -> u64 {
-        if self.doubled {
-            let single = Self {
-                doubled: false,
-                ..self
-            };
-            return single.count(&doubled_ternary(xs));
-        }
-        if self.iarm {
-            let mut planner = IarmPlanner::new(self.radix, self.digits);
-            planner.assume_zero();
-            let mut seqs = 0u64;
-            // Addition pass, then subtraction pass (host reordering).
-            for &x in xs.iter().filter(|&&x| x > 0) {
-                seqs += planner.plan_add(x.unsigned_abs() as u128).len() as u64;
-            }
-            for &x in xs.iter().filter(|&&x| x < 0) {
-                seqs += planner.plan_sub(x.unsigned_abs() as u128).len() as u64;
-            }
-            seqs += planner.flush().len() as u64;
-            seqs
-        } else {
+        if !self.iarm {
             // k-ary with per-increment carry rippling (§4.5.1): each
             // non-zero digit pays its increment plus one rippling
             // command sequence — the paper's 2·(7n+7)-per-digit model.
-            let mut seqs = 0u64;
-            let r = self.radix as u128;
-            for &x in xs.iter().filter(|&&x| x != 0) {
-                let mut v = x.unsigned_abs() as u128;
-                while v != 0 {
-                    if !v.is_multiple_of(r) {
-                        seqs += 2;
-                    }
-                    v /= r;
-                }
-            }
-            seqs
+            // Every digit of the value counts, however many the counter
+            // has, and the doubled stream holds each magnitude twice.
+            let nonzero: usize = xs
+                .iter()
+                .map(|&x| {
+                    Digits::new(u128::from(x.unsigned_abs()), self.radix)
+                        .filter(|&k| k != 0)
+                        .count()
+                })
+                .sum();
+            return 2 * (1 + u64::from(self.doubled)) * nonzero as u64;
         }
+        let mut planner = IarmPlanner::new(self.radix, self.digits);
+        planner.assume_zero();
+        let mut seqs = ActionCount::default();
+        let positive = magnitudes(xs, |x| x > 0);
+        let negative = magnitudes(xs, |x| x < 0);
+        // Addition pass, then subtraction pass (host reordering). The
+        // doubled stream `x ++ −x` adds the positive values and then the
+        // negated negative ones, and subtracts the other way round.
+        let (add_tail, sub_tail): (&[u64], &[u64]) = if self.doubled {
+            (&negative, &positive)
+        } else {
+            (&[], &[])
+        };
+        for &v in positive.iter().chain(add_tail) {
+            planner.plan_add_into(u128::from(v), &mut seqs);
+        }
+        for &v in negative.iter().chain(sub_tail) {
+            planner.plan_sub_into(u128::from(v), &mut seqs);
+        }
+        planner.flush_into(&mut seqs);
+        seqs.0
     }
+}
+
+/// The magnitudes of the values of `xs` that `keep` selects, in stream
+/// order. Every value is written and only a kept one advances the end,
+/// so the pass has no branch on the (random) signs of real inputs.
+fn magnitudes(xs: &[i64], keep: impl Fn(i64) -> bool) -> Vec<u64> {
+    let mut out = vec![0; xs.len()];
+    let mut len = 0;
+    for &x in xs {
+        out[len] = x.unsigned_abs();
+        len += usize::from(keep(x));
+    }
+    out.truncate(len);
+    out
 }
 
 /// The plan, stream and report tiers behind an engine: one [`Memo`]
@@ -390,7 +408,9 @@ impl PlanCache {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::engine::doubled_ternary;
     use c2m_cim::Backend;
+    use proptest::prelude::*;
 
     fn key(total: usize) -> PlanKey {
         PlanKey {
@@ -534,6 +554,44 @@ mod tests {
         }
         let t = c.counters();
         assert_eq!((t.stream_hits, t.stream_misses), (1, 4));
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(128))]
+        /// An IARM count is the length of the plan the `Vec` planner
+        /// builds for the stream (adds, then subtractions, then the
+        /// flush), and counting the doubled form in place agrees with
+        /// counting the materialised `x ++ −x` stream, IARM on or off.
+        #[test]
+        fn counts_match_the_plan_and_the_materialised_doubling(
+            half in 1usize..=8,
+            iarm in any::<bool>(),
+            xs in prop::collection::vec(-300i64..300, 0..40),
+        ) {
+            let single = StreamParams {
+                radix: 2 * half,
+                iarm,
+                ..PARAMS
+            };
+            if iarm {
+                let mut planner = IarmPlanner::new(single.radix, single.digits);
+                planner.assume_zero();
+                let mut len = 0;
+                for &x in xs.iter().filter(|&&x| x > 0) {
+                    len += planner.plan_add(x as u128).len();
+                }
+                for &x in xs.iter().filter(|&&x| x < 0) {
+                    len += planner.plan_sub(u128::from(x.unsigned_abs())).len();
+                }
+                len += planner.flush().len();
+                prop_assert_eq!(single.count(&xs), len as u64);
+            }
+            let doubled = StreamParams {
+                doubled: true,
+                ..single
+            };
+            prop_assert_eq!(doubled.count(&xs), single.count(&doubled_ternary(&xs)));
+        }
     }
 
     #[test]

@@ -17,11 +17,13 @@
 //! as errors — see [`BankStats`]).
 
 use crate::codec::JohnsonCode;
+use crate::digits::Digits;
 use crate::kary::TransitionPattern;
 use c2m_cim::{FaultModel, Row};
 use c2m_ecc::protect::{ProtectionAnalysis, ProtectionKind};
 use c2m_ecc::TmrVoter;
 use serde::{Deserialize, Serialize};
+use std::iter;
 
 /// Execution statistics of a counter bank.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
@@ -163,11 +165,8 @@ impl CounterBank {
     pub fn set(&mut self, col: usize, value: u128) {
         assert!(col < self.width, "column out of range");
         assert!(value < self.capacity(), "value exceeds counter capacity");
-        let radix = self.code.radix() as u128;
-        let mut v = value;
-        for d in 0..self.digits {
-            let digit = (v % radix) as usize;
-            v /= radix;
+        let digits = Digits::new(value, self.code.radix()).chain(iter::repeat(0));
+        for (d, digit) in digits.take(self.digits).enumerate() {
             let enc = self.code.encode(digit);
             for i in 0..self.code.bits() {
                 self.bits[d][i].set(col, (enc >> i) & 1 == 1);
@@ -321,13 +320,11 @@ impl CounterBank {
     /// Accumulates `value` into every masked counter with **full carry
     /// rippling** after every digit (the "k-ary only" baseline of
     /// Fig. 8b): for each non-zero digit k_d of `value` in base 2n, issue
-    /// one k-ary increment followed by a complete ripple chain.
+    /// one k-ary increment followed by a complete ripple chain. Digits
+    /// past the counter's width are dropped.
     pub fn accumulate_ripple(&mut self, value: u128, mask: &Row) {
-        let radix = self.code.radix() as u128;
-        let mut v = value;
-        for d in 0..self.digits {
-            let k = (v % radix) as usize;
-            v /= radix;
+        let digits = Digits::new(value, self.code.radix()).take(self.digits);
+        for (d, k) in digits.enumerate() {
             if k == 0 {
                 continue;
             }
@@ -344,11 +341,8 @@ impl CounterBank {
     /// Subtracts `value` from every masked counter with full borrow
     /// rippling (negative-input support, §4.4 "Decrements").
     pub fn subtract_ripple(&mut self, value: u128, mask: &Row) {
-        let radix = self.code.radix() as u128;
-        let mut v = value;
-        for d in 0..self.digits {
-            let k = (v % radix) as usize;
-            v /= radix;
+        let digits = Digits::new(value, self.code.radix()).take(self.digits);
+        for (d, k) in digits.enumerate() {
             if k == 0 {
                 continue;
             }

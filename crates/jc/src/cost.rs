@@ -14,7 +14,8 @@
 //!   measured by running the planner, not by a closed form.
 
 use crate::codec::JohnsonCode;
-use crate::iarm::{CounterAction, IarmPlanner};
+use crate::digits::Digits;
+use crate::iarm::{ActionCount, IarmPlanner};
 
 /// AAP/AP commands of one masked k-ary increment with overflow check on
 /// an n-bit digit (the `7n + 7` anchor).
@@ -42,30 +43,15 @@ pub fn digits_for_capacity(radix: usize, capacity_bits: u32) -> usize {
     d
 }
 
-/// Base-`radix` digits of `value`, least significant first, padded to the
-/// counter's digit count.
-#[must_use]
-pub fn unpack_digits(value: u128, radix: usize, digits: usize) -> Vec<usize> {
-    let mut v = value;
-    let r = radix as u128;
-    (0..digits)
-        .map(|_| {
-            let d = (v % r) as usize;
-            v /= r;
-            d
-        })
-        .collect()
-}
-
 /// Unit-counting cost of accumulating `value` into a `digits`-digit
 /// radix-`2n` counter: `(Σ d_i + D) · (7n + 7)` — digit-sum unit
 /// increments plus one rippling increment per digit (§4.4).
 #[must_use]
 pub fn unit_counting_ops(value: u128, radix: usize, digits: usize) -> u64 {
     let n = JohnsonCode::for_radix(radix).bits();
-    let digit_sum: u64 = unpack_digits(value, radix, digits)
-        .iter()
-        .map(|&d| d as u64)
+    let digit_sum: u64 = Digits::new(value, radix)
+        .take(digits)
+        .map(|d| d as u64)
         .sum();
     (digit_sum + digits as u64) * increment_ops(n)
 }
@@ -77,9 +63,9 @@ pub fn unit_counting_ops(value: u128, radix: usize, digits: usize) -> u64 {
 pub fn kary_full_ripple_ops(value: u128, radix: usize, digits: usize) -> u64 {
     let n = JohnsonCode::for_radix(radix).bits();
     let per = increment_ops(n);
-    unpack_digits(value, radix, digits)
-        .iter()
-        .filter(|&&k| k != 0)
+    Digits::new(value, radix)
+        .take(digits)
+        .filter(|&k| k != 0)
         .map(|_| 2 * per)
         .sum()
 }
@@ -93,10 +79,10 @@ pub fn kary_full_ripple_ops(value: u128, radix: usize, digits: usize) -> u64 {
 pub fn kary_oblivious_chain_ops(value: u128, radix: usize, digits: usize) -> u64 {
     let n = JohnsonCode::for_radix(radix).bits();
     let per = increment_ops(n);
-    unpack_digits(value, radix, digits)
-        .iter()
+    Digits::new(value, radix)
+        .take(digits)
         .enumerate()
-        .filter(|(_, &k)| k != 0)
+        .filter(|&(_, k)| k != 0)
         .map(|(d, _)| per * (1 + (digits - 1 - d) as u64))
         .sum()
 }
@@ -109,16 +95,12 @@ pub fn iarm_stream_ops(inputs: &[u128], radix: usize, digits: usize) -> u64 {
     let n = JohnsonCode::for_radix(radix).bits();
     let per = increment_ops(n);
     let mut planner = IarmPlanner::new(radix, digits);
-    let mut actions = 0u64;
+    let mut actions = ActionCount::default();
     for &x in inputs {
-        actions += planner.plan_add(x).len() as u64;
+        planner.plan_add_into(x, &mut actions);
     }
-    actions += planner
-        .flush()
-        .iter()
-        .filter(|a| matches!(a, CounterAction::ResolveCarry { .. }))
-        .count() as u64;
-    actions * per
+    planner.flush_into(&mut actions);
+    actions.0 * per
 }
 
 /// MAJ-based bit-serial ripple-carry addition cost on Ambit: adding one
@@ -155,12 +137,6 @@ mod tests {
         // 32-bit in radix 4: 4^16 = 2^32 -> 16 digits.
         assert_eq!(digits_for_capacity(4, 32), 16);
         assert_eq!(digits_for_capacity(2, 8), 8);
-    }
-
-    #[test]
-    fn unpack_digits_roundtrip() {
-        let d = unpack_digits(4095, 10, 5);
-        assert_eq!(d, vec![5, 9, 0, 4, 0]);
     }
 
     #[test]

@@ -12,7 +12,16 @@
 //! `−2n`). Because a digit's flag row cannot distinguish a pending carry
 //! from a pending borrow, all pending flags are flushed when the input
 //! stream switches direction (§4.4 "Decrements").
+//!
+//! The planner runs once per input value, so it sets the host cost of
+//! every request with a new input. It walks a value's digits only up to
+//! the most significant non-zero one ([`Digits`]), and it hands each
+//! action to an [`ActionSink`]: a `Vec` keeps the plan for execution,
+//! an [`ActionCount`] only counts it for pricing. Both run the same
+//! state machine, so a priced count is always the length of the plan
+//! that would execute.
 
+use crate::digits::Digits;
 use serde::{Deserialize, Serialize};
 
 /// One host-issued counter command.
@@ -44,13 +53,40 @@ pub enum CounterAction {
     },
 }
 
+/// Where an [`IarmPlanner`] sends the actions it plans.
+pub trait ActionSink {
+    /// Receives the next action, in execution order.
+    fn push(&mut self, action: CounterAction);
+}
+
+/// Keeps the plan, for [`apply_plan`].
+impl ActionSink for Vec<CounterAction> {
+    fn push(&mut self, action: CounterAction) {
+        Vec::push(self, action);
+    }
+}
+
+/// Counts the actions of a plan without storing them: the broadcast
+/// command sequences a stream costs.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct ActionCount(pub u64);
+
+impl ActionSink for ActionCount {
+    #[inline]
+    fn push(&mut self, _: CounterAction) {
+        self.0 += 1;
+    }
+}
+
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Direction {
     Add,
     Sub,
 }
 
-/// Host-side IARM planner.
+/// Host-side IARM planner: one state machine behind both the
+/// `Vec`-returning [`Self::plan_add`]/[`Self::plan_sub`]/[`Self::flush`]
+/// and their `_into` forms, which feed any [`ActionSink`].
 #[derive(Debug, Clone)]
 pub struct IarmPlanner {
     radix: usize,
@@ -114,60 +150,14 @@ impl IarmPlanner {
     /// a digit could otherwise need a second pending overflow.
     pub fn plan_add(&mut self, value: u128) -> Vec<CounterAction> {
         let mut out = Vec::new();
-        if self.direction != Direction::Add {
-            self.flush_into(&mut out);
-            self.direction = Direction::Add;
-            self.reset_bounds();
-        }
-        let extended = 2 * self.radix as i64 - 1; // 4n − 1
-        let r = self.radix as u128;
-        let mut v = value;
-        for d in 0..self.digits {
-            let k = (v % r) as usize;
-            v /= r;
-            if k == 0 {
-                continue;
-            }
-            // Make room: resolving may cascade upward first.
-            if self.virt[d] + k as i64 > extended {
-                self.resolve_add(d, &mut out);
-            }
-            out.push(CounterAction::Increment { digit: d, k });
-            self.virt[d] += k as i64;
-            if self.virt[d] >= self.radix as i64 {
-                self.maybe_pending[d] = true;
-            }
-        }
-        debug_assert_eq!(v, 0, "value exceeds counter capacity");
+        self.plan_add_into(value, &mut out);
         out
     }
 
     /// Plans the subtraction of `value` (negative inputs, §4.4).
     pub fn plan_sub(&mut self, value: u128) -> Vec<CounterAction> {
         let mut out = Vec::new();
-        if self.direction != Direction::Sub {
-            self.flush_into(&mut out);
-            self.direction = Direction::Sub;
-            self.reset_bounds();
-        }
-        let floor = -(self.radix as i64); // −2n
-        let r = self.radix as u128;
-        let mut v = value;
-        for d in 0..self.digits {
-            let k = (v % r) as usize;
-            v /= r;
-            if k == 0 {
-                continue;
-            }
-            if self.virt[d] - (k as i64) < floor {
-                self.resolve_sub(d, &mut out);
-            }
-            out.push(CounterAction::Decrement { digit: d, k });
-            self.virt[d] -= k as i64;
-            if self.virt[d] < 0 {
-                self.maybe_pending[d] = true;
-            }
-        }
+        self.plan_sub_into(value, &mut out);
         out
     }
 
@@ -179,26 +169,72 @@ impl IarmPlanner {
         out
     }
 
-    fn flush_into(&mut self, out: &mut Vec<CounterAction>) {
-        match self.direction {
-            Direction::Add => {
-                for d in 0..self.digits {
-                    if self.maybe_pending[d] {
-                        self.resolve_add(d, out);
-                    }
-                }
+    /// [`Self::plan_add`] into `sink`. Digits of `value` at or above the
+    /// counter's digit count are dropped (a debug build asserts there
+    /// are none).
+    pub fn plan_add_into(&mut self, value: u128, sink: &mut impl ActionSink) {
+        self.enter(Direction::Add, sink);
+        let extended = 2 * self.radix as i64 - 1; // 4n − 1
+        let mut digits = Digits::new(value, self.radix);
+        for (d, k) in digits.by_ref().take(self.digits).enumerate() {
+            if k == 0 {
+                continue;
             }
-            Direction::Sub => {
-                for d in 0..self.digits {
-                    if self.maybe_pending[d] {
-                        self.resolve_sub(d, out);
-                    }
+            // Make room: resolving may cascade upward first.
+            if self.virt[d] + k as i64 > extended {
+                self.resolve_add(d, sink);
+            }
+            sink.push(CounterAction::Increment { digit: d, k });
+            self.virt[d] += k as i64;
+            self.maybe_pending[d] |= self.virt[d] >= self.radix as i64;
+        }
+        debug_assert!(digits.next().is_none(), "value exceeds counter capacity");
+    }
+
+    /// [`Self::plan_sub`] into `sink`, dropping digits past the
+    /// counter's digit count like [`Self::plan_add_into`].
+    pub fn plan_sub_into(&mut self, value: u128, sink: &mut impl ActionSink) {
+        self.enter(Direction::Sub, sink);
+        let floor = -(self.radix as i64); // −2n
+        let mut digits = Digits::new(value, self.radix);
+        for (d, k) in digits.by_ref().take(self.digits).enumerate() {
+            if k == 0 {
+                continue;
+            }
+            if self.virt[d] - (k as i64) < floor {
+                self.resolve_sub(d, sink);
+            }
+            sink.push(CounterAction::Decrement { digit: d, k });
+            self.virt[d] -= k as i64;
+            self.maybe_pending[d] |= self.virt[d] < 0;
+        }
+        debug_assert!(digits.next().is_none(), "value exceeds counter capacity");
+    }
+
+    /// [`Self::flush`] into `sink`.
+    pub fn flush_into(&mut self, sink: &mut impl ActionSink) {
+        for d in 0..self.digits {
+            if self.maybe_pending[d] {
+                match self.direction {
+                    Direction::Add => self.resolve_add(d, sink),
+                    Direction::Sub => self.resolve_sub(d, sink),
                 }
             }
         }
         // After a full flush all digits are back in canonical range.
         for v in &mut self.virt {
             *v = (*v).clamp(0, self.radix as i64 - 1);
+        }
+    }
+
+    /// Switches the stream to `direction`, first flushing the flags the
+    /// other direction left pending (a flag row cannot tell a carry
+    /// from a borrow).
+    fn enter(&mut self, direction: Direction, sink: &mut impl ActionSink) {
+        if self.direction != direction {
+            self.flush_into(sink);
+            self.direction = direction;
+            self.reset_bounds();
         }
     }
 
@@ -213,34 +249,34 @@ impl IarmPlanner {
         self.virt.iter_mut().for_each(|v| *v = fill);
     }
 
-    fn resolve_add(&mut self, d: usize, out: &mut Vec<CounterAction>) {
+    fn resolve_add(&mut self, d: usize, sink: &mut impl ActionSink) {
         if d + 1 < self.digits {
             // The +1 into d+1 must itself fit below 4n−1.
             if self.virt[d + 1] + 1 > 2 * self.radix as i64 - 1 {
-                self.resolve_add(d + 1, out);
+                self.resolve_add(d + 1, sink);
             }
             self.virt[d + 1] += i64::from(self.virt[d] >= self.radix as i64);
             if self.virt[d + 1] >= self.radix as i64 {
                 self.maybe_pending[d + 1] = true;
             }
         }
-        out.push(CounterAction::ResolveCarry { digit: d });
+        sink.push(CounterAction::ResolveCarry { digit: d });
         // Flags cleared; the worst-case digit is back below the radix.
         self.virt[d] = self.virt[d].min(self.radix as i64 - 1);
         self.maybe_pending[d] = false;
     }
 
-    fn resolve_sub(&mut self, d: usize, out: &mut Vec<CounterAction>) {
+    fn resolve_sub(&mut self, d: usize, sink: &mut impl ActionSink) {
         if d + 1 < self.digits {
             if self.virt[d + 1] - 1 < -(self.radix as i64) {
-                self.resolve_sub(d + 1, out);
+                self.resolve_sub(d + 1, sink);
             }
             self.virt[d + 1] -= i64::from(self.virt[d] < 0);
             if self.virt[d + 1] < 0 {
                 self.maybe_pending[d + 1] = true;
             }
         }
-        out.push(CounterAction::ResolveBorrow { digit: d });
+        sink.push(CounterAction::ResolveBorrow { digit: d });
         self.virt[d] = self.virt[d].max(0);
         self.maybe_pending[d] = false;
     }
@@ -267,6 +303,7 @@ mod tests {
     use super::*;
     use crate::bank::CounterBank;
     use c2m_cim::Row;
+    use proptest::prelude::*;
 
     /// Accumulate a stream through IARM and check exact results.
     fn iarm_accumulate(radix: usize, digits: usize, inputs: &[i64]) {
@@ -363,6 +400,52 @@ mod tests {
                 assert!(v < 2 * radix as i64, "virtual digit {v} overflow");
             }
         }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+        #[test]
+        fn counting_sink_totals_the_plan_length(
+            half in 1usize..=16,
+            digits in 1usize..=12,
+            zeroed in any::<bool>(),
+            stream in prop::collection::vec(-5000i64..5000, 0..48),
+        ) {
+            let radix = 2 * half;
+            let capacity = (radix as u128).pow(digits as u32);
+            let mut listed = IarmPlanner::new(radix, digits);
+            if zeroed {
+                listed.assume_zero();
+            }
+            let mut counted = listed.clone();
+            let mut count = ActionCount::default();
+            let mut len = 0;
+            // Random signs switch direction often, and every switch
+            // flushes into the sink before the next value.
+            for &x in &stream {
+                let v = u128::from(x.unsigned_abs()) % capacity;
+                let plan = if x >= 0 {
+                    counted.plan_add_into(v, &mut count);
+                    listed.plan_add(v)
+                } else {
+                    counted.plan_sub_into(v, &mut count);
+                    listed.plan_sub(v)
+                };
+                len += plan.len() as u64;
+                prop_assert_eq!(count.0, len, "after {}", x);
+                prop_assert_eq!(counted.virtual_digits(), listed.virtual_digits());
+            }
+            len += listed.flush().len() as u64;
+            counted.flush_into(&mut count);
+            prop_assert_eq!(count.0, len, "after the flush");
+        }
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "value exceeds counter capacity")]
+    fn plan_sub_asserts_the_value_fits() {
+        let _ = IarmPlanner::new(10, 2).plan_sub(100);
     }
 
     #[test]

@@ -6,6 +6,8 @@
 //! sequence. This crate implements the complete §4 machinery:
 //!
 //! * [`codec`] — JC state encoding/decoding and state arithmetic (§2.4).
+//! * [`digits`] — the base-r digit walker every input-splitting routine
+//!   shares.
 //! * [`kary`] — variable-step (k-ary) transition patterns: Algorithm 1 and
 //!   the Fig. 7 pattern family, plus decrements (§4.4–4.5.1).
 //! * [`bank`] — the row-parallel counter bank: masked multi-digit
@@ -29,6 +31,7 @@ pub mod bank;
 pub mod capacity;
 pub mod codec;
 pub mod cost;
+pub mod digits;
 pub mod iarm;
 pub mod kary;
 pub mod ops;

@@ -1,5 +1,6 @@
-//! The `c2m` binary treats its flags as untrusted input: a malformed
-//! value exits 1 with an `error:` line, never with a panic (exit 101).
+//! The `c2m` binary treats its flags and input files as untrusted: a
+//! malformed value exits 1 with an `error:` line, never with a panic
+//! (exit 101) or an abort (exit 134).
 
 use std::process::{Command, Output};
 
@@ -44,4 +45,21 @@ fn a_valid_call_exits_zero() {
         String::from_utf8_lossy(&out.stderr)
     );
     assert!(String::from_utf8_lossy(&out.stdout).contains("bit-exact vs reference : true"));
+}
+
+#[test]
+fn a_deeply_nested_trace_file_exits_with_an_error_line() {
+    // 400 KB of `[` overflows the stack of a parser without a depth
+    // limit.
+    let path = std::env::temp_dir().join(format!("c2m-nested-{}.json", std::process::id()));
+    std::fs::write(&path, "[".repeat(400_000)).expect("the temp dir is writable");
+    let out = c2m(&[
+        "trace",
+        "--check",
+        path.to_str().expect("a UTF-8 temp path"),
+    ]);
+    let _ = std::fs::remove_file(&path);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{stderr}");
+    assert!(stderr.lines().any(|l| l.starts_with("error: ")), "{stderr}");
 }
