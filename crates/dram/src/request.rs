@@ -371,29 +371,7 @@ impl RequestQueue {
                     })
                     .fold(f64::INFINITY, f64::min);
                 now = now.max(t_min);
-                let ready: Vec<usize> = (0..batch.len())
-                    .filter(|&i| {
-                        let r = &batch[i].1;
-                        r.arrival_ns <= now
-                            && self.bank_ready[r.bank] <= now
-                            && self.bus_ready <= now
-                    })
-                    .collect();
-                debug_assert!(!ready.is_empty(), "clock advance must free a request");
-                // Starvation cap first (oldest over-cap request wins —
-                // `batch` is in FCFS order), then first-ready row hits,
-                // then plain FCFS.
-                let pick = ready
-                    .iter()
-                    .copied()
-                    .find(|&i| now - batch[i].1.arrival_ns > window.max_wait_ns)
-                    .or_else(|| {
-                        ready.iter().copied().find(|&i| {
-                            let r = &batch[i].1;
-                            self.banks[r.bank].would_hit(r.row)
-                        })
-                    })
-                    .unwrap_or(ready[0]);
+                let pick = self.pick(&batch, now, window.max_wait_ns);
                 let (_, req) = batch.remove(pick);
 
                 let kind = self.banks[req.bank].access(req.row);
@@ -415,6 +393,33 @@ impl RequestQueue {
             }
         }
         report
+    }
+
+    /// The FR-FCFS issue at `now` among `batch` (in FCFS order), in
+    /// one pass: the oldest ready request if it has waited longer than
+    /// `max_wait_ns`, else the first ready row hit, else the oldest
+    /// ready request. A request is ready once it has arrived and its
+    /// bank and the bus are free. Waiting past the cap is monotone in
+    /// arrival, so when the oldest ready request is under the cap, every
+    /// later one is too.
+    fn pick(&self, batch: &[(usize, MemoryRequest)], now: f64, max_wait_ns: f64) -> usize {
+        let mut pick = None;
+        for (i, (_, r)) in batch.iter().enumerate() {
+            if r.arrival_ns > now || self.bank_ready[r.bank] > now || self.bus_ready > now {
+                continue;
+            }
+            if pick.is_none() {
+                pick = Some(i);
+                if now - r.arrival_ns > max_wait_ns {
+                    break;
+                }
+            }
+            if self.banks[r.bank].would_hit(r.row) {
+                pick = Some(i);
+                break;
+            }
+        }
+        pick.expect("clock advance must free a request")
     }
 }
 
@@ -604,5 +609,105 @@ mod tests {
         let trace = mixed_trace();
         let rep = RequestQueue::new(timing(), 4).run_batched(&trace, BatchWindow::new(0.0));
         assert_eq!(rep.completions.len(), trace.len());
+    }
+
+    /// `run_batched` with its former issue pick: every issue lists the
+    /// ready requests, then searches that list for the oldest over-cap
+    /// request, then for the first row hit, then takes its head.
+    fn run_batched_ready_list(
+        q: &mut RequestQueue,
+        requests: &[MemoryRequest],
+        window: BatchWindow,
+    ) -> ScheduleReport {
+        let mut pending: Vec<(usize, MemoryRequest)> =
+            requests.iter().copied().enumerate().collect();
+        sort_fcfs(&mut pending);
+        let mut report = ScheduleReport::default();
+        let mut now = 0.0f64;
+        while !pending.is_empty() {
+            let t_open = pending[0].1.arrival_ns;
+            let take = pending
+                .iter()
+                .take_while(|(_, r)| r.arrival_ns - t_open <= window.window_ns)
+                .count()
+                .max(1);
+            let mut batch: Vec<(usize, MemoryRequest)> = pending.drain(..take).collect();
+            while !batch.is_empty() {
+                let t_min = batch
+                    .iter()
+                    .map(|(_, r)| r.arrival_ns.max(q.bank_ready[r.bank]).max(q.bus_ready))
+                    .fold(f64::INFINITY, f64::min);
+                now = now.max(t_min);
+                let ready: Vec<usize> = (0..batch.len())
+                    .filter(|&i| {
+                        let r = &batch[i].1;
+                        r.arrival_ns <= now && q.bank_ready[r.bank] <= now && q.bus_ready <= now
+                    })
+                    .collect();
+                let pick = ready
+                    .iter()
+                    .copied()
+                    .find(|&i| now - batch[i].1.arrival_ns > window.max_wait_ns)
+                    .or_else(|| {
+                        ready.iter().copied().find(|&i| {
+                            let r = &batch[i].1;
+                            q.banks[r.bank].would_hit(r.row)
+                        })
+                    })
+                    .unwrap_or(ready[0]);
+                let (_, req) = batch.remove(pick);
+                let kind = q.banks[req.bank].access(req.row);
+                let finish = now + kind.latency_ns(&q.timing);
+                q.bank_ready[req.bank] = finish;
+                q.bus_ready = now + q.timing.t_burst;
+                report.completions.push(Completion {
+                    request: req,
+                    issue_ns: now,
+                    finish_ns: finish,
+                    kind,
+                });
+            }
+        }
+        report
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(256))]
+
+        /// The one-pass pick issues exactly what the ready-list pick
+        /// issued, over random banks, rows and (tied) arrivals, finite
+        /// and infinite starvation caps, and queue state carried from
+        /// one call into the next.
+        #[test]
+        fn one_pass_pick_matches_the_ready_list(
+            (len, banks, rows) in (1usize..80, 1usize..5, 1usize..6),
+            gap_ns in proptest::sample::select(vec![0.0, 0.5, 3.0, 40.0]),
+            window_ns in proptest::sample::select(vec![0.0, 10.0, 100.0, f64::INFINITY]),
+            max_wait_ns in proptest::sample::select(vec![0.0, 30.0, 200.0, f64::INFINITY]),
+            seed in 0u64..1_000_000,
+        ) {
+            let mut state = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;
+            let mut next = move || {
+                state ^= state << 13;
+                state ^= state >> 7;
+                state ^= state << 17;
+                state as usize
+            };
+            let reqs: Vec<MemoryRequest> = (0..len)
+                .map(|_| {
+                    let arrival = (next() % 32) as f64 * gap_ns;
+                    MemoryRequest::read(arrival, next() % banks, next() % rows)
+                })
+                .collect();
+            let window = BatchWindow { window_ns, max_wait_ns };
+            let mut fast = RequestQueue::new(timing(), banks);
+            let mut oracle = RequestQueue::new(timing(), banks);
+            let (head, tail) = reqs.split_at(len / 2);
+            for part in [head, tail] {
+                let a = fast.run_batched(part, window);
+                let b = run_batched_ready_list(&mut oracle, part, window);
+                proptest::prop_assert_eq!(a.completions, b.completions);
+            }
+        }
     }
 }

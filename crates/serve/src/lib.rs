@@ -39,6 +39,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+mod ready;
 pub mod report;
 pub mod request;
 pub mod runtime;

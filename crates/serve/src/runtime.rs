@@ -68,6 +68,7 @@
 //! With `power_budget_w: None` the pipeline is byte-identical to the
 //! uncapped runtime.
 
+use crate::ready::{fcfs, PendingQueue};
 use crate::report::{BatchRecord, PowerSample, QueueSample, RequestOutcome, ServeReport};
 use crate::request::ServeRequest;
 use crate::traffic::{request_input, ClosedLoopConfig};
@@ -78,7 +79,6 @@ use c2m_dram::{hit_fraction, BatchWindow, CacheCounters, MemoryRequest, RequestQ
 use c2m_trace::{TraceEvent, TraceSink, Track};
 use serde::{Deserialize, Serialize};
 use std::cmp::Ordering;
-use std::collections::BinaryHeap;
 use std::sync::Arc;
 
 /// Batch admission policy: which arrived request seeds the next batch.
@@ -560,79 +560,6 @@ fn window_avg_power_w(
     (energy + idle_floor_w * (window_ns - busy_in).max(0.0)) / window_ns
 }
 
-/// Min-heap key: requests ordered by arrival time, ties by id.
-#[derive(Debug, Clone)]
-struct ByArrival(ServeRequest);
-
-impl PartialEq for ByArrival {
-    fn eq(&self, other: &Self) -> bool {
-        self.cmp(other) == Ordering::Equal
-    }
-}
-
-impl Eq for ByArrival {}
-
-impl PartialOrd for ByArrival {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-impl Ord for ByArrival {
-    fn cmp(&self, other: &Self) -> Ordering {
-        // FCFS order reversed: BinaryHeap is a max-heap, we want the
-        // earliest arrival on top.
-        fcfs(&other.0, &self.0)
-    }
-}
-
-/// The pending set shared by the open- and closed-loop drivers: a
-/// min-heap of future arrivals (ordered by arrival time, so neither
-/// loop ever re-sorts) plus the requests already arrived by the last
-/// admission instant. Replaces the seed's sorted `Vec` with its
-/// per-batch whole-vector re-sort and `Vec::remove` mid-scan.
-#[derive(Debug, Default)]
-struct PendingQueue {
-    future: BinaryHeap<ByArrival>,
-    ready: Vec<ServeRequest>,
-}
-
-impl PendingQueue {
-    fn push(&mut self, r: ServeRequest) {
-        self.future.push(ByArrival(r));
-    }
-
-    fn is_empty(&self) -> bool {
-        self.future.is_empty() && self.ready.is_empty()
-    }
-
-    /// Earliest arrival over everything still pending.
-    fn earliest_arrival(&self) -> f64 {
-        let ready = self
-            .ready
-            .iter()
-            .map(|r| r.arrival_ns)
-            .fold(f64::INFINITY, f64::min);
-        let future = self.future.peek().map_or(f64::INFINITY, |b| b.0.arrival_ns);
-        ready.min(future)
-    }
-
-    /// Moves every request that has arrived by `now` into the ready set.
-    fn admit_until(&mut self, now: f64) {
-        while self.future.peek().is_some_and(|b| b.0.arrival_ns <= now) {
-            self.ready.push(self.future.pop().expect("peeked").0);
-        }
-    }
-}
-
-/// `(arrival, id)` FCFS ordering.
-fn fcfs(a: &ServeRequest, b: &ServeRequest) -> Ordering {
-    a.arrival_ns
-        .partial_cmp(&b.arrival_ns)
-        .expect("finite arrivals")
-        .then(a.id.cmp(&b.id))
-}
-
 impl ServeRuntime {
     /// Creates a runtime over `engine` with the given policy.
     ///
@@ -717,7 +644,7 @@ impl ServeRuntime {
     /// reports per-request latencies, batch records and queue depth.
     pub fn run(&self, requests: &[ServeRequest]) -> ServeReport {
         let cache_base = self.cache_baseline();
-        let mut q = PendingQueue::default();
+        let mut q = PendingQueue::new(self.cfg.policy);
         for r in requests {
             q.push(r.clone());
         }
@@ -751,9 +678,16 @@ impl ServeRuntime {
     ///
     /// # Panics
     ///
-    /// Panics if the tenant list is empty.
+    /// Panics if the tenant list is empty, or if the think time is NaN,
+    /// infinite or negative.
     pub fn run_closed_loop(&self, cfg: &ClosedLoopConfig) -> ServeReport {
         assert!(!cfg.tenants.is_empty(), "at least one tenant required");
+        // A negative think time would issue requests in the past, and
+        // the depth sampling below needs arrivals issued in order.
+        assert!(
+            cfg.think_ns.is_finite() && cfg.think_ns >= 0.0,
+            "think time must be finite and non-negative"
+        );
         let cache_base = self.cache_baseline();
         let mut remaining = vec![cfg.requests_per_client; cfg.clients];
         // Ids are issued sequentially, so `client_of[id]` recovers the
@@ -773,8 +707,10 @@ impl ServeRuntime {
                 x: request_input(spec.k, cfg.seed, id),
             }
         };
-        // Every client fires its first request at t = 0.
-        let mut q = PendingQueue::default();
+        // Every client fires its first request at t = 0. Batch
+        // completions never move backwards, so `issued_arrivals` stays
+        // sorted.
+        let mut q = PendingQueue::new(self.cfg.policy);
         let mut issued_arrivals: Vec<f64> = Vec::new();
         for (c, rem) in remaining.iter_mut().enumerate() {
             if *rem > 0 {
@@ -801,13 +737,13 @@ impl ServeRuntime {
                     q.push(r);
                 }
             }
-            let arrived = issued_arrivals.iter().filter(|&&a| a <= done).count();
+            let arrived = issued_arrivals.partition_point(|&a| a <= done);
             let depth = arrived - report.outcomes.len();
             self.sample_queue_depth(&mut report, done, depth);
         }
         if report.batches.len() == 1 {
             let formed = report.batches[0].formed_ns;
-            let depth = issued_arrivals.iter().filter(|&&a| a <= formed).count();
+            let depth = issued_arrivals.partition_point(|&a| a <= formed);
             self.backfill_formation_sample(&mut report, formed, depth);
         }
         report.host_hit_rate = hit_fraction(pipe.hits, pipe.accesses);
@@ -923,7 +859,8 @@ impl ServeRuntime {
     /// request arrived by that instant into the ready set, the policy
     /// picks the seed among them, and same-tenant same-shape ready
     /// requests within the window of the seed's arrival join, up to the
-    /// cap. Returns the batch (FCFS order) and the admission instant.
+    /// cap. The seed and its mates are read off the ready set's indexes,
+    /// so forming a batch never scans the backlog.
     ///
     /// Requests arriving *after* the dispatch instant are not eligible
     /// — the fix for the seed batcher's clairvoyance bug, which let a
@@ -931,80 +868,19 @@ impl ServeRuntime {
     /// `window_ns` later.
     ///
     /// Returns the batch (FCFS order), the admission instant, and the
-    /// id of the policy-chosen seed (the member a shrinking power
+    /// seed's position in the batch (the member a shrinking power
     /// governor must keep).
-    fn form_batch(&self, q: &mut PendingQueue, t_free: f64) -> (Vec<ServeRequest>, f64, u64) {
+    fn form_batch(&self, q: &mut PendingQueue, t_free: f64) -> (Vec<ServeRequest>, f64, usize) {
         debug_assert!(!q.is_empty());
         let formed = t_free.max(q.earliest_arrival());
         q.admit_until(formed);
-        debug_assert!(!q.ready.is_empty(), "admission must free a request");
-
-        let seed_idx = self.pick_seed(&q.ready, formed);
-        let seed = q.ready.swap_remove(seed_idx);
-        let seed_id = seed.id;
-        let mut mates: Vec<(f64, u64)> = q
-            .ready
-            .iter()
-            .filter(|r| {
-                r.tenant == seed.tenant
-                    && r.n == seed.n
-                    && r.k() == seed.k()
-                    && r.arrival_ns <= seed.arrival_ns + self.cfg.window_ns
-            })
-            .map(|r| (r.arrival_ns, r.id))
-            .collect();
-        mates.sort_by(|a, b| {
-            a.0.partial_cmp(&b.0)
-                .expect("finite arrivals")
-                .then(a.1.cmp(&b.1))
-        });
-        mates.truncate(self.cfg.max_batch - 1);
-        let ids: Vec<u64> = mates.into_iter().map(|(_, id)| id).collect();
-
-        let mut batch = vec![seed];
-        for r in std::mem::take(&mut q.ready) {
-            if ids.contains(&r.id) {
-                batch.push(r);
-            } else {
-                q.ready.push(r);
-            }
-        }
-        batch.sort_by(fcfs);
-        (batch, formed, seed_id)
-    }
-
-    /// The policy's choice of batch seed among the ready requests at
-    /// admission instant `now`.
-    fn pick_seed(&self, ready: &[ServeRequest], now: f64) -> usize {
-        let argmin_by = |key: &dyn Fn(&ServeRequest) -> (f64, f64, u64)| -> usize {
-            (0..ready.len())
-                .min_by(|&a, &b| {
-                    let (ka, kb) = (key(&ready[a]), key(&ready[b]));
-                    ka.0.partial_cmp(&kb.0)
-                        .expect("finite keys")
-                        .then(ka.1.partial_cmp(&kb.1).expect("finite keys"))
-                        .then(ka.2.cmp(&kb.2))
-                })
-                .expect("non-empty ready set")
-        };
-        match self.cfg.policy {
-            SchedPolicy::Fifo => argmin_by(&|r| (r.arrival_ns, 0.0, r.id)),
-            SchedPolicy::EarliestDeadlineFirst => {
-                argmin_by(&|r| (r.deadline_ns(), r.arrival_ns, r.id))
-            }
-            SchedPolicy::PriorityWeighted => {
-                // Starvation cap first: the oldest over-cap request wins
-                // regardless of class, bounding how long high classes
-                // may bypass a waiting request (mirrors the fetch
-                // queue's FR-FCFS cap).
-                let starving = (0..ready.len())
-                    .filter(|&i| now - ready[i].arrival_ns > self.cfg.max_wait_ns)
-                    .min_by(|&a, &b| fcfs(&ready[a], &ready[b]));
-                starving.unwrap_or_else(|| {
-                    argmin_by(&|r| (f64::from(u8::MAX - r.class.priority), r.arrival_ns, r.id))
-                })
-            }
-        }
+        let seed = q
+            .take_seed(formed, self.cfg.max_wait_ns)
+            .expect("admission must free a request");
+        let mut batch = q.take_mates(&seed, self.cfg.window_ns, self.cfg.max_batch - 1);
+        let seed_at = batch.partition_point(|m| fcfs(m, &seed) == Ordering::Less);
+        batch.insert(seed_at, seed);
+        (batch, formed, seed_at)
     }
 
     /// Forms and dispatches the next batch, governing admission by the
@@ -1028,7 +904,7 @@ impl ServeRuntime {
         let window = self.cfg.power_window_ns;
         loop {
             let t_free = pipe.planner_free.max(pipe.defer_until);
-            let (mut batch, formed, seed_id) = self.form_batch(q, t_free);
+            let (mut batch, formed, mut seed_at) = self.form_batch(q, t_free);
             loop {
                 // Trial-price against clones: a rejected candidate must
                 // not advance the fetch queue's row state or the LRU.
@@ -1059,16 +935,17 @@ impl ServeRuntime {
                 if batch.len() > 1 {
                     // Shrink: return the latest-arriving coalesced mate
                     // (never the policy-chosen seed) to the ready set.
-                    let drop_idx = (0..batch.len())
-                        .rev()
-                        .find(|&i| batch[i].id != seed_id)
-                        .expect("a batch of 2+ holds a non-seed member");
-                    q.ready.push(batch.remove(drop_idx));
+                    let last = batch.len() - 1;
+                    let drop_idx = if seed_at == last { last - 1 } else { last };
+                    q.insert(batch.remove(drop_idx));
+                    seed_at = seed_at.min(batch.len() - 1);
                     continue;
                 }
                 // Defer: hand the request back and retry once part of
                 // the window has drained.
-                q.ready.append(&mut batch);
+                for r in batch {
+                    q.insert(r);
+                }
                 pipe.defer_until = formed + window / 8.0;
                 break;
             }
@@ -1087,7 +964,10 @@ impl ServeRuntime {
         // Host fetch: stream every request's input vector through the
         // batched FR-FCFS queue. Same-tenant requests share buffer rows,
         // so coalescing them is row-hit heavy.
-        let mem: Vec<MemoryRequest> = batch.iter().flat_map(|r| self.fetch_plan(r)).collect();
+        let mut mem = Vec::new();
+        for r in batch {
+            self.fetch_plan(r, &mut mem);
+        }
         let fetch = fetch_q.run_batched(
             &mem,
             BatchWindow {
@@ -1362,19 +1242,20 @@ impl ServeRuntime {
         }
     }
 
-    /// The memory requests streaming one request's input vector out of
-    /// the host buffer: one read per 64-byte burst, same-tenant vectors
-    /// aliasing the same rows (the weights-resident tenant keeps its
-    /// input buffer hot).
-    fn fetch_plan(&self, r: &ServeRequest) -> Vec<MemoryRequest> {
+    /// Appends to `out` the memory requests streaming one request's
+    /// input vector out of the host buffer: one read per 64-byte burst,
+    /// same-tenant vectors aliasing the same rows (the weights-resident
+    /// tenant keeps its input buffer hot).
+    fn fetch_plan(&self, r: &ServeRequest, out: &mut Vec<MemoryRequest>) {
         let dram = &self.engine.config().dram;
         let row_bytes = dram.row_bits_per_rank() / 8;
         let bank = r.tenant % dram.banks;
         let base_row = (r.tenant / dram.banks) * 64;
         let bursts = r.k().div_ceil(64).max(1);
-        (0..bursts)
-            .map(|b| MemoryRequest::read(r.arrival_ns, bank, base_row + (b * 64) / row_bytes))
-            .collect()
+        out.extend(
+            (0..bursts)
+                .map(|b| MemoryRequest::read(r.arrival_ns, bank, base_row + (b * 64) / row_bytes)),
+        );
     }
 }
 
@@ -1744,6 +1625,82 @@ mod tests {
             assert!(o.completion_ns > o.arrival_ns);
         }
         assert!(rep.queue_depth.iter().all(|s| s.depth <= 4));
+    }
+
+    fn closed_loop_thinking(think_ns: f64) -> ServeReport {
+        let ccfg = ClosedLoopConfig {
+            tenants: vec![TenantSpec::new(512, 256)],
+            clients: 2,
+            requests_per_client: 2,
+            think_ns,
+            seed: 3,
+        };
+        ServeRuntime::new(engine(1), cfg(4, 1e6)).run_closed_loop(&ccfg)
+    }
+
+    #[test]
+    #[should_panic(expected = "think time")]
+    fn closed_loop_rejects_a_nan_think_time() {
+        let _ = closed_loop_thinking(f64::NAN);
+    }
+
+    #[test]
+    #[should_panic(expected = "think time")]
+    fn closed_loop_rejects_a_negative_think_time() {
+        let _ = closed_loop_thinking(-1.0);
+    }
+
+    #[test]
+    fn duplicate_ids_never_merge_tenants_or_exceed_the_cap() {
+        // Ids are documented as unique, but nothing enforces it. Requests
+        // sharing an id are still distinct requests: a batch never pulls
+        // in another tenant's request or grows past the cap because an
+        // id matched.
+        let be = ServiceClass::BEST_EFFORT;
+        let three = vec![req(1, 0.0, 0, be), req(2, 0.0, 0, be), req(2, 0.0, 1, be)];
+        let mut repeated = trace(48, 3);
+        for r in &mut repeated {
+            r.id /= 3;
+        }
+        let sorted = |mut v: Vec<(u64, usize)>| {
+            v.sort_unstable();
+            v
+        };
+        for (reqs, max_batch) in [(&three, 2), (&repeated, 4)] {
+            let submitted = sorted(reqs.iter().map(|r| (r.id, r.tenant)).collect());
+            for policy in [
+                SchedPolicy::Fifo,
+                SchedPolicy::EarliestDeadlineFirst,
+                SchedPolicy::PriorityWeighted,
+            ] {
+                let base = ServeConfig {
+                    policy,
+                    ..cfg(max_batch, 1e6)
+                };
+                let uncapped = ServeRuntime::new(engine(1), base.clone()).run(reqs);
+                let floor = uncapped.idle_floor_w;
+                let cap = floor + 0.5 * (uncapped.peak_window_power_w() - floor);
+                let capped = ServeConfig {
+                    power_budget_w: Some(cap),
+                    ..base
+                };
+                let capped = ServeRuntime::new(engine(1), capped).run(reqs);
+                for rep in [&uncapped, &capped] {
+                    for (i, b) in rep.batches.iter().enumerate() {
+                        let members: Vec<&RequestOutcome> =
+                            rep.outcomes.iter().filter(|o| o.batch == i).collect();
+                        assert!(b.size <= max_batch, "{policy:?}: batch {i} of {}", b.size);
+                        assert_eq!(members.len(), b.size);
+                        assert!(members.iter().all(|o| o.tenant == b.tenant), "{policy:?}");
+                    }
+                    assert_eq!(
+                        sorted(rep.outcomes.iter().map(|o| (o.id, o.tenant)).collect()),
+                        submitted,
+                        "{policy:?}: each (id, tenant) request completes once"
+                    );
+                }
+            }
+        }
     }
 
     #[test]
