@@ -102,12 +102,11 @@ impl RcaAccumulator {
         let w = self.width_bits;
         // Stage the masked addend rows: row W+i = mask if bit i of value.
         for i in 0..w {
-            let addend = if (value >> i) & 1 == 1 {
-                mask.clone()
+            if (value >> i) & 1 == 1 {
+                self.machine.write(w + i, mask);
             } else {
-                Row::zeros(self.lanes)
-            };
-            self.machine.write(w + i, &addend);
+                self.machine.clear(w + i);
+            }
         }
         self.ripple_add();
     }
@@ -121,8 +120,7 @@ impl RcaAccumulator {
         let s1 = 2 * w + 2; // not carry_in
         let s2 = 2 * w + 3; // maj(a, b, !carry_in)
         let s3 = 2 * w + 4; // new carry before commit
-                            // carry <- 0
-        self.machine.write(carry, &Row::zeros(self.lanes));
+        self.machine.clear(carry);
         for i in 0..w {
             let a = i;
             let b = w + i;
@@ -168,6 +166,8 @@ pub fn rca_add_ops(width_bits: usize) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use c2m_cim::{CostModel, LogicOp};
+    use proptest::prelude::*;
 
     #[test]
     fn addition_is_exact_when_fault_free() {
@@ -252,5 +252,108 @@ mod tests {
         let mut acc = RcaAccumulator::new(16, 4);
         acc.add_masked(7, &Row::ones(4));
         assert_eq!(acc.rmse(&[7u128; 4]), 0.0);
+    }
+
+    /// The allocating accumulator that `add_masked` replaced, on the
+    /// allocating gate bodies: each gate returns a fresh row, compute
+    /// results are perturbed, then assigned.
+    struct Oracle {
+        width_bits: usize,
+        lanes: usize,
+        rows: Vec<Row>,
+        fault: FaultModel,
+        cost: CostModel,
+        ops: u64,
+    }
+
+    impl Oracle {
+        fn new(width_bits: usize, lanes: usize, fault: FaultModel) -> Self {
+            Self {
+                width_bits,
+                lanes,
+                rows: vec![Row::zeros(lanes); 2 * width_bits + 1 + SCRATCH],
+                fault,
+                cost: Backend::Ambit.cost_model(),
+                ops: 0,
+            }
+        }
+
+        fn maj3(&mut self, a: usize, b: usize, c: usize, dst: usize) {
+            let mut v = Row::maj3(&self.rows[a], &self.rows[b], &self.rows[c]);
+            self.fault.perturb(&mut v);
+            self.rows[dst] = v;
+            self.ops += self.cost.cost(LogicOp::Maj3);
+        }
+
+        fn not(&mut self, src: usize, dst: usize) {
+            self.rows[dst] = self.rows[src].not();
+            self.ops += self.cost.cost(LogicOp::Not);
+        }
+
+        fn copy(&mut self, src: usize, dst: usize) {
+            self.rows[dst] = self.rows[src].clone();
+            self.ops += self.cost.cost(LogicOp::Copy);
+        }
+
+        fn add_masked(&mut self, value: u128, mask: &Row) {
+            let w = self.width_bits;
+            for i in 0..w {
+                self.rows[w + i] = if (value >> i) & 1 == 1 {
+                    mask.clone()
+                } else {
+                    Row::zeros(self.lanes)
+                };
+            }
+            let (carry, s0, s1, s2, s3) = (2 * w, 2 * w + 1, 2 * w + 2, 2 * w + 3, 2 * w + 4);
+            self.rows[carry] = Row::zeros(self.lanes);
+            for i in 0..w {
+                let (a, b) = (i, w + i);
+                self.maj3(a, b, carry, s3);
+                self.not(s3, s0);
+                self.not(carry, s1);
+                self.maj3(a, b, s1, s2);
+                self.maj3(s0, s2, carry, a);
+                self.copy(s3, carry);
+            }
+        }
+    }
+
+    /// A seeded lane mask: all ones for one seed in four.
+    fn mask(lanes: usize, seed: u64) -> Row {
+        if seed.is_multiple_of(4) {
+            return Row::ones(lanes);
+        }
+        let mut m = Row::zeros(lanes);
+        FaultModel::new(0.5, seed).perturb(&mut m);
+        m
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        /// Masked adds leave the in-place accumulator exactly where the
+        /// allocating one ends: same rows, op count and fault count.
+        #[test]
+        fn add_masked_matches_the_allocating_adder(
+            width_bits in prop::sample::select(vec![8usize, 32]),
+            (pick, any) in (0usize..8, 1usize..=300),
+            rate in prop::sample::select(vec![0.0, 1e-3, 0.1, 1.0]),
+            seed in 0u64..1000,
+            adds in prop::collection::vec((0u64..u64::MAX, 0u64..1000), 1..12),
+        ) {
+            let lanes = [63, 64, 65, 128].get(pick).copied().unwrap_or(any);
+            let mut got = RcaAccumulator::with_faults(width_bits, lanes, FaultModel::new(rate, seed));
+            let mut want = Oracle::new(width_bits, lanes, FaultModel::new(rate, seed));
+            for (value, mask_seed) in adds {
+                let mask = mask(lanes, mask_seed);
+                got.add_masked(u128::from(value), &mask);
+                want.add_masked(u128::from(value), &mask);
+                for (r, row) in want.rows.iter().enumerate() {
+                    prop_assert_eq!(got.machine.read(r), row, "row {}", r);
+                }
+                prop_assert_eq!(got.ops(), want.ops);
+                prop_assert_eq!(got.machine.faults_injected(), want.fault.injected());
+            }
+        }
     }
 }

@@ -16,6 +16,10 @@ use rand_chacha::ChaCha12Rng;
 #[derive(Debug, Clone)]
 pub struct FaultModel {
     rate: f64,
+    /// `ln(1 − rate)`, the geometric sampler's scale. `ln_1p` keeps
+    /// precision for tiny rates (`ln(1 − p)` underflows to −0.0 below
+    /// ~1e-16, which would otherwise flip every bit).
+    ln_q: f64,
     rng: ChaCha12Rng,
     injected: u64,
 }
@@ -32,6 +36,7 @@ impl FaultModel {
         assert!((0.0..=1.0).contains(&rate), "fault rate must be in [0,1]");
         Self {
             rate,
+            ln_q: (-rate).ln_1p(),
             rng: ChaCha12Rng::seed_from_u64(seed),
             injected: 0,
         }
@@ -71,14 +76,11 @@ impl FaultModel {
             }
             return;
         }
-        // Geometric skips: next fault index gap ~ Geom(rate). ln_1p keeps
-        // precision for tiny rates (ln(1-p) underflows to -0.0 below
-        // ~1e-16, which would otherwise flip every bit).
-        let ln_q = (-self.rate).ln_1p();
+        // Geometric skips: next fault index gap ~ Geom(rate).
         let mut i = 0usize;
         loop {
             let u: f64 = self.rng.gen_range(f64::EPSILON..1.0);
-            let skip = (u.ln() / ln_q).floor() as usize;
+            let skip = (u.ln() / self.ln_q).floor() as usize;
             i = match i.checked_add(skip) {
                 Some(v) => v,
                 None => break,

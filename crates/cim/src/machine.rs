@@ -7,6 +7,10 @@
 //! the protected μPrograms of Fig. 13a (written in terms of `AND`, `OR`,
 //! `CP`). Each gate updates row state bit-accurately, injects faults on
 //! compute results, and charges the backend's [`CostModel`].
+//!
+//! A gate computes into one machine-owned scratch row, perturbs it and
+//! swaps it into `dst`, so `dst` may be one of the gate's inputs and no
+//! gate allocates.
 
 use crate::backend::{Backend, CostModel};
 use crate::fault::FaultModel;
@@ -40,6 +44,8 @@ pub enum LogicOp {
 pub struct LogicMachine {
     width: usize,
     rows: Vec<Row>,
+    /// Where each gate computes its result before swapping it into `dst`.
+    scratch: Row,
     cost: CostModel,
     fault: FaultModel,
     ops_charged: u64,
@@ -60,6 +66,7 @@ impl LogicMachine {
         Self {
             width,
             rows: vec![Row::zeros(width); rows],
+            scratch: Row::zeros(width),
             cost: backend.cost_model(),
             fault,
             ops_charged: 0,
@@ -119,63 +126,72 @@ impl LogicMachine {
     ///
     /// Panics if `r` is out of range or the width differs.
     pub fn write(&mut self, r: RowId, v: &Row) {
-        assert_eq!(v.width(), self.width, "row width mismatch");
-        self.rows[r] = v.clone();
+        self.rows[r].copy_from(v);
+    }
+
+    /// Host-clears a row to all zeros (not charged as a CIM op).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `r` is out of range.
+    pub fn clear(&mut self, r: RowId) {
+        self.rows[r].clear();
     }
 
     /// `dst ← src` (charged as a copy; copies are access-reliable, so no
     /// fault injection).
     pub fn copy(&mut self, src: RowId, dst: RowId) {
-        let v = self.rows[src].clone();
-        self.rows[dst] = v;
-        self.charge(LogicOp::Copy);
+        self.scratch.copy_from(&self.rows[src]);
+        self.commit(dst, LogicOp::Copy);
     }
 
     /// `dst ← !src` (DCC-mediated on DRAM; access-reliable, no faults).
     pub fn not(&mut self, src: RowId, dst: RowId) {
-        let v = self.rows[src].not();
-        self.rows[dst] = v;
-        self.charge(LogicOp::Not);
+        self.scratch.set_not(&self.rows[src]);
+        self.commit(dst, LogicOp::Not);
     }
 
     /// `dst ← a & b` with fault injection on the result.
     pub fn and(&mut self, a: RowId, b: RowId, dst: RowId) {
-        let mut v = self.rows[a].and(&self.rows[b]);
-        self.fault.perturb(&mut v);
-        self.rows[dst] = v;
-        self.charge(LogicOp::And);
+        self.scratch.set_and(&self.rows[a], &self.rows[b]);
+        self.commit_faulty(dst, LogicOp::And);
     }
 
     /// `dst ← a | b` with fault injection on the result.
     pub fn or(&mut self, a: RowId, b: RowId, dst: RowId) {
-        let mut v = self.rows[a].or(&self.rows[b]);
-        self.fault.perturb(&mut v);
-        self.rows[dst] = v;
-        self.charge(LogicOp::Or);
+        self.scratch.set_or(&self.rows[a], &self.rows[b]);
+        self.commit_faulty(dst, LogicOp::Or);
     }
 
     /// `dst ← !(a | b)` with fault injection on the result.
     pub fn nor(&mut self, a: RowId, b: RowId, dst: RowId) {
-        let mut v = self.rows[a].nor(&self.rows[b]);
-        self.fault.perturb(&mut v);
-        self.rows[dst] = v;
-        self.charge(LogicOp::Nor);
+        self.scratch.set_nor(&self.rows[a], &self.rows[b]);
+        self.commit_faulty(dst, LogicOp::Nor);
     }
 
     /// `dst ← a ^ b` with fault injection on the result.
     pub fn xor(&mut self, a: RowId, b: RowId, dst: RowId) {
-        let mut v = self.rows[a].xor(&self.rows[b]);
-        self.fault.perturb(&mut v);
-        self.rows[dst] = v;
-        self.charge(LogicOp::Xor);
+        self.scratch.set_xor(&self.rows[a], &self.rows[b]);
+        self.commit_faulty(dst, LogicOp::Xor);
     }
 
     /// `dst ← MAJ3(a, b, c)` with fault injection on the result.
     pub fn maj3(&mut self, a: RowId, b: RowId, c: RowId, dst: RowId) {
-        let mut v = Row::maj3(&self.rows[a], &self.rows[b], &self.rows[c]);
-        self.fault.perturb(&mut v);
-        self.rows[dst] = v;
-        self.charge(LogicOp::Maj3);
+        self.scratch
+            .set_maj3(&self.rows[a], &self.rows[b], &self.rows[c]);
+        self.commit_faulty(dst, LogicOp::Maj3);
+    }
+
+    /// Perturbs the scratch result, then commits it like [`Self::commit`].
+    fn commit_faulty(&mut self, dst: RowId, op: LogicOp) {
+        self.fault.perturb(&mut self.scratch);
+        self.commit(dst, op);
+    }
+
+    /// Swaps the scratch result into `dst` and charges `op`.
+    fn commit(&mut self, dst: RowId, op: LogicOp) {
+        std::mem::swap(&mut self.scratch, &mut self.rows[dst]);
+        self.charge(op);
     }
 
     fn charge(&mut self, op: LogicOp) {
@@ -187,6 +203,7 @@ impl LogicMachine {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn machine(backend: Backend) -> LogicMachine {
         let mut m = LogicMachine::new(backend, 8, 6);
@@ -248,6 +265,120 @@ mod tests {
         let expect = Row::maj3(m.read(0), m.read(1), m.read(2));
         m.maj3(0, 1, 2, 3);
         assert_eq!(m.read(3), &expect);
+    }
+
+    /// The allocating gate body the in-place gates replaced: compute a
+    /// fresh row, perturb it if it is a compute result, assign, charge.
+    fn oracle_gate(m: &mut LogicMachine, op: LogicOp, ins: [RowId; 3], dst: RowId) {
+        let r = |i: usize| &m.rows[ins[i]];
+        let mut v = match op {
+            LogicOp::Copy => r(0).clone(),
+            LogicOp::Not => r(0).not(),
+            LogicOp::And => r(0).and(r(1)),
+            LogicOp::Or => r(0).or(r(1)),
+            LogicOp::Nor => r(0).nor(r(1)),
+            LogicOp::Xor => r(0).xor(r(1)),
+            LogicOp::Maj3 => Row::maj3(r(0), r(1), r(2)),
+        };
+        if !matches!(op, LogicOp::Copy | LogicOp::Not) {
+            m.fault.perturb(&mut v);
+        }
+        m.rows[dst] = v;
+        m.charge(op);
+    }
+
+    fn gate(m: &mut LogicMachine, op: LogicOp, [a, b, c]: [RowId; 3], dst: RowId) {
+        match op {
+            LogicOp::Copy => m.copy(a, dst),
+            LogicOp::Not => m.not(a, dst),
+            LogicOp::And => m.and(a, b, dst),
+            LogicOp::Or => m.or(a, b, dst),
+            LogicOp::Nor => m.nor(a, b, dst),
+            LogicOp::Xor => m.xor(a, b, dst),
+            LogicOp::Maj3 => m.maj3(a, b, c, dst),
+        }
+    }
+
+    const OPS: [LogicOp; 7] = [
+        LogicOp::Copy,
+        LogicOp::Not,
+        LogicOp::And,
+        LogicOp::Or,
+        LogicOp::Nor,
+        LogicOp::Xor,
+        LogicOp::Maj3,
+    ];
+
+    /// Twin machines, rows 0..4 filled with seeded random bits.
+    fn twins(backend: Backend, width: usize, rate: f64, seed: u64) -> [LogicMachine; 2] {
+        let mut m = LogicMachine::with_faults(backend, width, 5, FaultModel::new(rate, seed));
+        let mut fill = FaultModel::new(0.5, seed ^ 0xF111);
+        for r in 0..4 {
+            let mut row = Row::zeros(width);
+            fill.perturb(&mut row);
+            m.write(r, &row);
+        }
+        [m.clone(), m]
+    }
+
+    fn assert_same(got: &LogicMachine, want: &LogicMachine, what: &str) {
+        assert_eq!(got.rows, want.rows, "{what}: rows");
+        assert_eq!(got.ops(), want.ops(), "{what}: ops");
+        assert_eq!(got.gates(), want.gates(), "{what}: gates");
+        assert_eq!(
+            got.faults_injected(),
+            want.faults_injected(),
+            "{what}: faults"
+        );
+    }
+
+    #[test]
+    fn gates_writing_over_an_input_match_the_allocating_gates() {
+        for width in [1, 63, 64, 65, 128, 300] {
+            for rate in [0.0, 1e-3, 0.1, 1.0] {
+                for op in OPS {
+                    let arity = match op {
+                        LogicOp::Copy | LogicOp::Not => 1,
+                        LogicOp::Maj3 => 3,
+                        _ => 2,
+                    };
+                    let ins = [0, 1, 2];
+                    // dst is each input in turn, then a row of its own.
+                    for dst in ins.into_iter().take(arity).chain([4]) {
+                        let [mut got, mut want] = twins(Backend::Ambit, width, rate, 7);
+                        gate(&mut got, op, ins, dst);
+                        oracle_gate(&mut want, op, ins, dst);
+                        let what = format!("{op:?} into row {dst}, width {width}, rate {rate}");
+                        assert_same(&got, &want, &what);
+                    }
+                }
+            }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        /// Random gate streams, inputs and outputs freely aliased, leave
+        /// the in-place machine exactly where the allocating one ends.
+        #[test]
+        fn gate_streams_match_the_allocating_gates(
+            width in prop::sample::select(vec![1usize, 7, 63, 64, 65, 128, 300]),
+            rate in prop::sample::select(vec![0.0, 1e-3, 0.1, 1.0]),
+            backend in prop::sample::select(Backend::ALL.to_vec()),
+            seed in 0u64..1000,
+            stream in prop::collection::vec(
+                (0usize..7, 0usize..5, 0usize..5, 0usize..5, 0usize..5),
+                1..40,
+            ),
+        ) {
+            let [mut got, mut want] = twins(backend, width, rate, seed);
+            for (op, a, b, c, dst) in stream {
+                gate(&mut got, OPS[op], [a, b, c], dst);
+                oracle_gate(&mut want, OPS[op], [a, b, c], dst);
+            }
+            assert_same(&got, &want, "gate stream");
+        }
     }
 
     #[test]

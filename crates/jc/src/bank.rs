@@ -15,15 +15,21 @@
 //! or the Table 1 undetected-error rate for [`ProtectionKind::Ecc`]
 //! (detected faults are recomputed and show up as op-count overhead, not
 //! as errors — see [`BankStats`]).
+//!
+//! A step computes into rows the bank sizes once, when it is built: a
+//! copy of the digit's old bits, keep, take and flag rows, and one
+//! spare flag row for carry resolution. So a step costs no row
+//! allocation, and each faulted result is perturbed in the same order
+//! as when every operation returned a fresh row.
 
 use crate::codec::JohnsonCode;
 use crate::digits::Digits;
-use crate::kary::TransitionPattern;
+use crate::kary::{FlagRule, TransitionPattern};
 use c2m_cim::{FaultModel, Row};
 use c2m_ecc::protect::{ProtectionAnalysis, ProtectionKind};
 use c2m_ecc::TmrVoter;
 use serde::{Deserialize, Serialize};
-use std::iter;
+use std::{iter, mem};
 
 /// Execution statistics of a counter bank.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
@@ -52,6 +58,92 @@ pub struct CounterBank {
     faults: FaultModel,
     effective_rate: f64,
     stats: BankStats,
+    /// The rows a digit step computes into.
+    step: StepRows,
+    /// A resolve's mask: it swaps places with the flag row it consumes.
+    spare_flag: Row,
+}
+
+/// Rows one masked digit step computes into, sized with the bank.
+#[derive(Debug, Clone)]
+struct StepRows {
+    /// The digit's bits before the step.
+    old: Vec<Row>,
+    /// `b_i ∧ m̄`.
+    keep: Row,
+    /// `s_i ∧ m`.
+    take: Row,
+    /// The fired overflow/borrow flag.
+    flag: Row,
+}
+
+impl StepRows {
+    fn new(n: usize, width: usize) -> Self {
+        Self {
+            old: vec![Row::zeros(width); n],
+            keep: Row::zeros(width),
+            take: Row::zeros(width),
+            flag: Row::zeros(width),
+        }
+    }
+
+    /// Steps `digit` under `mask` and latches the fired flag into
+    /// `onext`. Every MAJ-class result is perturbed as it is made:
+    /// per bit keep, take and merge, then the flag, then `onext`.
+    fn step(
+        &mut self,
+        digit: &mut [Row],
+        onext: &mut Row,
+        faults: &mut FaultModel,
+        pattern: &TransitionPattern,
+        mask: &Row,
+    ) {
+        let Self {
+            old,
+            keep,
+            take,
+            flag,
+        } = self;
+        for (o, b) in old.iter_mut().zip(digit.iter()) {
+            o.copy_from(b);
+        }
+        for (i, srcspec) in pattern.sources().iter().enumerate() {
+            // b'_i = (b_i & !m) | (src & m): two ANDs and an OR, each a
+            // fault-exposed MAJ-class op.
+            keep.set_and_not(&old[i], mask);
+            faults.perturb(keep);
+            let src = &old[srcspec.src];
+            if srcspec.invert {
+                take.set_and_not(mask, src);
+            } else {
+                take.set_and(src, mask);
+            }
+            faults.perturb(take);
+            digit[i].set_or(keep, take);
+            faults.perturb(&mut digit[i]);
+        }
+        let old_msb = &old[old.len() - 1];
+        let new_msb = &digit[digit.len() - 1];
+        // keep and take are free again: the large-step rules use keep
+        // for their OR term.
+        match pattern.flag_rule() {
+            FlagRule::IncSmall => flag.set_and_not(old_msb, new_msb),
+            FlagRule::IncLarge => {
+                keep.set_not(new_msb);
+                keep.or_assign(old_msb);
+                flag.set_and(keep, mask);
+            }
+            FlagRule::DecSmall => flag.set_and_not(new_msb, old_msb),
+            FlagRule::DecLarge => {
+                keep.set_not(old_msb);
+                keep.or_assign(new_msb);
+                flag.set_and(keep, mask);
+            }
+        }
+        faults.perturb(flag);
+        onext.or_assign(flag);
+        faults.perturb(onext);
+    }
 }
 
 impl CounterBank {
@@ -112,6 +204,8 @@ impl CounterBank {
             faults: effective,
             effective_rate,
             stats: BankStats::default(),
+            step: StepRows::new(n, width),
+            spare_flag: Row::zeros(width),
         }
     }
 
@@ -232,32 +326,17 @@ impl CounterBank {
         assert!(d < self.digits, "digit out of range");
         assert_eq!(pattern.n(), self.code.bits(), "pattern width mismatch");
         assert_eq!(mask.width(), self.width, "mask width mismatch");
-        let n = self.code.bits();
-        let old: Vec<Row> = self.bits[d].clone();
-        let not_mask = mask.not();
-        let old_msb = old[n - 1].clone();
-        for (i, srcspec) in pattern.sources().iter().enumerate() {
-            let src = if srcspec.invert {
-                old[srcspec.src].not()
-            } else {
-                old[srcspec.src].clone()
-            };
-            // b'_i = (b_i & !m) | (src & m): two ANDs and an OR, each a
-            // fault-exposed MAJ-class op.
-            let keep = self.faulty(old[i].and(&not_mask));
-            let take = self.faulty(src.and(mask));
-            let merged = self.faulty(keep.or(&take));
-            self.bits[d][i] = merged;
-        }
-        let new_msb = &self.bits[d][n - 1];
-        let fired = match pattern.flag_rule() {
-            crate::kary::FlagRule::IncSmall => old_msb.and(&new_msb.not()),
-            crate::kary::FlagRule::IncLarge => old_msb.or(&new_msb.not()).and(mask),
-            crate::kary::FlagRule::DecSmall => old_msb.not().and(new_msb),
-            crate::kary::FlagRule::DecLarge => old_msb.not().or(new_msb).and(mask),
-        };
-        let fired = self.faulty(fired);
-        self.onext[d] = self.faulty(self.onext[d].or(&fired));
+        self.step.step(
+            &mut self.bits[d],
+            &mut self.onext[d],
+            &mut self.faults,
+            pattern,
+            mask,
+        );
+        self.count_step();
+    }
+
+    fn count_step(&mut self) {
         self.stats.increments += 1;
         self.stats.ambit_ops += self.protection.ambit_increment_ops(self.code.bits());
     }
@@ -279,21 +358,30 @@ impl CounterBank {
     /// Overflow out of the most-significant digit wraps (is dropped), as
     /// in any fixed-capacity accumulator.
     pub fn resolve_carry(&mut self, d: usize) {
-        let mask = self.onext[d].clone();
-        self.onext[d] = Row::zeros(self.width);
-        if d + 1 < self.digits {
-            self.increment_digit(d + 1, 1, &mask);
-        }
-        self.stats.resolves += 1;
+        self.resolve(d, TransitionPattern::increment);
     }
 
     /// Borrow ripple for decrements: unit-decrements digit `d+1` under
     /// digit `d`'s flag, then clears it.
     pub fn resolve_borrow(&mut self, d: usize) {
-        let mask = self.onext[d].clone();
-        self.onext[d] = Row::zeros(self.width);
+        self.resolve(d, TransitionPattern::decrement);
+    }
+
+    /// Steps digit `d+1` by the unit `pattern` under digit `d`'s flag
+    /// row, which the spare flag row replaces, cleared.
+    fn resolve(&mut self, d: usize, pattern: fn(usize, usize) -> TransitionPattern) {
+        mem::swap(&mut self.onext[d], &mut self.spare_flag);
+        self.onext[d].clear();
         if d + 1 < self.digits {
-            self.decrement_digit(d + 1, 1, &mask);
+            let p = pattern(self.code.bits(), 1);
+            self.step.step(
+                &mut self.bits[d + 1],
+                &mut self.onext[d + 1],
+                &mut self.faults,
+                &p,
+                &self.spare_flag,
+            );
+            self.count_step();
         }
         self.stats.resolves += 1;
     }
@@ -354,13 +442,6 @@ impl CounterBank {
                 self.resolve_borrow(dd);
             }
         }
-    }
-
-    fn faulty(&mut self, mut r: Row) -> Row {
-        if self.effective_rate > 0.0 {
-            self.faults.perturb(&mut r);
-        }
-        r
     }
 }
 
@@ -530,5 +611,274 @@ mod tests {
     fn set_rejects_overflowing_value() {
         let mut b = CounterBank::new(10, 2, 4);
         b.set(0, 100);
+    }
+
+    /// The allocating bodies that `step_digit` and `resolve_*` replaced:
+    /// every operation returns a fresh row. The differential properties
+    /// below drive them and the in-place bank from the same seed.
+    mod oracle {
+        use super::*;
+        use crate::iarm::CounterAction;
+
+        fn faulty(bank: &mut CounterBank, mut r: Row) -> Row {
+            if bank.effective_rate > 0.0 {
+                bank.faults.perturb(&mut r);
+            }
+            r
+        }
+
+        pub fn step_digit(
+            bank: &mut CounterBank,
+            d: usize,
+            pattern: &TransitionPattern,
+            mask: &Row,
+        ) {
+            let n = bank.code.bits();
+            let old: Vec<Row> = bank.bits[d].clone();
+            let not_mask = mask.not();
+            let old_msb = old[n - 1].clone();
+            for (i, srcspec) in pattern.sources().iter().enumerate() {
+                let src = if srcspec.invert {
+                    old[srcspec.src].not()
+                } else {
+                    old[srcspec.src].clone()
+                };
+                let keep = faulty(bank, old[i].and(&not_mask));
+                let take = faulty(bank, src.and(mask));
+                let merged = faulty(bank, keep.or(&take));
+                bank.bits[d][i] = merged;
+            }
+            let new_msb = &bank.bits[d][n - 1];
+            let fired = match pattern.flag_rule() {
+                FlagRule::IncSmall => old_msb.and(&new_msb.not()),
+                FlagRule::IncLarge => old_msb.or(&new_msb.not()).and(mask),
+                FlagRule::DecSmall => old_msb.not().and(new_msb),
+                FlagRule::DecLarge => old_msb.not().or(new_msb).and(mask),
+            };
+            let fired = faulty(bank, fired);
+            bank.onext[d] = faulty(bank, bank.onext[d].or(&fired));
+            bank.stats.increments += 1;
+            bank.stats.ambit_ops += bank.protection.ambit_increment_ops(n);
+        }
+
+        fn increment_digit(bank: &mut CounterBank, d: usize, k: usize, mask: &Row) {
+            let p = TransitionPattern::increment(bank.code.bits(), k);
+            step_digit(bank, d, &p, mask);
+        }
+
+        fn decrement_digit(bank: &mut CounterBank, d: usize, k: usize, mask: &Row) {
+            let p = TransitionPattern::decrement(bank.code.bits(), k);
+            step_digit(bank, d, &p, mask);
+        }
+
+        pub fn resolve_carry(bank: &mut CounterBank, d: usize) {
+            let mask = bank.onext[d].clone();
+            bank.onext[d] = Row::zeros(bank.width);
+            if d + 1 < bank.digits {
+                increment_digit(bank, d + 1, 1, &mask);
+            }
+            bank.stats.resolves += 1;
+        }
+
+        pub fn resolve_borrow(bank: &mut CounterBank, d: usize) {
+            let mask = bank.onext[d].clone();
+            bank.onext[d] = Row::zeros(bank.width);
+            if d + 1 < bank.digits {
+                decrement_digit(bank, d + 1, 1, &mask);
+            }
+            bank.stats.resolves += 1;
+        }
+
+        pub fn accumulate_ripple(bank: &mut CounterBank, value: u128, mask: &Row) {
+            let digits = Digits::new(value, bank.code.radix()).take(bank.digits);
+            for (d, k) in digits.enumerate() {
+                if k == 0 {
+                    continue;
+                }
+                increment_digit(bank, d, k, mask);
+                for dd in d..bank.digits {
+                    if !bank.has_pending(dd) {
+                        break;
+                    }
+                    resolve_carry(bank, dd);
+                }
+            }
+        }
+
+        pub fn subtract_ripple(bank: &mut CounterBank, value: u128, mask: &Row) {
+            let digits = Digits::new(value, bank.code.radix()).take(bank.digits);
+            for (d, k) in digits.enumerate() {
+                if k == 0 {
+                    continue;
+                }
+                decrement_digit(bank, d, k, mask);
+                for dd in d..bank.digits {
+                    if !bank.has_pending(dd) {
+                        break;
+                    }
+                    resolve_borrow(bank, dd);
+                }
+            }
+        }
+
+        pub fn apply_plan(bank: &mut CounterBank, actions: &[CounterAction], mask: &Row) {
+            for &a in actions {
+                match a {
+                    CounterAction::Increment { digit, k } => increment_digit(bank, digit, k, mask),
+                    CounterAction::Decrement { digit, k } => decrement_digit(bank, digit, k, mask),
+                    CounterAction::ResolveCarry { digit } => resolve_carry(bank, digit),
+                    CounterAction::ResolveBorrow { digit } => resolve_borrow(bank, digit),
+                }
+            }
+        }
+    }
+
+    mod differential {
+        use super::*;
+        use crate::iarm::{apply_plan, IarmPlanner};
+        use proptest::prelude::*;
+
+        const PROTECTIONS: [ProtectionKind; 3] = [
+            ProtectionKind::None,
+            ProtectionKind::Tmr,
+            ProtectionKind::Ecc {
+                fr_checks: 2,
+                fuse_inverted_feedback: false,
+            },
+        ];
+
+        /// Widths 1..=300, half of them the word-boundary ones.
+        fn width(pick: usize, any: usize) -> usize {
+            [63, 64, 65, 128].get(pick).copied().unwrap_or(any)
+        }
+
+        /// A seeded mask: all ones for one seed in four, else each
+        /// column set with probability ½.
+        fn mask(width: usize, seed: u64) -> Row {
+            if seed.is_multiple_of(4) {
+                return Row::ones(width);
+            }
+            let mut m = Row::zeros(width);
+            FaultModel::new(0.5, seed).perturb(&mut m);
+            m
+        }
+
+        /// Twin banks built from the same fault model.
+        fn twins(
+            radix: usize,
+            digits: usize,
+            width: usize,
+            rate: f64,
+            protection: usize,
+            seed: u64,
+        ) -> [CounterBank; 2] {
+            let bank = CounterBank::with_faults(
+                radix,
+                digits,
+                width,
+                FaultModel::new(rate, seed),
+                PROTECTIONS[protection],
+            );
+            [bank.clone(), bank]
+        }
+
+        fn assert_same(got: &CounterBank, want: &CounterBank) {
+            assert_eq!(got.bits, want.bits, "bit rows");
+            assert_eq!(got.onext, want.onext, "flag rows");
+            assert_eq!(got.stats, want.stats, "stats");
+            assert_eq!(got.faults.injected(), want.faults.injected(), "faults");
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(48))]
+
+            /// Digit steps, resolves and ripple accumulates in any order
+            /// leave the in-place bank exactly where the allocating one
+            /// ends: same bits, flags, stats and fault count.
+            #[test]
+            fn bank_ops_match_the_allocating_bank(
+                radix in prop::sample::select(vec![2usize, 4, 10]),
+                digits in 1usize..=4,
+                (pick, any) in (0usize..8, 1usize..=300),
+                (rate, protection) in (prop::sample::select(vec![0.0, 1e-3, 0.1, 1.0]), 0usize..3),
+                seed in 0u64..1000,
+                ops in prop::collection::vec(
+                    (0usize..6, 0usize..4, 1usize..10, 0u64..100_000, 0u64..1000),
+                    1..12,
+                ),
+            ) {
+                let width = width(pick, any);
+                let [mut got, mut want] = twins(radix, digits, width, rate, protection, seed);
+                for (kind, d, k, value, mask_seed) in ops {
+                    let (d, k) = (d % digits, 1 + (k - 1) % (radix - 1));
+                    let mask = mask(width, mask_seed);
+                    let value = u128::from(value);
+                    match kind {
+                        0 => {
+                            got.increment_digit(d, k, &mask);
+                            let p = TransitionPattern::increment(radix / 2, k);
+                            oracle::step_digit(&mut want, d, &p, &mask);
+                        }
+                        1 => {
+                            got.decrement_digit(d, k, &mask);
+                            let p = TransitionPattern::decrement(radix / 2, k);
+                            oracle::step_digit(&mut want, d, &p, &mask);
+                        }
+                        2 => {
+                            got.resolve_carry(d);
+                            oracle::resolve_carry(&mut want, d);
+                        }
+                        3 => {
+                            got.resolve_borrow(d);
+                            oracle::resolve_borrow(&mut want, d);
+                        }
+                        4 => {
+                            got.accumulate_ripple(value, &mask);
+                            oracle::accumulate_ripple(&mut want, value, &mask);
+                        }
+                        _ => {
+                            got.subtract_ripple(value, &mask);
+                            oracle::subtract_ripple(&mut want, value, &mask);
+                        }
+                    }
+                    assert_same(&got, &want);
+                }
+            }
+
+            /// An IARM stream of signed inputs and its flush, applied
+            /// through `apply_plan`, matches the allocating bank.
+            #[test]
+            fn iarm_streams_match_the_allocating_bank(
+                radix in prop::sample::select(vec![2usize, 4, 10]),
+                digits in 1usize..=4,
+                (pick, any) in (0usize..8, 1usize..=300),
+                (rate, protection) in (prop::sample::select(vec![0.0, 1e-3, 0.1, 1.0]), 0usize..3),
+                seed in 0u64..1000,
+                inputs in prop::collection::vec((-10_000i64..10_000, 0u64..1000), 1..12),
+            ) {
+                let width = width(pick, any);
+                let capacity = (radix as u128).pow(digits as u32);
+                let [mut got, mut want] = twins(radix, digits, width, rate, protection, seed);
+                let mut planner = IarmPlanner::new(radix, digits);
+                planner.assume_zero();
+                for (x, mask_seed) in inputs {
+                    let mask = mask(width, mask_seed);
+                    let value = u128::from(x.unsigned_abs()) % capacity;
+                    let actions = if x >= 0 {
+                        planner.plan_add(value)
+                    } else {
+                        planner.plan_sub(value)
+                    };
+                    apply_plan(&mut got, &actions, &mask);
+                    oracle::apply_plan(&mut want, &actions, &mask);
+                    assert_same(&got, &want);
+                }
+                let all = Row::ones(width);
+                let actions = planner.flush();
+                apply_plan(&mut got, &actions, &all);
+                oracle::apply_plan(&mut want, &actions, &all);
+                assert_same(&got, &want);
+            }
+        }
     }
 }

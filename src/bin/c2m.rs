@@ -11,8 +11,9 @@
 //! ```
 //!
 //! `plan` sizes a kernel against the Table 2 DRAM geometry, `gemv` runs
-//! a bit-accurate ternary GEMV and reports command counts and projected
-//! latency, `radix-sweep` reproduces the Fig. 8 cost curves at small
+//! a bit-accurate ternary GEMV of at most 2²⁴ weights (`K·N`, see
+//! `GEMV_MAX_CELLS`) and reports command counts and projected latency,
+//! `radix-sweep` reproduces the Fig. 8 cost curves at small
 //! scale, `trace` records a small serving workload into a
 //! Chrome-trace/Perfetto JSON (or validates an existing one), and
 //! `experiments` lists the paper-artefact bench binaries.
@@ -156,9 +157,19 @@ fn cmd_plan(flags: &BTreeMap<String, String>) -> Result<(), String> {
     Ok(())
 }
 
+/// The largest `K·N` that `gemv` accepts: it holds every weight as a
+/// bit in host memory, so a larger shape is refused with an error
+/// instead of failing its allocation. The default shape is 128 × 64.
+const GEMV_MAX_CELLS: usize = 1 << 24;
+
 fn cmd_gemv(flags: &BTreeMap<String, String>) -> Result<(), String> {
     let k = get_dim(flags, "k", 128)?;
     let n = get_dim(flags, "n", 64)?;
+    if k.checked_mul(n).is_none_or(|cells| cells > GEMV_MAX_CELLS) {
+        return Err(format!(
+            "--k × --n must be at most {GEMV_MAX_CELLS} weights, got {k} × {n}"
+        ));
+    }
     let sparsity: f64 = get(flags, "sparsity", 0.0)?;
     let radix = get_radix(flags, "radix", 4)?;
     let seed: u64 = get(flags, "seed", 42)?;
@@ -440,6 +451,14 @@ mod tests {
     fn get_reports_parse_failures() {
         let f = flags(&[("k", "banana")]);
         assert!(get(&f, "k", 5usize).is_err());
+    }
+
+    #[test]
+    fn gemv_bounds_its_weight_count() {
+        let shape = |k: usize, n: usize| flags(&[("k", &k.to_string()), ("n", &n.to_string())]);
+        assert!(cmd_gemv(&shape(GEMV_MAX_CELLS / 64 + 1, 64)).is_err());
+        assert!(cmd_gemv(&shape(usize::MAX, 2)).is_err());
+        assert!(cmd_gemv(&shape(16, 8)).is_ok());
     }
 
     #[test]

@@ -13,12 +13,13 @@ fn c2m(args: &[&str]) -> Output {
 
 #[test]
 fn malformed_flags_exit_with_an_error_line() {
-    let cases: [&[&str]; 9] = [
+    let cases: [&[&str]; 10] = [
         &["gemv", "--radix", "3"],
         &["gemv", "--radix", "0"],
         &["gemv", "--radix", "66"],
         &["gemv", "--k", "0"],
         &["gemv", "--n", "0"],
+        &["gemv", "--k", "4000000000", "--n", "4000000000"],
         &["plan", "--radix", "3"],
         &["plan", "--radix", "0"],
         &["plan", "--radix", "66"],
