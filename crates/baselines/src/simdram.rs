@@ -85,7 +85,7 @@ impl SimdramEngine {
     }
 
     fn report(&self, total_ops: u64, useful: u64) -> ExecutionReport {
-        let interval = steady_state_aap_interval(&self.timing, self.banks);
+        let interval = steady_state_aap_interval(&self.timing, self.banks, 1, 1);
         let elapsed_ns = total_ops as f64 * interval;
         let mut stats = CommandStats::default();
         stats.record_n(CommandKind::Aap, total_ops);

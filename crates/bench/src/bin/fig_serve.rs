@@ -32,9 +32,9 @@
 //!   compliance under every admission policy.
 //! * **salp_residency** — the residency overload on an 8-stream SALP
 //!   module, flat (1-slot) vs per-subarray-slot residency
-//!   ([`ServeConfig::residency_slots`]): slotted accounting reloads
-//!   each missing slot's rounded-up mask share, so tenant switches are
-//!   never priced cheaper than the whole-mask model.
+//!   ([`ServeConfig::residency_slots`]): slotted accounting rounds each
+//!   mask up to a whole share per slot, so tenant switches are never
+//!   priced cheaper than the whole-mask model.
 //!
 //! The sweep points are priced **in parallel**: every configuration is
 //! enqueued as a job and run on a `rayon` worker against one shared
@@ -509,8 +509,8 @@ fn main() {
     // module, pricing residency per subarray slot. The flat (1-slot)
     // point prices a tenant switch as one whole-mask reload; the
     // slotted point (one slot per shard slot) spreads the mask over
-    // the unit's subarrays and reloads each missing slot's rounded-up
-    // share, so slotted reload time is never cheaper.
+    // the unit's subarrays, rounding it up to a whole share per slot,
+    // so slotted reload time is never cheaper.
     let salp_engine = engine(1, 8, &ambit, false, &cache);
     let salp_budget = 2 * salp_engine.tenant_mask_rows(1024, 512);
     let salp_slots = salp_engine.residency_slots();

@@ -79,7 +79,7 @@ fn main() {
     );
     let mut cim_rows = Vec::new();
     for banks in [1usize, 4, 16] {
-        let interval = steady_state_aap_interval(&t, banks);
+        let interval = steady_state_aap_interval(&t, banks, 1, 1);
         let rate = 1000.0 / interval;
         let derated = rate * (1.0 - refresh.overhead_fraction());
         println!(

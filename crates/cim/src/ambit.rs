@@ -215,11 +215,6 @@ impl AmbitSubarray {
         &self.stats
     }
 
-    /// Resets command statistics (data is preserved).
-    pub fn reset_stats(&mut self) {
-        self.stats = CommandStats::default();
-    }
-
     /// Total bit faults injected so far.
     #[must_use]
     pub fn faults_injected(&self) -> u64 {

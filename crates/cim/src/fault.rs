@@ -93,16 +93,6 @@ impl FaultModel {
             i += 1;
         }
     }
-
-    /// Decides a single-bit fault (used by scalar fault studies).
-    pub fn flip_bit(&mut self, bit: bool) -> bool {
-        if self.rate > 0.0 && self.rng.gen_bool(self.rate) {
-            self.injected += 1;
-            !bit
-        } else {
-            bit
-        }
-    }
 }
 
 #[cfg(test)]

@@ -91,12 +91,6 @@ impl FcdramPair {
         &self.upper[row]
     }
 
-    /// Reads a neighbour-subarray row.
-    #[must_use]
-    pub fn read_lower(&self, row: usize) -> &Row {
-        &self.lower[row]
-    }
-
     /// APA two-input logic: computes `a ⊙ b` (per `cfg`) between compute
     /// rows `a` and `b`, leaving the result in both operand rows
     /// (destructive) and returning a copy. One APA macro command.

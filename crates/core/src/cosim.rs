@@ -312,7 +312,7 @@ mod tests {
         assert!(t16 < t1 * 4.0, "16-bank {t16} vs 1-bank {t1}");
         // And the per-command interval approaches the analytic bound.
         let measured = t16 / (16.0 * prog.len() as f64);
-        let analytic = steady_state_aap_interval(&t, 16);
+        let analytic = steady_state_aap_interval(&t, 16, 1, 1);
         assert!(
             measured < analytic * 1.6,
             "measured {measured} vs analytic {analytic}"

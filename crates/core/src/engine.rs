@@ -31,9 +31,7 @@ use crate::cache::{CacheConfig, PlanCache, PlanKey, StreamParams};
 use crate::shard::{BackendPolicy, ShardAxis, ShardPlan, ShardPlanner, ShardSizing};
 use crate::store::CacheStore;
 use c2m_cim::Backend;
-use c2m_dram::scheduler::{
-    salp_stream_cap, steady_state_aap_interval_ranked, steady_state_aap_interval_salp,
-};
+use c2m_dram::scheduler::{salp_stream_cap, steady_state_aap_interval};
 use c2m_dram::{
     AreaModel, CacheCounters, CommandKind, CommandStats, DramConfig, EnergyLedger, EnergyModel,
     ExecutionReport, TimingParams, Topology,
@@ -488,12 +486,6 @@ impl C2mEngine {
     /// into the engine it was handed. See [`EngineBuilder::trace`].
     pub fn set_trace(&mut self, sink: Arc<dyn TraceSink>) {
         self.trace = Some(TraceHandle::new(sink));
-    }
-
-    /// The shard-length sizing policy in force.
-    #[must_use]
-    pub fn shard_sizing(&self) -> &ShardSizing {
-        &self.sizing
     }
 
     /// Per-channel throughput weights under the engine's backend policy:
@@ -1218,25 +1210,14 @@ impl C2mEngine {
         crate::residency::ternary_mask_rows(n, k, self.cfg.dram.row_bits_per_rank())
     }
 
-    /// Independent residency slots on this engine's geometry: one per
-    /// (channel, rank, SALP stream) — the granularity
+    /// Residency slots on this engine's geometry: one per (channel,
+    /// rank, SALP stream) — the slots
     /// [`ResidencyModel::with_slots`](crate::residency::ResidencyModel::with_slots)
-    /// tracks when the serving layer prices per-subarray reloads. 1 on
-    /// a single-channel, single-rank, 1-subarray engine.
+    /// spreads each tenant's mask over. 1 on a single-channel,
+    /// single-rank, 1-subarray engine.
     #[must_use]
     pub fn residency_slots(&self) -> usize {
         self.topology().shard_slots()
-    }
-
-    /// Mask rows one residency slot of a `K×N` ternary tenant occupies:
-    /// the inner dimension shards evenly across
-    /// [`Self::residency_slots`], so each slot holds the planes of its
-    /// own K-slice. With a single slot this is exactly
-    /// [`Self::tenant_mask_rows`].
-    #[must_use]
-    pub fn tenant_mask_slot_rows(&self, n: usize, k: usize) -> usize {
-        let slots = self.residency_slots().max(1);
-        crate::residency::ternary_mask_rows(n, k.div_ceil(slots), self.cfg.dram.row_bits_per_rank())
     }
 
     /// Mask rows the CIM subarrays can hold after reserving the Johnson
@@ -1336,8 +1317,8 @@ impl C2mEngine {
             .map(|(c, &ops)| {
                 // Interleave rate of the ranks and SALP streams the
                 // channel actually occupies; on a 1-subarray plan every
-                // busy shard is a distinct rank, so this is exactly the
-                // pre-SALP ranked interval.
+                // busy shard is a distinct rank and no subarray gate
+                // applies.
                 let mut ranks: Vec<usize> = plan
                     .on_channel(c)
                     .filter(|s| s.len > 0)
@@ -1352,7 +1333,7 @@ impl C2mEngine {
                     .collect();
                 subs.sort_unstable();
                 subs.dedup();
-                ops * steady_state_aap_interval_salp(
+                ops * steady_state_aap_interval(
                     &self.cfg.timing,
                     self.cfg.banks,
                     ranks.len().max(1),
@@ -1387,8 +1368,7 @@ impl C2mEngine {
             // source, store-and-forward WR at the destination), so
             // transfer time scales with the pair count.
             let bursts = self.counter_transfer_bursts(n_out);
-            let merge_interval =
-                steady_state_aap_interval_ranked(&self.cfg.timing, self.cfg.banks, 1);
+            let merge_interval = steady_state_aap_interval(&self.cfg.timing, self.cfg.banks, 1, 1);
             // Counter-to-counter additions execute on the destination
             // units' backends; price conservatively at the plan's
             // slowest dispatch (the straggler gates each round anyway).
@@ -1627,7 +1607,7 @@ mod tests {
             .ternary_gemv(&xs, 8192);
         // SIMDRAM ops: 2K sequences of 64-bit RCA (17 ops/bit).
         let simdram_ops = 2.0 * 8192.0 * (17.0 * 64.0);
-        let interval = steady_state_aap_interval(&TimingParams::ddr5_4400(), 16);
+        let interval = steady_state_aap_interval(&TimingParams::ddr5_4400(), 16, 1, 1);
         let simdram_ns = simdram_ops * interval;
         let speedup = simdram_ns / c2m.elapsed_ns;
         assert!(
@@ -1659,7 +1639,7 @@ mod tests {
         // 16-bit partial into a 64-bit accumulator (12 AAP/bit as in the
         // SIMDRAM engine), at the same 16-bank interval.
         let simdram_ops = 4096.0 * 8.0 * (12.0 * 64.0);
-        let interval = steady_state_aap_interval(&c2m_dram::TimingParams::ddr5_4400(), 16);
+        let interval = steady_state_aap_interval(&c2m_dram::TimingParams::ddr5_4400(), 16, 1, 1);
         let ratio = simdram_ops * interval / c2m.elapsed_ns;
         assert!(
             ratio > 1.0,
@@ -1707,7 +1687,7 @@ mod tests {
         let e = C2mEngine::builder(EngineConfig::c2m(16)).build();
         let doubled: Vec<i64> = xs.iter().copied().chain(xs.iter().map(|&v| -v)).collect();
         let expect_ops = e.ops_for_stream(&doubled) + e.reduction_ops();
-        let interval = steady_state_aap_interval(&TimingParams::ddr5_4400(), 16);
+        let interval = steady_state_aap_interval(&TimingParams::ddr5_4400(), 16, 1, 1);
 
         let gemv = e.ternary_gemv(&xs, 8192);
         assert_eq!(gemv.elapsed_ns, expect_ops * interval);

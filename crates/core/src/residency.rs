@@ -12,12 +12,14 @@
 //! priced through
 //! [`C2mEngine::mask_reload_ns`](crate::engine::C2mEngine::mask_reload_ns).
 //!
-//! [`ResidencyModel`] is the bookkeeping half: per-subarray LRU sets of
-//! resident tenants, one per (channel, rank, SALP stream) *slot*, each
-//! over its own row budget — reloads are priced per subarray, so a
-//! tenant whose planes survive in most slots only restreams the missing
-//! ones. With a single slot ([`ResidencyModel::new`]) it degenerates to
-//! the flat module-wide budget of the pre-SALP model. It is
+//! [`ResidencyModel`] is the bookkeeping half: one LRU set of resident
+//! tenants over the module's row budget. A tenant's mask planes spread
+//! evenly over the module's (channel, rank, SALP stream) *slots*, so each
+//! footprint is rounded up to a whole `⌈rows/slots⌉` share per slot.
+//! Every slot receives the same share of every tenant, so all slots
+//! always hold the same tenants: a tenant is resident everywhere or
+//! nowhere, and a reload restreams every slot's share. With a single
+//! slot ([`ResidencyModel::new`]) no rounding happens. It is
 //! deliberately engine-agnostic — the serving runtime owns one per run
 //! and asks the engine to price the reloads it reports.
 
@@ -30,49 +32,16 @@ pub enum ResidencyOutcome {
     Hit,
     /// The tenant had to be (re)loaded: `rows` mask rows streamed into
     /// the CIM subarrays, after evicting least-recently-used tenants.
-    /// On a multi-slot model this is the sum over the slots that
-    /// actually missed.
+    /// On a multi-slot model this is the footprint rounded up to a
+    /// whole share per slot.
     Reload {
         /// Mask rows written by the reload.
         rows: usize,
     },
 }
 
-/// One subarray slot's LRU set over its own row budget.
-#[derive(Debug, Clone)]
-struct SlotLru {
-    capacity_rows: usize,
-    /// Resident tenants in LRU order: front = coldest, back = hottest.
-    resident: Vec<(usize, usize)>,
-}
-
-impl SlotLru {
-    fn used_rows(&self) -> usize {
-        self.resident.iter().map(|&(_, rows)| rows).sum()
-    }
-
-    fn touch(&mut self, tenant: usize, rows: usize) -> ResidencyOutcome {
-        if let Some(pos) = self.resident.iter().position(|&(t, _)| t == tenant) {
-            if self.resident[pos].1 == rows {
-                let entry = self.resident.remove(pos);
-                self.resident.push(entry);
-                return ResidencyOutcome::Hit;
-            }
-            // Footprint changed: the old planes are stale, reload.
-            self.resident.remove(pos);
-        }
-        while !self.resident.is_empty() && self.used_rows() + rows > self.capacity_rows {
-            self.resident.remove(0);
-        }
-        if rows <= self.capacity_rows {
-            self.resident.push((tenant, rows));
-        }
-        ResidencyOutcome::Reload { rows }
-    }
-}
-
-/// LRU residency tracker for tenant mask planes: one independent LRU
-/// set per subarray slot, reloads priced per slot.
+/// LRU residency tracker for tenant mask planes over a module-wide row
+/// budget of `slots × rows_per_slot` rows.
 ///
 /// # Examples
 ///
@@ -86,30 +55,18 @@ impl SlotLru {
 /// assert_eq!(res.touch(1, 600), ResidencyOutcome::Reload { rows: 600 });
 /// assert!(!res.is_resident(0));
 /// ```
-///
-/// Per-subarray masks (the SALP serving path): a tenant that misses in
-/// some slots only restreams those slots' rows.
-///
-/// ```
-/// use c2m_core::residency::{ResidencyModel, ResidencyOutcome};
-///
-/// let mut res = ResidencyModel::with_slots(4, 100);
-/// let all: Vec<(usize, usize)> = (0..4).map(|s| (s, 50)).collect();
-/// assert_eq!(res.touch_slots(0, &all), ResidencyOutcome::Reload { rows: 200 });
-/// assert_eq!(res.touch_slots(0, &all), ResidencyOutcome::Hit);
-/// // Another tenant overwrites slot 2 only: tenant 0 restreams 50
-/// // rows, not 200.
-/// assert_eq!(res.touch_slots(7, &[(2, 80)]), ResidencyOutcome::Reload { rows: 80 });
-/// assert_eq!(res.touch_slots(0, &all), ResidencyOutcome::Reload { rows: 50 });
-/// ```
 #[derive(Debug, Clone)]
 pub struct ResidencyModel {
-    slots: Vec<SlotLru>,
+    slots: usize,
+    capacity_rows: usize,
+    /// Resident tenants and their rounded footprints in LRU order:
+    /// front = coldest, back = hottest.
+    resident: Vec<(usize, usize)>,
 }
 
 impl ResidencyModel {
     /// A single-slot model with `capacity_rows` mask-capable rows — the
-    /// flat module-wide budget of the pre-SALP serving model.
+    /// flat module-wide budget.
     ///
     /// # Panics
     ///
@@ -120,118 +77,84 @@ impl ResidencyModel {
         Self::with_slots(1, capacity_rows)
     }
 
-    /// A model with `slots` independent subarray slots of
-    /// `rows_per_slot` mask-capable rows each (one slot per (channel,
-    /// rank, SALP stream); see
+    /// A model over `slots` subarray slots of `rows_per_slot`
+    /// mask-capable rows each (one slot per (channel, rank, SALP
+    /// stream); see
     /// [`C2mEngine::residency_slots`](crate::engine::C2mEngine::residency_slots)).
     ///
     /// # Panics
     ///
-    /// Panics if `slots` or `rows_per_slot` is zero.
+    /// Panics if `slots` or `rows_per_slot` is zero, or if the total
+    /// budget overflows `usize`.
     #[must_use]
     pub fn with_slots(slots: usize, rows_per_slot: usize) -> Self {
         assert!(slots > 0, "residency model needs at least one slot");
         assert!(rows_per_slot > 0, "residency capacity must be positive");
         Self {
-            slots: (0..slots)
-                .map(|_| SlotLru {
-                    capacity_rows: rows_per_slot,
-                    resident: Vec::new(),
-                })
-                .collect(),
+            slots,
+            capacity_rows: slots
+                .checked_mul(rows_per_slot)
+                .expect("residency budget fits in usize"),
+            resident: Vec::new(),
         }
     }
 
-    /// Number of independent subarray slots.
+    /// Number of subarray slots each footprint spreads over.
     #[must_use]
     pub fn slots(&self) -> usize {
-        self.slots.len()
+        self.slots
     }
 
     /// The total row budget across all slots.
     #[must_use]
     pub fn capacity_rows(&self) -> usize {
-        self.slots.iter().map(|s| s.capacity_rows).sum()
+        self.capacity_rows
     }
 
     /// Mask rows currently occupied across all slots.
     #[must_use]
     pub fn used_rows(&self) -> usize {
-        self.slots.iter().map(SlotLru::used_rows).sum()
+        self.resident.iter().map(|&(_, rows)| rows).sum()
     }
 
-    /// Whether `tenant`'s mask planes are resident in at least one slot.
+    /// Whether `tenant`'s mask planes are resident.
     #[must_use]
     pub fn is_resident(&self, tenant: usize) -> bool {
-        self.slots
-            .iter()
-            .any(|s| s.resident.iter().any(|&(t, _)| t == tenant))
+        self.resident.iter().any(|&(t, _)| t == tenant)
     }
 
-    /// Resident tenants, coldest first (first occurrence across slots).
+    /// Resident tenants, coldest first.
     #[must_use]
     pub fn resident_tenants(&self) -> Vec<usize> {
-        let mut tenants = Vec::new();
-        for slot in &self.slots {
-            for &(t, _) in &slot.resident {
-                if !tenants.contains(&t) {
-                    tenants.push(t);
-                }
-            }
-        }
-        tenants
+        self.resident.iter().map(|&(t, _)| t).collect()
     }
 
-    /// Dispatches `tenant` needing `rows` mask rows spread evenly over
-    /// every slot (`⌈rows/slots⌉` each): a resident tenant with an
+    /// Dispatches `tenant` needing `rows` mask rows, rounded up to
+    /// `⌈rows/slots⌉` rows in every slot: a resident tenant with an
     /// unchanged footprint is refreshed to most-recently-used and hits;
     /// a non-resident one (or one whose footprint changed — its planes
     /// must be restreamed) evicts least-recently-used tenants until it
     /// fits and reports the reload. A tenant larger than the whole
     /// budget still runs — it evicts everything and reloads every
     /// dispatch (permanent thrashing), mirroring a row that can never
-    /// stay open. On a single-slot model this is exactly the pre-SALP
-    /// flat-budget behaviour.
+    /// stay open.
     pub fn touch(&mut self, tenant: usize, rows: usize) -> ResidencyOutcome {
-        if self.slots.len() == 1 {
-            return self.slots[0].touch(tenant, rows);
-        }
-        let per_slot = rows.div_ceil(self.slots.len());
-        let needs: Vec<(usize, usize)> = (0..self.slots.len()).map(|s| (s, per_slot)).collect();
-        self.touch_slots(tenant, &needs)
-    }
-
-    /// Dispatches `tenant` against an explicit list of `(slot, rows)`
-    /// needs — the per-subarray path: each listed slot runs its own LRU
-    /// dispatch, the outcome is [`ResidencyOutcome::Hit`] only if
-    /// *every* listed slot hit, and a reload's row count sums over the
-    /// slots that missed (only those restream).
-    ///
-    /// # Panics
-    ///
-    /// Panics if a listed slot index is out of range.
-    pub fn touch_slots(&mut self, tenant: usize, needs: &[(usize, usize)]) -> ResidencyOutcome {
-        let mut reload_rows = 0usize;
-        let mut missed = false;
-        for &(slot, rows) in needs {
-            assert!(
-                slot < self.slots.len(),
-                "slot {slot} outside the {}-slot residency model",
-                self.slots.len()
-            );
-            match self.slots[slot].touch(tenant, rows) {
-                ResidencyOutcome::Hit => {}
-                ResidencyOutcome::Reload { rows } => {
-                    missed = true;
-                    reload_rows += rows;
-                }
+        let rows = self.slots * rows.div_ceil(self.slots);
+        if let Some(pos) = self.resident.iter().position(|&(t, _)| t == tenant) {
+            let entry = self.resident.remove(pos);
+            if entry.1 == rows {
+                self.resident.push(entry);
+                return ResidencyOutcome::Hit;
             }
+            // Footprint changed: the old planes are stale, reload.
         }
-        if missed {
-            ResidencyOutcome::Reload { rows: reload_rows }
-        } else {
-            ResidencyOutcome::Hit
+        while !self.resident.is_empty() && self.used_rows() + rows > self.capacity_rows {
+            self.resident.remove(0);
         }
+        if rows <= self.capacity_rows {
+            self.resident.push((tenant, rows));
+        }
+        ResidencyOutcome::Reload { rows }
     }
 }
 
@@ -251,6 +174,110 @@ pub fn ternary_mask_rows(n: usize, k: usize, row_bits: usize) -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// Reference model: one LRU per slot over its own `rows_per_slot`
+    /// budget, every dispatch spreading `⌈rows/slots⌉` rows over every
+    /// slot, a hit only when every slot hits, and a reload summing the
+    /// rows of the slots that missed.
+    #[derive(Debug, Clone)]
+    struct SlotLru {
+        capacity_rows: usize,
+        /// Resident tenants in LRU order: front = coldest.
+        resident: Vec<(usize, usize)>,
+    }
+
+    impl SlotLru {
+        fn used_rows(&self) -> usize {
+            self.resident.iter().map(|&(_, rows)| rows).sum()
+        }
+
+        fn touch(&mut self, tenant: usize, rows: usize) -> ResidencyOutcome {
+            if let Some(pos) = self.resident.iter().position(|&(t, _)| t == tenant) {
+                if self.resident[pos].1 == rows {
+                    let entry = self.resident.remove(pos);
+                    self.resident.push(entry);
+                    return ResidencyOutcome::Hit;
+                }
+                self.resident.remove(pos);
+            }
+            while !self.resident.is_empty() && self.used_rows() + rows > self.capacity_rows {
+                self.resident.remove(0);
+            }
+            if rows <= self.capacity_rows {
+                self.resident.push((tenant, rows));
+            }
+            ResidencyOutcome::Reload { rows }
+        }
+    }
+
+    fn oracle(slots: usize, rows_per_slot: usize) -> Vec<SlotLru> {
+        vec![
+            SlotLru {
+                capacity_rows: rows_per_slot,
+                resident: Vec::new(),
+            };
+            slots
+        ]
+    }
+
+    fn oracle_touch(slots: &mut [SlotLru], tenant: usize, rows: usize) -> ResidencyOutcome {
+        let per_slot = rows.div_ceil(slots.len());
+        let mut reload_rows = 0;
+        let mut missed = false;
+        for slot in slots {
+            if let ResidencyOutcome::Reload { rows } = slot.touch(tenant, per_slot) {
+                missed = true;
+                reload_rows += rows;
+            }
+        }
+        if missed {
+            ResidencyOutcome::Reload { rows: reload_rows }
+        } else {
+            ResidencyOutcome::Hit
+        }
+    }
+
+    /// Resident tenants across the oracle's slots, coldest first (first
+    /// occurrence across slots).
+    fn oracle_tenants(slots: &[SlotLru]) -> Vec<usize> {
+        let mut tenants = Vec::new();
+        for &(t, _) in slots.iter().flat_map(|s| &s.resident) {
+            if !tenants.contains(&t) {
+                tenants.push(t);
+            }
+        }
+        tenants
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+        /// One LRU over the rounded footprints answers every dispatch
+        /// exactly as per-slot LRUs fed the same even spread: footprints
+        /// above the budget and tenants whose footprint changes included.
+        #[test]
+        fn one_lru_matches_the_per_slot_lrus(
+            slots in 1usize..=8,
+            rows_per_slot in 1usize..=500,
+            dispatches in prop::collection::vec((0usize..=5, 0usize..2000), 1..60),
+        ) {
+            let mut model = ResidencyModel::with_slots(slots, rows_per_slot);
+            let mut per_slot = oracle(slots, rows_per_slot);
+            for (step, &(tenant, rows)) in dispatches.iter().enumerate() {
+                prop_assert_eq!(
+                    model.touch(tenant, rows),
+                    oracle_touch(&mut per_slot, tenant, rows),
+                    "step {} (tenant {}, rows {})", step, tenant, rows
+                );
+                prop_assert_eq!(
+                    model.used_rows(),
+                    per_slot.iter().map(SlotLru::used_rows).sum::<usize>()
+                );
+                prop_assert_eq!(model.resident_tenants(), oracle_tenants(&per_slot));
+            }
+            prop_assert_eq!(model.capacity_rows(), slots * rows_per_slot);
+        }
+    }
 
     #[test]
     fn lru_evicts_coldest_first() {
@@ -330,60 +357,11 @@ mod tests {
     }
 
     #[test]
-    fn one_slot_model_is_the_flat_model() {
-        // The flat constructor and an explicit 1-slot model must agree
-        // on every dispatch — the pre-SALP reduction of the slot model.
-        let mut flat = ResidencyModel::new(100);
-        let mut slotted = ResidencyModel::with_slots(1, 100);
-        for (tenant, rows) in [(0, 40), (1, 40), (0, 40), (2, 40), (9, 500), (0, 40)] {
-            assert_eq!(
-                flat.touch(tenant, rows),
-                slotted.touch_slots(tenant, &[(0, rows)]),
-                "tenant {tenant} rows {rows}"
-            );
-        }
-        assert_eq!(flat.used_rows(), slotted.used_rows());
-        assert_eq!(flat.resident_tenants(), slotted.resident_tenants());
-        assert_eq!(slotted.slots(), 1);
-        assert_eq!(slotted.capacity_rows(), 100);
-    }
-
-    #[test]
-    fn partial_slot_miss_reloads_only_the_missing_slots() {
-        let mut res = ResidencyModel::with_slots(4, 100);
-        let all: Vec<(usize, usize)> = (0..4).map(|s| (s, 50)).collect();
-        assert_eq!(
-            res.touch_slots(0, &all),
-            ResidencyOutcome::Reload { rows: 200 }
-        );
-        assert_eq!(res.touch_slots(0, &all), ResidencyOutcome::Hit);
-        // Evict tenant 0 from slots 1 and 3 only.
-        assert_eq!(
-            res.touch_slots(5, &[(1, 80), (3, 80)]),
-            ResidencyOutcome::Reload { rows: 160 }
-        );
-        assert!(res.is_resident(0), "slots 0 and 2 still hold tenant 0");
-        // The re-dispatch restreams exactly the two missing slots.
-        assert_eq!(
-            res.touch_slots(0, &all),
-            ResidencyOutcome::Reload { rows: 100 }
-        );
-        assert_eq!(res.touch_slots(0, &all), ResidencyOutcome::Hit);
-    }
-
-    #[test]
     fn flat_touch_spreads_over_slots() {
         let mut res = ResidencyModel::with_slots(4, 100);
         assert_eq!(res.touch(0, 200), ResidencyOutcome::Reload { rows: 200 });
         assert_eq!(res.touch(0, 200), ResidencyOutcome::Hit);
         assert_eq!(res.used_rows(), 200);
         assert_eq!(res.capacity_rows(), 400);
-    }
-
-    #[test]
-    #[should_panic(expected = "outside")]
-    fn out_of_range_slot_is_rejected() {
-        let mut res = ResidencyModel::with_slots(2, 100);
-        let _ = res.touch_slots(0, &[(2, 10)]);
     }
 }

@@ -230,11 +230,6 @@ impl RequestQueue {
         self.trace = Some(sink);
     }
 
-    /// Detaches any trace sink (e.g. for throwaway trial clones).
-    pub fn clear_trace(&mut self) {
-        self.trace = None;
-    }
-
     fn trace_completion(&self, c: &Completion) {
         let Some(sink) = &self.trace else { return };
         let name = match c.kind {
@@ -253,12 +248,6 @@ impl RequestQueue {
             m.inc("dram.fetch_requests", 1);
             m.observe_ns("dram.fetch_latency_ns", c.latency_ns());
         }
-    }
-
-    /// Per-bank states (for inspecting row-buffer stats afterwards).
-    #[must_use]
-    pub fn bank_states(&self) -> &[BankState] {
-        &self.banks
     }
 
     /// Services every request with FR-FCFS and returns the report.

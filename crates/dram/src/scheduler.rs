@@ -126,11 +126,6 @@ impl ChannelScheduler {
         self.trace = Some(sink);
     }
 
-    /// Detaches any trace sink.
-    pub fn clear_trace(&mut self) {
-        self.trace = None;
-    }
-
     /// The timing parameters this scheduler enforces.
     #[must_use]
     pub fn timing(&self) -> &TimingParams {
@@ -350,76 +345,36 @@ impl ChannelScheduler {
     }
 }
 
-/// Closed-form steady-state AAP issue interval for `banks` banks issuing
-/// round-robin, in ns — useful for analytical sanity checks against the
-/// event-driven scheduler.
-#[must_use]
-pub fn steady_state_aap_interval(timing: &TimingParams, banks: usize) -> f64 {
-    let per_bank = timing.t_aap() + timing.t_rrd;
-    let rrd_bound = timing.t_rrd;
-    let faw_bound = timing.t_faw / 4.0;
-    (per_bank / banks as f64).max(rrd_bound).max(faw_bound)
-}
-
 /// Closed-form steady-state AAP issue interval for `ranks` ranks of
-/// `banks_per_rank` banks issuing round-robin on one channel, in ns.
+/// `banks_per_rank` banks with `subarrays` concurrent SALP streams per
+/// bank, issuing round-robin on one channel, in ns — the analytical
+/// check on the event-driven scheduler.
 ///
-/// Rank interleaving relaxes the per-rank `tRRD` and `tFAW` windows by
-/// the rank count (a given rank only sees every `ranks`-th command) and
-/// spreads bank occupancy over `ranks × banks` banks, but every
-/// command switches ranks, so the channel can never issue faster than
-/// one command per [`TimingParams::t_rank_switch`].
-///
-/// With `ranks == 1` this is exactly [`steady_state_aap_interval`].
+/// Bank occupancy spreads over `banks_per_rank × ranks` banks and the
+/// streams. Rank interleaving relaxes the per-rank `tRRD` and `tFAW`
+/// windows by the rank count (a given rank only sees every `ranks`-th
+/// command), and each subarray stream has its own local row buffer, so
+/// the windows split across the streams too. Two shared floors remain:
+/// with `subarrays > 1` every command claims the shared global-bitline /
+/// command-distribution slot ([`TimingParams::t_subarray_gate`]), and
+/// with `ranks > 1` every command switches ranks
+/// ([`TimingParams::t_rank_switch`]).
 #[must_use]
-pub fn steady_state_aap_interval_ranked(
-    timing: &TimingParams,
-    banks_per_rank: usize,
-    ranks: usize,
-) -> f64 {
-    if ranks <= 1 {
-        return steady_state_aap_interval(timing, banks_per_rank);
-    }
-    let per_bank = timing.t_aap() + timing.t_rrd;
-    let rrd_bound = timing.t_rrd / ranks as f64;
-    let faw_bound = timing.t_faw / (4.0 * ranks as f64);
-    (per_bank / (banks_per_rank * ranks) as f64)
-        .max(rrd_bound)
-        .max(faw_bound)
-        .max(timing.t_rank_switch)
-}
-
-/// Closed-form steady-state AAP issue interval with `subarrays`
-/// concurrent SALP streams per bank, in ns.
-///
-/// Each subarray stream has its own local row buffer, so bank occupancy
-/// and the per-rank `tRRD`/`tFAW` activation windows split across the
-/// streams, but every command still claims the shared global-bitline /
-/// command-distribution slot: the channel can never issue faster than
-/// one command per [`TimingParams::t_subarray_gate`] (nor, on a
-/// multi-rank channel, faster than the rank-switch gap).
-///
-/// With `subarrays == 1` this is exactly
-/// [`steady_state_aap_interval_ranked`].
-#[must_use]
-pub fn steady_state_aap_interval_salp(
+pub fn steady_state_aap_interval(
     timing: &TimingParams,
     banks_per_rank: usize,
     ranks: usize,
     subarrays: usize,
 ) -> f64 {
-    if subarrays <= 1 {
-        return steady_state_aap_interval_ranked(timing, banks_per_rank, ranks);
-    }
     let s = subarrays as f64;
     let per_bank = timing.t_aap() + timing.t_rrd;
     let occ_bound = per_bank / (banks_per_rank * ranks) as f64 / s;
     let rrd_bound = timing.t_rrd / ranks as f64 / s;
     let faw_bound = timing.t_faw / (4.0 * ranks as f64) / s;
-    let mut interval = occ_bound
-        .max(rrd_bound)
-        .max(faw_bound)
-        .max(timing.t_subarray_gate);
+    let mut interval = occ_bound.max(rrd_bound).max(faw_bound);
+    if subarrays > 1 {
+        interval = interval.max(timing.t_subarray_gate);
+    }
     if ranks > 1 {
         interval = interval.max(timing.t_rank_switch);
     }
@@ -434,7 +389,7 @@ pub fn steady_state_aap_interval_salp(
 /// count (every granted stream still divides the pre-SALP interval).
 #[must_use]
 pub fn salp_stream_cap(timing: &TimingParams, banks_per_rank: usize, ranks: usize) -> usize {
-    let base = steady_state_aap_interval_ranked(timing, banks_per_rank, ranks);
+    let base = steady_state_aap_interval(timing, banks_per_rank, ranks, 1);
     let mut floor = timing.t_subarray_gate;
     if ranks > 1 {
         floor = floor.max(timing.t_rank_switch);
@@ -504,7 +459,7 @@ mod tests {
                 last = ti;
             }
             let measured = (last - first) / (n - 1) as f64;
-            let analytic = steady_state_aap_interval(&t, banks);
+            let analytic = steady_state_aap_interval(&t, banks, 1, 1);
             assert!(
                 (measured - analytic).abs() / analytic < 0.02,
                 "banks={banks}: measured {measured} vs analytic {analytic}"
@@ -517,7 +472,7 @@ mod tests {
         let t = TimingParams::ddr5_4400();
         let mut prev = f64::INFINITY;
         for &banks in &[1usize, 2, 4, 8, 16, 32] {
-            let interval = steady_state_aap_interval(&t, banks);
+            let interval = steady_state_aap_interval(&t, banks, 1, 1);
             assert!(interval <= prev + 1e-12);
             prev = interval;
         }
@@ -622,7 +577,7 @@ mod tests {
                 last = ti;
             }
             let measured = (last - first) / (n - 1) as f64;
-            let analytic = steady_state_aap_interval_ranked(&t, banks, ranks);
+            let analytic = steady_state_aap_interval(&t, banks, ranks, 1);
             assert!(
                 (measured - analytic).abs() / analytic < 0.02,
                 "banks={banks} ranks={ranks}: measured {measured} vs analytic {analytic}"
@@ -636,24 +591,13 @@ mod tests {
         for &banks in &[1usize, 4, 16] {
             let mut prev = f64::INFINITY;
             for &ranks in &[1usize, 2, 4, 8] {
-                let interval = steady_state_aap_interval_ranked(&t, banks, ranks);
+                let interval = steady_state_aap_interval(&t, banks, ranks, 1);
                 assert!(
                     interval <= prev + 1e-12,
                     "banks={banks} ranks={ranks}: {interval} > {prev}"
                 );
                 prev = interval;
             }
-        }
-    }
-
-    #[test]
-    fn ranked_closed_form_reduces_to_single_rank() {
-        let t = TimingParams::ddr5_4400();
-        for &banks in &[1usize, 2, 4, 8, 16, 32] {
-            assert_eq!(
-                steady_state_aap_interval_ranked(&t, banks, 1),
-                steady_state_aap_interval(&t, banks)
-            );
         }
     }
 
@@ -706,24 +650,11 @@ mod tests {
                 last = ti;
             }
             let measured = (last - first) / (n - 1) as f64;
-            let analytic = steady_state_aap_interval_salp(&t, banks, 1, subs);
+            let analytic = steady_state_aap_interval(&t, banks, 1, subs);
             assert!(
                 (measured - analytic).abs() / analytic < 0.02,
                 "banks={banks} subs={subs}: measured {measured} vs analytic {analytic}"
             );
-        }
-    }
-
-    #[test]
-    fn salp_closed_form_reduces_to_ranked() {
-        let t = TimingParams::ddr5_4400();
-        for &banks in &[1usize, 4, 16] {
-            for &ranks in &[1usize, 2, 4] {
-                assert_eq!(
-                    steady_state_aap_interval_salp(&t, banks, ranks, 1),
-                    steady_state_aap_interval_ranked(&t, banks, ranks)
-                );
-            }
         }
     }
 
@@ -734,7 +665,7 @@ mod tests {
                 for &ranks in &[1usize, 2] {
                     let mut prev = f64::INFINITY;
                     for &subs in &[1usize, 2, 4, 8, 16, 32, 64, 128] {
-                        let iv = steady_state_aap_interval_salp(&t, banks, ranks, subs);
+                        let iv = steady_state_aap_interval(&t, banks, ranks, subs);
                         assert!(
                             iv <= prev + 1e-12,
                             "banks={banks} ranks={ranks} subs={subs}: {iv} > {prev}"
@@ -755,7 +686,7 @@ mod tests {
                 assert!(cap >= 1);
                 // Every granted stream still divides the pre-SALP
                 // interval: the capped interval sits above the floor.
-                let capped = steady_state_aap_interval_salp(&t, banks, ranks, cap);
+                let capped = steady_state_aap_interval(&t, banks, ranks, cap);
                 let mut floor = t.t_subarray_gate;
                 if ranks > 1 {
                     floor = floor.max(t.t_rank_switch);
@@ -763,7 +694,7 @@ mod tests {
                 assert!(capped >= floor - 1e-12, "banks={banks} ranks={ranks}");
                 // Beyond the cap the floor binds, so doubling the
                 // streams cannot beat the capped cadence.
-                let beyond = steady_state_aap_interval_salp(&t, banks, ranks, cap * 2);
+                let beyond = steady_state_aap_interval(&t, banks, ranks, cap * 2);
                 assert!(beyond >= floor - 1e-12);
             }
         }

@@ -100,12 +100,6 @@ impl TimingParams {
     pub fn t_ap(&self) -> f64 {
         self.t_ras + self.t_rp
     }
-
-    /// Latency of a normal row read (ACT + RD + PRE).
-    #[must_use]
-    pub fn t_row_read(&self) -> f64 {
-        self.t_rcd + self.t_burst + self.t_rp
-    }
 }
 
 impl Default for TimingParams {

@@ -6,7 +6,7 @@
 //! independent (each has its own command bus, scheduler and clock);
 //! ranks within a channel share the bus but relax the per-rank
 //! `tRRD`/`tFAW` activation windows (see
-//! [`crate::scheduler::steady_state_aap_interval_ranked`]).
+//! [`crate::scheduler::steady_state_aap_interval`]).
 //!
 //! [`SystemScheduler`] drives one [`ChannelScheduler`] per channel and
 //! merges their results the way a sharded kernel experiences them:
@@ -17,7 +17,7 @@ use crate::config::DramConfig;
 use crate::scheduler::ChannelScheduler;
 use crate::stats::CommandStats;
 use crate::timing::TimingParams;
-use crate::{CommandKind, DramCommand};
+use crate::CommandKind;
 use serde::{Deserialize, Serialize};
 
 /// Parallel compute topology of the memory system.
@@ -167,15 +167,6 @@ impl SystemScheduler {
     /// Panics if any coordinate is out of range.
     pub fn issue(&mut self, channel: usize, rank: usize, bank: usize, kind: CommandKind) -> f64 {
         self.channels[channel].issue_ranked(rank, bank, kind)
-    }
-
-    /// Issues a command addressed by global bank index on `channel`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the channel or bank is out of range.
-    pub fn issue_cmd(&mut self, channel: usize, cmd: DramCommand) -> f64 {
-        self.channels[channel].issue(cmd)
     }
 
     /// System elapsed time: channels run concurrently, so the makespan

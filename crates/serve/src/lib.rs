@@ -50,5 +50,5 @@ pub use report::{
     RequestOutcome, ServeReport,
 };
 pub use request::{ServeRequest, ServiceClass};
-pub use runtime::{SchedPolicy, ServeConfig, ServeConfigBuilder, ServeConfigError, ServeRuntime};
+pub use runtime::{SchedPolicy, ServeConfig, ServeRuntime};
 pub use traffic::{open_loop, ClosedLoopConfig, OpenLoopConfig, TenantSpec};

@@ -65,8 +65,7 @@
 //! ready set; the policy-chosen seed is kept, so capping composes with
 //! every [`SchedPolicy`]), and if even a lone request would breach it
 //! the dispatch is *deferred* until enough of the window has drained.
-//! With `power_budget_w: None` the pipeline is byte-identical to the
-//! uncapped runtime.
+//! With `power_budget_w: None` every batch commits as first formed.
 
 use crate::ready::{fcfs, PendingQueue};
 use crate::report::{BatchRecord, PowerSample, QueueSample, RequestOutcome, ServeReport};
@@ -127,15 +126,15 @@ pub struct ServeConfig {
     /// resident for free. [`C2mEngine::residency_capacity_rows`] derives
     /// the budget from the engine's actual geometry.
     pub residency_rows: Option<usize>,
-    /// Independent residency slots the budget splits over — one per
+    /// Subarray slots the residency budget splits over — one per
     /// (channel, rank, SALP stream) when the engine runs with
     /// subarray-level parallelism
     /// ([`C2mEngine::residency_slots`] derives the count from the
-    /// engine's topology). Each slot runs its own LRU over
-    /// `residency_rows / slots` rows and a dispatched tenant only
-    /// restreams the slots it actually missed. 1 (the default, and the
-    /// pre-SALP behaviour bit for bit) keeps the single module-wide
-    /// budget. Ignored when `residency_rows` is `None`.
+    /// engine's topology). Each slot holds `residency_rows / slots`
+    /// rows, and a tenant's mask spreads evenly over every slot, so its
+    /// footprint rounds up to a whole `⌈rows/slots⌉` share per slot and
+    /// a reload restreams every slot's share. 1 (the default) keeps the
+    /// footprint unrounded. Ignored when `residency_rows` is `None`.
     pub residency_slots: usize,
     /// Rolling window the power timeline (and the power cap) averages
     /// over, ns.
@@ -165,7 +164,7 @@ pub struct ServeConfig {
 
 impl Default for ServeConfig {
     /// The seed-faithful configuration — the single place field
-    /// defaults live (the builder starts from it):
+    /// defaults live:
     ///
     /// | field | default | meaning |
     /// |---|---|---|
@@ -199,227 +198,8 @@ impl Default for ServeConfig {
     }
 }
 
-/// A validation failure from [`ServeConfigBuilder::try_build`],
-/// carrying a human-readable message.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ServeConfigError(String);
-
-impl std::fmt::Display for ServeConfigError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(&self.0)
-    }
-}
-
-impl std::error::Error for ServeConfigError {}
-
-/// Typed builder for [`ServeConfig`]: starts from
-/// [`ServeConfig::default`] (the seed-faithful configuration — see its
-/// table of defaults), applies the setters, and validates every
-/// engine-independent invariant at [`Self::build`] /
-/// [`Self::try_build`]. The one engine-*dependent* check — a power cap
-/// must sit above the module's static idle floor — still happens in
-/// [`ServeRuntime::new`], where the engine is known.
-///
-/// ```
-/// use c2m_serve::{SchedPolicy, ServeConfig};
-/// let cfg = ServeConfig::builder()
-///     .max_batch(8)
-///     .window_ns(1e6)
-///     .policy(SchedPolicy::EarliestDeadlineFirst)
-///     .build();
-/// assert_eq!(cfg.max_batch, 8);
-/// ```
-#[derive(Debug, Clone, Default)]
-pub struct ServeConfigBuilder {
-    cfg: ServeConfig,
-    trace: Option<Arc<dyn TraceSink>>,
-}
-
-impl ServeConfigBuilder {
-    /// Sets the batch coalescing window, ns.
-    #[must_use]
-    pub fn window_ns(mut self, v: f64) -> Self {
-        self.cfg.window_ns = v;
-        self
-    }
-
-    /// Sets the hard cap on requests per batch.
-    #[must_use]
-    pub fn max_batch(mut self, v: usize) -> Self {
-        self.cfg.max_batch = v;
-        self
-    }
-
-    /// Sets the starvation cap, ns.
-    #[must_use]
-    pub fn max_wait_ns(mut self, v: f64) -> Self {
-        self.cfg.max_wait_ns = v;
-        self
-    }
-
-    /// Sets the host planning cost per broadcast sequence, ns.
-    #[must_use]
-    pub fn host_ns_per_seq(mut self, v: f64) -> Self {
-        self.cfg.host_ns_per_seq = v;
-        self
-    }
-
-    /// Sets the fixed per-batch launch overhead, ns.
-    #[must_use]
-    pub fn dispatch_ns(mut self, v: f64) -> Self {
-        self.cfg.dispatch_ns = v;
-        self
-    }
-
-    /// Double-buffers the planner (plan batch *i+1* during execution of
-    /// batch *i*).
-    #[must_use]
-    pub fn async_planner(mut self, v: bool) -> Self {
-        self.cfg.async_planner = v;
-        self
-    }
-
-    /// Sets the admission policy.
-    #[must_use]
-    pub fn policy(mut self, v: SchedPolicy) -> Self {
-        self.cfg.policy = v;
-        self
-    }
-
-    /// Models an LRU mask-plane residency budget of `rows` CIM subarray
-    /// rows.
-    #[must_use]
-    pub fn residency_rows(mut self, rows: usize) -> Self {
-        self.cfg.residency_rows = Some(rows);
-        self
-    }
-
-    /// Splits the residency budget over `slots` independent per-subarray
-    /// LRU slots (see [`ServeConfig::residency_slots`]).
-    #[must_use]
-    pub fn residency_slots(mut self, slots: usize) -> Self {
-        self.cfg.residency_slots = slots;
-        self
-    }
-
-    /// Sets the rolling power window, ns.
-    #[must_use]
-    pub fn power_window_ns(mut self, v: f64) -> Self {
-        self.cfg.power_window_ns = v;
-        self
-    }
-
-    /// Caps rolling-window average power at `watts`.
-    #[must_use]
-    pub fn power_budget_w(mut self, watts: f64) -> Self {
-        self.cfg.power_budget_w = Some(watts);
-        self
-    }
-
-    /// Enables or disables the priced-batch cache (default on).
-    #[must_use]
-    pub fn batch_cache(mut self, v: bool) -> Self {
-        self.cfg.batch_cache = v;
-        self
-    }
-
-    /// Attaches a trace sink to the runtime built by
-    /// [`Self::build_runtime`]. The sink observes the full serving
-    /// pipeline: per-request lifecycle and batch spans here, engine
-    /// launch spans, and the host fetch queue's per-bank access spans.
-    /// Ignored by [`Self::build`] / [`Self::try_build`], which return
-    /// the engine-independent [`ServeConfig`] only.
-    #[must_use]
-    pub fn trace(mut self, sink: Arc<dyn TraceSink>) -> Self {
-        self.trace = Some(sink);
-        self
-    }
-
-    /// Validates the configuration and builds a serving runtime over
-    /// `engine`, attaching the builder's trace sink when one was set.
-    ///
-    /// # Errors
-    ///
-    /// Returns the same [`ServeConfigError`]s as [`Self::try_build`].
-    ///
-    /// # Panics
-    ///
-    /// Panics on an engine-dependent invariant violation — a power cap
-    /// at or below the module's static idle floor (see
-    /// [`ServeRuntime::new`]).
-    pub fn try_build_runtime(self, engine: C2mEngine) -> Result<ServeRuntime, ServeConfigError> {
-        let Self { cfg, trace } = self;
-        cfg.validate().map_err(ServeConfigError)?;
-        let mut rt = ServeRuntime::new(engine, cfg);
-        if let Some(sink) = trace {
-            rt = rt.with_trace(sink);
-        }
-        Ok(rt)
-    }
-
-    /// Validates the configuration and builds a serving runtime over
-    /// `engine`, panicking on invalid input.
-    ///
-    /// # Panics
-    ///
-    /// Panics with the [`ServeConfigError`] message on any validation
-    /// failure, or on the engine-dependent invariants of
-    /// [`ServeRuntime::new`].
-    #[must_use]
-    pub fn build_runtime(self, engine: C2mEngine) -> ServeRuntime {
-        match self.try_build_runtime(engine) {
-            Ok(rt) => rt,
-            #[expect(
-                clippy::panic,
-                reason = "documented panic contract of build_runtime(); try_build_runtime is the fallible API"
-            )]
-            Err(e) => panic!("invalid serve configuration: {e}"),
-        }
-    }
-
-    /// Validates and returns the configuration.
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`ServeConfigError`] on a zero batch cap, a negative
-    /// or NaN window, a negative or non-finite host planning cost or
-    /// dispatch overhead, a zero residency budget, or a non-positive /
-    /// non-finite power window — the same engine-independent invariants
-    /// [`ServeRuntime::new`] asserts.
-    pub fn try_build(self) -> Result<ServeConfig, ServeConfigError> {
-        self.cfg.validate().map_err(ServeConfigError)?;
-        Ok(self.cfg)
-    }
-
-    /// Validates and returns the configuration, panicking on invalid
-    /// input.
-    ///
-    /// # Panics
-    ///
-    /// Panics with the [`ServeConfigError`] message on any validation
-    /// failure — see [`Self::try_build`] for the exact conditions.
-    #[must_use]
-    pub fn build(self) -> ServeConfig {
-        match self.try_build() {
-            Ok(cfg) => cfg,
-            #[expect(
-                clippy::panic,
-                reason = "documented panic contract of build(); try_build is the fallible API"
-            )]
-            Err(e) => panic!("invalid serve configuration: {e}"),
-        }
-    }
-}
-
 impl ServeConfig {
-    /// Starts a builder from the seed-faithful defaults.
-    #[must_use]
-    pub fn builder() -> ServeConfigBuilder {
-        ServeConfigBuilder::default()
-    }
-
-    /// The engine-independent invariants shared by
-    /// [`ServeConfigBuilder::try_build`] and [`ServeRuntime::new`].
+    /// The engine-independent invariants [`ServeRuntime::new`] asserts.
     fn validate(&self) -> Result<(), String> {
         if self.max_batch < 1 {
             return Err("batches hold at least one request".into());
@@ -573,7 +353,7 @@ impl ServeRuntime {
     #[must_use]
     #[expect(
         clippy::panic,
-        reason = "documented panic contract of ServeRuntime::new; the builder path validates first"
+        reason = "documented panic contract of ServeRuntime::new: no schedule exists for an invalid config"
     )]
     pub fn new(engine: C2mEngine, cfg: ServeConfig) -> Self {
         if let Err(m) = cfg.validate() {
@@ -603,21 +383,16 @@ impl ServeRuntime {
     /// host fetch queue the runtime spins up. Tracing is observational
     /// only — reports are bit-identical with or without a sink.
     ///
-    /// Note that under a power cap the fetch queue's *trial* clones
-    /// keep the sink, so rejected governor candidates are visible in
-    /// the trace as extra fetch spans — deliberately, since the point
-    /// of tracing is to see what the governor actually tried.
+    /// Every batch is priced on a *trial* clone of the fetch queue that
+    /// keeps the sink, and the accepted clone is committed. Under a
+    /// power cap, rejected governor candidates therefore show in the
+    /// trace as extra fetch spans — deliberately, since the point of
+    /// tracing is to see what the governor actually tried.
     #[must_use]
     pub fn with_trace(mut self, sink: Arc<dyn TraceSink>) -> Self {
         self.engine.set_trace(Arc::clone(&sink));
         self.trace = Some(sink);
         self
-    }
-
-    /// The attached trace sink, if any.
-    #[must_use]
-    pub fn trace_sink(&self) -> Option<&Arc<dyn TraceSink>> {
-        self.trace.as_ref()
     }
 
     /// Static background power of the served module, W: every rank of
@@ -643,32 +418,7 @@ impl ServeRuntime {
     /// Serves an open-loop trace (arrivals fixed in advance) and
     /// reports per-request latencies, batch records and queue depth.
     pub fn run(&self, requests: &[ServeRequest]) -> ServeReport {
-        let cache_base = self.cache_baseline();
-        let mut q = PendingQueue::new(self.cfg.policy);
-        for r in requests {
-            q.push(r.clone());
-        }
-        let mut arrivals: Vec<f64> = requests.iter().map(|r| r.arrival_ns).collect();
-        arrivals.sort_by(|a, b| a.partial_cmp(b).expect("finite arrivals"));
-
-        let mut fetch_q = self.fetch_queue();
-        let mut pipe = self.pipeline();
-        let mut report = self.report_shell();
-        while !q.is_empty() {
-            self.admit_and_dispatch(&mut q, &mut fetch_q, &mut pipe, &mut report);
-            let done = report.batches.last().expect("batch recorded").exec_done_ns;
-            let arrived = arrivals.partition_point(|&a| a <= done);
-            let depth = arrived - report.outcomes.len();
-            self.sample_queue_depth(&mut report, done, depth);
-        }
-        if report.batches.len() == 1 {
-            let formed = report.batches[0].formed_ns;
-            let depth = arrivals.partition_point(|&a| a <= formed);
-            self.backfill_formation_sample(&mut report, formed, depth);
-        }
-        report.host_hit_rate = hit_fraction(pipe.hits, pipe.accesses);
-        self.stamp_cache_counters(&mut report, &cache_base);
-        report
+        self.serve(requests.iter().cloned(), |_, _| Vec::new())
     }
 
     /// Serves closed-loop traffic: each of `cfg.clients` clients waits
@@ -683,67 +433,86 @@ impl ServeRuntime {
     pub fn run_closed_loop(&self, cfg: &ClosedLoopConfig) -> ServeReport {
         assert!(!cfg.tenants.is_empty(), "at least one tenant required");
         // A negative think time would issue requests in the past, and
-        // the depth sampling below needs arrivals issued in order.
+        // the depth sampling needs arrivals issued in order.
         assert!(
             cfg.think_ns.is_finite() && cfg.think_ns >= 0.0,
             "think time must be finite and non-negative"
         );
-        let cache_base = self.cache_baseline();
         let mut remaining = vec![cfg.requests_per_client; cfg.clients];
         // Ids are issued sequentially, so `client_of[id]` recovers the
         // owning client without threading tuples through the batcher.
         let mut client_of: Vec<usize> = Vec::new();
-        let issue = |client: usize, arrival: f64, client_of: &mut Vec<usize>| -> ServeRequest {
+        let mut issue = |client: usize, arrival: f64, client_of: &mut Vec<usize>| {
+            if remaining[client] == 0 {
+                return None;
+            }
+            remaining[client] -= 1;
             let tenant = client % cfg.tenants.len();
             let spec = cfg.tenants[tenant];
             let id = client_of.len() as u64;
             client_of.push(client);
-            ServeRequest {
+            Some(ServeRequest {
                 id,
                 arrival_ns: arrival,
                 tenant,
                 class: spec.class,
                 n: spec.n,
                 x: request_input(spec.k, cfg.seed, id),
-            }
+            })
         };
-        // Every client fires its first request at t = 0. Batch
-        // completions never move backwards, so `issued_arrivals` stays
-        // sorted.
+        // Every client fires its first request at t = 0; served clients
+        // think, then issue their next request.
+        let first: Vec<ServeRequest> = (0..cfg.clients)
+            .filter_map(|c| issue(c, 0.0, &mut client_of))
+            .collect();
+        self.serve(first, |batch, done| {
+            batch
+                .iter()
+                .filter_map(|r| {
+                    let client = client_of[r.id as usize];
+                    issue(client, done + cfg.think_ns, &mut client_of)
+                })
+                .collect()
+        })
+    }
+
+    /// The serve loop behind [`Self::run`] and [`Self::run_closed_loop`]:
+    /// dispatches batches until no request is pending, sampling the
+    /// queue depth over the issued arrivals at every completion. After
+    /// each batch, `next(batch, exec_done_ns)` returns the requests its
+    /// completion issues; none may arrive before a request issued
+    /// earlier, so the issued arrivals stay sorted.
+    fn serve(
+        &self,
+        requests: impl IntoIterator<Item = ServeRequest>,
+        mut next: impl FnMut(&[ServeRequest], f64) -> Vec<ServeRequest>,
+    ) -> ServeReport {
+        let cache_base = self.cache_baseline();
         let mut q = PendingQueue::new(self.cfg.policy);
-        let mut issued_arrivals: Vec<f64> = Vec::new();
-        for (c, rem) in remaining.iter_mut().enumerate() {
-            if *rem > 0 {
-                *rem -= 1;
-                let r = issue(c, 0.0, &mut client_of);
-                issued_arrivals.push(r.arrival_ns);
-                q.push(r);
-            }
+        let mut arrivals = Vec::new();
+        for r in requests {
+            arrivals.push(r.arrival_ns);
+            q.push(r);
         }
+        arrivals.sort_by(|a, b| a.partial_cmp(b).expect("finite arrivals"));
 
         let mut fetch_q = self.fetch_queue();
         let mut pipe = self.pipeline();
         let mut report = self.report_shell();
         while !q.is_empty() {
             let batch = self.admit_and_dispatch(&mut q, &mut fetch_q, &mut pipe, &mut report);
-            let clients: Vec<usize> = batch.iter().map(|r| client_of[r.id as usize]).collect();
             let done = report.batches.last().expect("batch recorded").exec_done_ns;
-            // Served clients think, then issue their next request.
-            for &c in &clients {
-                if remaining[c] > 0 {
-                    remaining[c] -= 1;
-                    let r = issue(c, done + cfg.think_ns, &mut client_of);
-                    issued_arrivals.push(r.arrival_ns);
-                    q.push(r);
-                }
+            for r in next(&batch, done) {
+                arrivals.push(r.arrival_ns);
+                q.push(r);
             }
-            let arrived = issued_arrivals.partition_point(|&a| a <= done);
+            let arrived = arrivals.partition_point(|&a| a <= done);
             let depth = arrived - report.outcomes.len();
             self.sample_queue_depth(&mut report, done, depth);
         }
         if report.batches.len() == 1 {
             let formed = report.batches[0].formed_ns;
-            let depth = issued_arrivals.partition_point(|&a| a <= formed);
+            let depth = arrivals.partition_point(|&a| a <= formed);
             self.backfill_formation_sample(&mut report, formed, depth);
         }
         report.host_hit_rate = hit_fraction(pipe.hits, pipe.accesses);
@@ -836,7 +605,7 @@ impl ServeRuntime {
             accesses: 0,
             residency: self.cfg.residency_rows.map(|rows| {
                 // The budget is module-wide; each slot owns an even
-                // share. One slot reproduces the flat pre-SALP model.
+                // share.
                 let slots = self.cfg.residency_slots;
                 ResidencyModel::with_slots(slots, (rows / slots).max(1))
             }),
@@ -884,7 +653,8 @@ impl ServeRuntime {
     }
 
     /// Forms and dispatches the next batch, governing admission by the
-    /// power cap when one is configured. Returns the served batch.
+    /// power cap; with no cap the first candidate commits. Returns the
+    /// served batch.
     fn admit_and_dispatch(
         &self,
         q: &mut PendingQueue,
@@ -892,15 +662,6 @@ impl ServeRuntime {
         pipe: &mut Pipeline,
         report: &mut ServeReport,
     ) -> Vec<ServeRequest> {
-        let Some(cap) = self.cfg.power_budget_w else {
-            // Uncapped: price against the live pipeline state directly
-            // — the exact pre-governor sequence of operations.
-            let (batch, formed, _) = self.form_batch(q, pipe.planner_free);
-            let priced = self.price(&batch, fetch_q, &mut pipe.residency);
-            self.commit(&batch, formed, &priced, pipe, report);
-            return batch;
-        };
-
         let window = self.cfg.power_window_ns;
         loop {
             let t_free = pipe.planner_free.max(pipe.defer_until);
@@ -912,21 +673,19 @@ impl ServeRuntime {
                 let mut trial_res = pipe.residency.clone();
                 let priced = self.price(&batch, &mut trial_fetch, &mut trial_res);
                 let (_, exec_start, exec_done) = self.place(&priced, formed, pipe);
-                let energy = self.batch_energy_nj(&priced);
-                let p = window_avg_power_w(
-                    &pipe.busy,
-                    Some((exec_start, exec_done, energy)),
-                    self.idle_floor_w(),
-                    window,
-                    exec_done,
-                );
+                let complies = self.cfg.power_budget_w.is_none_or(|cap| {
+                    let energy = self.batch_energy_nj(&priced);
+                    let candidate = Some((exec_start, exec_done, energy));
+                    let idle_w = self.idle_floor_w();
+                    window_avg_power_w(&pipe.busy, candidate, idle_w, window, exec_done) <= cap
+                });
                 // Once the window has slid past every committed burst,
                 // no amount of waiting lowers it further: a lone
                 // request that still breaches runs anyway (the cap is
                 // infeasible for this workload, and stalling forever
                 // serves no one).
                 let drained = pipe.busy.last().is_none_or(|b| exec_done - window >= b.1);
-                if p <= cap || (batch.len() == 1 && drained) {
+                if complies || (batch.len() == 1 && drained) {
                     *fetch_q = trial_fetch;
                     pipe.residency = trial_res;
                     self.commit(&batch, formed, &priced, pipe, report);
@@ -996,19 +755,7 @@ impl ServeRuntime {
         let (reload_rows, reload_ns, reload_energy_nj) = match residency.as_mut() {
             Some(res) => {
                 let rows = self.engine.tenant_mask_rows(batch[0].n, batch[0].k());
-                let outcome = if res.slots() == 1 {
-                    // The flat path, bit-for-bit the pre-SALP pricing.
-                    res.touch(batch[0].tenant, rows)
-                } else {
-                    // Per-subarray masks: the tenant's K-slices spread
-                    // over every slot; a dispatch only restreams the
-                    // slots whose planes were evicted.
-                    let per_slot = rows.div_ceil(res.slots());
-                    let needs: Vec<(usize, usize)> =
-                        (0..res.slots()).map(|s| (s, per_slot)).collect();
-                    res.touch_slots(batch[0].tenant, &needs)
-                };
-                match outcome {
+                match res.touch(batch[0].tenant, rows) {
                     ResidencyOutcome::Hit => (0, 0.0, 0.0),
                     ResidencyOutcome::Reload { rows } => (
                         rows,
@@ -1601,7 +1348,7 @@ mod tests {
         assert_eq!(flat.reload_count(), 2, "only the two cold loads");
         // Four slots with the same total budget: both tenants still fit
         // every slot, so the reload *count* is unchanged; each cold
-        // load's rows restream slot by slot (⌈rows/slots⌉ each), so the
+        // load's footprint rounds up to ⌈rows/slots⌉ per slot, so the
         // total reload time can only round up.
         let slotted = ServeRuntime::new(e, roomy(4)).run(&reqs);
         assert_eq!(slotted.reload_count(), 2);
@@ -1855,8 +1602,9 @@ mod tests {
     fn uncapped_config_is_unaffected_by_power_plumbing() {
         // power_budget_w: None must leave latency/throughput identical
         // to the default pipeline (the acceptance bar for the ledger
-        // refactor) — trivially true here because None skips the
-        // governor, but pinned so a regression screams.
+        // refactor). With no cap the governor commits every batch as
+        // first formed, whatever the power window; pinned so a
+        // regression screams.
         let reqs = trace(24, 2);
         let a = ServeRuntime::new(engine(1), cfg(4, 1e6)).run(&reqs);
         let b = ServeRuntime::new(
@@ -1904,56 +1652,38 @@ mod tests {
         );
     }
 
-    // ---- config builder and priced-batch cache ----
-
-    #[test]
-    fn config_builder_mirrors_struct_literals() {
-        let built = ServeConfig::builder()
-            .window_ns(5e5)
-            .max_batch(8)
-            .max_wait_ns(2e6)
-            .host_ns_per_seq(40.0)
-            .dispatch_ns(1_500.0)
-            .async_planner(true)
-            .policy(SchedPolicy::EarliestDeadlineFirst)
-            .residency_rows(4096)
-            .residency_slots(4)
-            .power_window_ns(2e6)
-            .power_budget_w(12.0)
-            .batch_cache(false)
-            .build();
-        let literal = ServeConfig {
-            window_ns: 5e5,
-            max_batch: 8,
-            max_wait_ns: 2e6,
-            host_ns_per_seq: 40.0,
-            dispatch_ns: 1_500.0,
-            async_planner: true,
-            policy: SchedPolicy::EarliestDeadlineFirst,
-            residency_rows: Some(4096),
-            residency_slots: 4,
-            power_window_ns: 2e6,
-            power_budget_w: Some(12.0),
-            batch_cache: false,
-        };
-        assert_eq!(format!("{built:?}"), format!("{literal:?}"));
-    }
+    // ---- config validation and priced-batch cache ----
 
     #[test]
     fn config_builder_reports_each_validation_failure() {
-        let cases: [(ServeConfigBuilder, &str); 5] = [
-            (ServeConfig::builder().max_batch(0), "at least one request"),
-            (ServeConfig::builder().window_ns(-1.0), "non-negative"),
-            (ServeConfig::builder().residency_rows(0), "positive"),
-            (ServeConfig::builder().residency_slots(0), "slots"),
-            (ServeConfig::builder().power_window_ns(0.0), "power window"),
+        let cases = [
+            (cfg(0, 0.0), "at least one request"),
+            (cfg(1, -1.0), "non-negative"),
+            (
+                ServeConfig {
+                    residency_rows: Some(0),
+                    ..ServeConfig::default()
+                },
+                "positive",
+            ),
+            (
+                ServeConfig {
+                    residency_slots: 0,
+                    ..ServeConfig::default()
+                },
+                "slots",
+            ),
+            (
+                ServeConfig {
+                    power_window_ns: 0.0,
+                    ..ServeConfig::default()
+                },
+                "power window",
+            ),
         ];
-        for (builder, needle) in cases {
-            let err = builder.try_build().expect_err("must be rejected");
-            assert!(
-                err.to_string().contains(needle),
-                "{err} should mention {needle:?}"
-            );
+        for (config, needle) in cases {
+            let err = config.validate().expect_err("must be rejected");
+            assert!(err.contains(needle), "{err} should mention {needle:?}");
         }
     }
 
@@ -1964,20 +1694,25 @@ mod tests {
         // depth.
         let bad = [f64::NAN, -1e9, -1.0, f64::INFINITY];
         for v in bad {
-            for (builder, needle) in [
-                (ServeConfig::builder().dispatch_ns(v), "dispatch overhead"),
-                (ServeConfig::builder().host_ns_per_seq(v), "planning cost"),
-            ] {
-                let err = builder.clone().try_build().expect_err("must be rejected");
-                assert!(err.to_string().contains(needle), "{v}: {err}");
-                assert!(builder.try_build_runtime(engine(1)).is_err(), "{v}");
+            let dispatch = ServeConfig {
+                dispatch_ns: v,
+                ..ServeConfig::default()
+            };
+            let planning = ServeConfig {
+                host_ns_per_seq: v,
+                ..ServeConfig::default()
+            };
+            for (config, needle) in [(dispatch, "dispatch overhead"), (planning, "planning cost")] {
+                let err = config.validate().expect_err("must be rejected");
+                assert!(err.contains(needle), "{v}: {err}");
             }
         }
-        let free = ServeConfig::builder()
-            .dispatch_ns(0.0)
-            .host_ns_per_seq(0.0)
-            .try_build();
-        assert!(free.is_ok(), "zero costs are valid");
+        let free = ServeConfig {
+            dispatch_ns: 0.0,
+            host_ns_per_seq: 0.0,
+            ..ServeConfig::default()
+        };
+        assert!(free.validate().is_ok(), "zero costs are valid");
     }
 
     #[test]

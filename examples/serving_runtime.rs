@@ -67,11 +67,12 @@ fn main() {
     // the planner, weight shard lengths by backend throughput. The
     // weighted engine shares the first engine's plan/pricing cache, so
     // the trace's IARM planning passes are already warm.
-    let tuned_cfg = ServeConfig::builder()
-        .window_ns(1e9)
-        .max_batch(8)
-        .async_planner(true)
-        .build();
+    let tuned_cfg = ServeConfig {
+        window_ns: 1e9,
+        max_batch: 8,
+        async_planner: true,
+        ..ServeConfig::default()
+    };
     let engine = C2mEngine::builder(cfg)
         .backends(policy)
         .balanced_sizing()

@@ -1,8 +1,8 @@
 //! Tracing demo: serve a multi-tenant open-loop trace with a
 //! [`RecordingSink`] threaded through all three execution layers —
-//! per-bank host-fetch spans in the DRAM layer, launch/shard/merge
-//! spans in the engine, and the request lifecycle in the serving
-//! pipeline — then export the Chrome-trace JSON (load it at
+//! per-bank host-fetch spans in the DRAM layer, launch/shard_exec/
+//! merge_round spans in the engine, and the request lifecycle in the
+//! serving pipeline — then export the Chrome-trace JSON (load it at
 //! `ui.perfetto.dev`), dump the flat metrics snapshot, and print the
 //! per-class latency breakdown the spans explain.
 //!
@@ -15,7 +15,9 @@
 //! ```
 
 use count2multiply::arch::engine::{C2mEngine, EngineConfig};
-use count2multiply::serve::{open_loop, OpenLoopConfig, ServeConfig, ServiceClass, TenantSpec};
+use count2multiply::serve::{
+    open_loop, OpenLoopConfig, ServeConfig, ServeRuntime, ServiceClass, TenantSpec,
+};
 use count2multiply::trace::{validate_chrome_trace, NullSink, RecordingSink};
 use std::sync::Arc;
 
@@ -38,16 +40,19 @@ fn main() {
         mean_interarrival_ns: 20_000.0,
         seed: 0x7ACE,
     });
-    let config = || {
-        ServeConfig::builder()
-            .max_batch(4)
-            .window_ns(1e9)
-            .residency_rows(4096)
+    let untraced = || {
+        let cfg = ServeConfig {
+            max_batch: 4,
+            window_ns: 1e9,
+            residency_rows: Some(4096),
+            ..ServeConfig::default()
+        };
+        ServeRuntime::new(engine(), cfg)
     };
 
     // Traced run: one recording sink observes dram + core + serve.
     let sink = Arc::new(RecordingSink::default());
-    let runtime = config().trace(sink.clone()).build_runtime(engine());
+    let runtime = untraced().with_trace(sink.clone());
     let report = runtime.run(&trace);
 
     let json = sink.chrome_trace_json();
@@ -102,11 +107,8 @@ fn main() {
 
     // Zero-cost check: the NullSink run (and a hook-free run) yields a
     // bit-identical report.
-    let nulled = config()
-        .trace(Arc::new(NullSink))
-        .build_runtime(engine())
-        .run(&trace);
-    let bare = config().build_runtime(engine()).run(&trace);
+    let nulled = untraced().with_trace(Arc::new(NullSink)).run(&trace);
+    let bare = untraced().run(&trace);
     let traced_json = serde_json::to_string(&report).expect("report serialises");
     assert_eq!(
         traced_json,

@@ -25,8 +25,8 @@ use count2multiply::arch::placement::{self, CounterSpec, KernelShape, MaskEncodi
 use count2multiply::dram::DramConfig;
 use count2multiply::jc::codec::JohnsonCode;
 use count2multiply::jc::cost;
-use count2multiply::serve::{open_loop, OpenLoopConfig, ServeConfig, TenantSpec};
-use count2multiply::trace::{validate_chrome_trace, RecordingSink, TraceSink};
+use count2multiply::serve::{open_loop, OpenLoopConfig, ServeConfig, ServeRuntime, TenantSpec};
+use count2multiply::trace::{validate_chrome_trace, RecordingSink};
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha12Rng;
 use std::collections::BTreeMap;
@@ -282,11 +282,12 @@ fn cmd_trace(flags: &BTreeMap<String, String>) -> Result<(), String> {
 
     let sink = std::sync::Arc::new(RecordingSink::default());
     let engine = C2mEngine::builder(EngineConfig::c2m(16)).build();
-    let runtime = ServeConfig::builder()
-        .max_batch(4)
-        .window_ns(1e6)
-        .trace(sink.clone() as std::sync::Arc<dyn TraceSink>)
-        .build_runtime(engine);
+    let cfg = ServeConfig {
+        max_batch: 4,
+        window_ns: 1e6,
+        ..ServeConfig::default()
+    };
+    let runtime = ServeRuntime::new(engine, cfg).with_trace(sink.clone());
     let reqs = open_loop(&OpenLoopConfig {
         tenants: vec![TenantSpec::new(512, 256); tenants],
         requests,

@@ -130,12 +130,13 @@ proptest! {
 #[test]
 fn recording_sink_round_trips_a_serving_run() {
     let sink = Arc::new(RecordingSink::default());
-    let runtime = ServeConfig::builder()
-        .max_batch(4)
-        .window_ns(1e9)
-        .residency_rows(4096)
-        .trace(sink.clone())
-        .build_runtime(engine(2, 1, None));
+    let cfg = ServeConfig {
+        max_batch: 4,
+        window_ns: 1e9,
+        residency_rows: Some(4096),
+        ..ServeConfig::default()
+    };
+    let runtime = ServeRuntime::new(engine(2, 1, None), cfg).with_trace(sink.clone());
     let trace = workload(32, 2, 0xC2);
     let report = runtime.run(&trace);
 
