@@ -20,7 +20,7 @@ use c2m_cim::ambit::AmbitSubarray;
 use c2m_cim::Row;
 use c2m_core::kernels::{ternary_gemv, KernelConfig};
 use c2m_core::matrix::TernaryMatrix;
-use c2m_dram::{ChannelScheduler, TimingParams};
+use c2m_dram::{ChannelScheduler, CommandKind, DramCommand, TimingParams};
 use c2m_ecc::bch::Bch;
 use c2m_ecc::{LinearCode, Secded};
 use c2m_jc::ambit_lower::{lower_step, CounterLayout};
@@ -168,30 +168,11 @@ fn bench_request_queue(c: &mut Criterion) {
 fn bench_scheduler(c: &mut Criterion) {
     c.bench_function("scheduler/10k_aaps_16banks", |b| {
         b.iter(|| {
-            let mut s = ChannelScheduler::new(TimingParams::ddr5_4400(), 16);
+            let mut s = ChannelScheduler::with_subarrays(TimingParams::ddr5_4400(), 16, 1, 1);
             for i in 0..10_000 {
-                s.issue_aap(i % 16);
+                s.issue(DramCommand::new(i % 16, CommandKind::Aap));
             }
             s.elapsed_ns()
-        })
-    });
-}
-
-fn bench_topology(c: &mut Criterion) {
-    use c2m_dram::{CommandKind, SystemScheduler, Topology};
-    let topo = Topology {
-        channels: 4,
-        ranks: 2,
-        banks: 16,
-        subarrays: 1,
-    };
-    c.bench_function("topology/10k_aaps_4ch_2rank", |b| {
-        b.iter(|| {
-            let mut sys = SystemScheduler::new(TimingParams::ddr5_4400(), &topo);
-            for i in 0..10_000 {
-                sys.issue(i % 4, (i / 4) % 2, (i / 8) % 16, CommandKind::Aap);
-            }
-            sys.elapsed_ns()
         })
     });
 }
@@ -224,7 +205,6 @@ criterion_group!(
     bench_ambit_rca,
     bench_request_queue,
     bench_scheduler,
-    bench_topology,
     bench_sharded_engine,
 );
 criterion_main!(benches);

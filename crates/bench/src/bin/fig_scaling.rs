@@ -126,11 +126,13 @@ fn trace_export(path: &str) {
     let build = |sink: Option<Arc<dyn c2m_trace::TraceSink>>| {
         let mut cfg = EngineConfig::c2m(16);
         cfg.dram.channels = 4;
-        let mut b = C2mEngine::builder(cfg).backends(BackendPolicy::Uniform(Backend::Ambit));
+        let mut engine = C2mEngine::builder(cfg)
+            .backends(BackendPolicy::Uniform(Backend::Ambit))
+            .build();
         if let Some(s) = sink {
-            b = b.trace(s);
+            engine.set_trace(s);
         }
-        b.build()
+        engine
     };
     let plain = build(None).ternary_gemv(&x, shape.n);
     let sink = Arc::new(c2m_trace::RecordingSink::default());

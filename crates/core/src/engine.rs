@@ -237,7 +237,6 @@ pub struct EngineBuilder {
     balanced: bool,
     cache: CacheChoice,
     cache_path: Option<PathBuf>,
-    trace: Option<Arc<dyn TraceSink>>,
 }
 
 impl EngineBuilder {
@@ -305,18 +304,6 @@ impl EngineBuilder {
     #[must_use]
     pub fn cache_path(mut self, path: impl Into<PathBuf>) -> Self {
         self.cache_path = Some(path.into());
-        self
-    }
-
-    /// Attaches a trace sink: every kernel launch emits launch /
-    /// per-channel shard-exec / merge-round spans plus cache counter
-    /// samples on the core tracks. Tracing is observational only — a
-    /// traced engine's reports are bit-for-bit identical to an untraced
-    /// one's. Default: no sink (and no per-launch overhead beyond one
-    /// branch).
-    #[must_use]
-    pub fn trace(mut self, sink: Arc<dyn TraceSink>) -> Self {
-        self.trace = Some(sink);
         self
     }
 
@@ -406,7 +393,7 @@ impl EngineBuilder {
             sizing: self.sizing,
             cache,
             cache_path: self.cache_path,
-            trace: self.trace.map(TraceHandle::new),
+            trace: None,
         };
         if self.balanced {
             // Backend factors are positive and finite, so the derived
@@ -477,13 +464,17 @@ impl C2mEngine {
             balanced: false,
             cache: CacheChoice::Private(CacheConfig::default()),
             cache_path: None,
-            trace: None,
         }
     }
 
-    /// Attaches a trace sink to an already-built engine (fresh launch
-    /// clock) — the serving runtime uses this to thread its sink down
-    /// into the engine it was handed. See [`EngineBuilder::trace`].
+    /// Attaches a trace sink with a fresh launch clock: every
+    /// subsequent kernel launch emits launch / per-channel shard-exec /
+    /// merge-round spans plus cache counter samples on the core tracks.
+    /// Tracing is observational only — a traced engine's reports are
+    /// bit-for-bit identical to an untraced one's. Engines build with
+    /// no sink (and no per-launch overhead beyond one branch);
+    /// `c2m_serve`'s `ServeRuntime::with_trace` calls this to thread its
+    /// sink down into the engine it was handed.
     pub fn set_trace(&mut self, sink: Arc<dyn TraceSink>) {
         self.trace = Some(TraceHandle::new(sink));
     }

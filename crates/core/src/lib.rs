@@ -38,7 +38,6 @@
 #![warn(missing_docs)]
 
 pub mod cache;
-pub mod cosim;
 pub mod csd;
 pub mod engine;
 pub mod kernels;

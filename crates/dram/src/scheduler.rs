@@ -16,12 +16,16 @@
 //! interleaving ranks relaxes both, while consecutive commands to
 //! different ranks pay the [`TimingParams::t_rank_switch`] bus-turnaround
 //! gap.
+//!
+//! The engine prices every launch with the closed form
+//! [`steady_state_aap_interval`]; [`ChannelScheduler`] is the
+//! event-driven reference that the closed-form tests compare against.
+//! Channels are independent, so a multi-channel system is one scheduler
+//! per channel.
 
 use crate::command::{CommandKind, DramCommand};
 use crate::stats::CommandStats;
 use crate::timing::TimingParams;
-use c2m_trace::{TraceEvent, TraceSink, Track};
-use std::sync::Arc;
 
 /// Event-driven scheduler for one DRAM channel with one or more ranks.
 ///
@@ -49,44 +53,22 @@ pub struct ChannelScheduler {
     last_rank: Option<usize>,
     now: f64,
     stats: CommandStats,
-    /// Channel index stamped on trace tracks (0 when untraced).
-    channel_id: u32,
-    /// Optional trace hook; `None` (the default) adds one branch per
-    /// issue and nothing else.
-    trace: Option<Arc<dyn TraceSink>>,
 }
 
 impl ChannelScheduler {
-    /// Creates a scheduler for a single-rank channel with `banks` banks.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `banks` is zero.
-    #[must_use]
-    pub fn new(timing: TimingParams, banks: usize) -> Self {
-        Self::with_ranks(timing, banks, 1)
-    }
-
     /// Creates a scheduler for a channel with `ranks` ranks of
-    /// `banks_per_rank` banks each. Bank indices in issued commands are
-    /// global and rank-major: bank `b` of rank `r` is
-    /// `r * banks_per_rank + b`.
+    /// `banks_per_rank` banks each and `subarrays` concurrent SALP
+    /// streams per bank. Bank indices in commands passed to
+    /// [`Self::issue`] are global and rank-major: bank `b` of rank `r`
+    /// is `r * banks_per_rank + b` ([`Self::issue_salp`] takes the
+    /// coordinates instead).
     ///
-    /// # Panics
-    ///
-    /// Panics if `banks_per_rank` or `ranks` is zero.
-    #[must_use]
-    pub fn with_ranks(timing: TimingParams, banks_per_rank: usize, ranks: usize) -> Self {
-        Self::with_subarrays(timing, banks_per_rank, ranks, 1)
-    }
-
-    /// Creates a scheduler with `subarrays` concurrent SALP streams per
-    /// bank. Each stream has its own row buffer (so bank occupancy and
-    /// the activation windows split per stream), but all streams share
-    /// the channel's command-distribution slot: with more than one
-    /// stream, consecutive commands serialize at
-    /// [`TimingParams::t_subarray_gate`]. With `subarrays == 1` this is
-    /// exactly [`Self::with_ranks`].
+    /// Each stream has its own row buffer (so bank occupancy and the
+    /// activation windows split per stream), but all streams share the
+    /// channel's command-distribution slot: with more than one stream,
+    /// consecutive commands serialize at
+    /// [`TimingParams::t_subarray_gate`]. With `subarrays == 1` there is
+    /// no slot contention (the pre-SALP model).
     ///
     /// # Panics
     ///
@@ -112,42 +94,12 @@ impl ChannelScheduler {
             last_rank: None,
             now: 0.0,
             stats: CommandStats::default(),
-            channel_id: 0,
-            trace: None,
         }
     }
 
-    /// Attaches a trace sink; every subsequent issue emits a command
-    /// span on the `(channel_id, rank, subarray)` lane track, plus
-    /// stall instants when the rank-switch or subarray-gate bound is
-    /// what delayed the command. Tracing never changes issue times.
-    pub fn set_trace(&mut self, sink: Arc<dyn TraceSink>, channel_id: u32) {
-        self.channel_id = channel_id;
-        self.trace = Some(sink);
-    }
-
-    /// The timing parameters this scheduler enforces.
-    #[must_use]
-    pub fn timing(&self) -> &TimingParams {
-        &self.timing
-    }
-
     /// Total number of banks on the channel (all ranks).
-    #[must_use]
-    pub fn banks(&self) -> usize {
+    fn banks(&self) -> usize {
         self.bank_ready.len() / self.subarrays
-    }
-
-    /// Ranks on the channel.
-    #[must_use]
-    pub fn ranks(&self) -> usize {
-        self.last_act.len() / self.subarrays
-    }
-
-    /// Concurrent SALP streams per bank.
-    #[must_use]
-    pub fn subarrays(&self) -> usize {
-        self.subarrays
     }
 
     /// Total elapsed simulated time (ns) — completion time of the latest
@@ -179,70 +131,13 @@ impl ChannelScheduler {
             self.subarrays
         );
         let t = self.earliest_issue(cmd);
-        if self.trace.is_some() {
-            self.trace_issue(cmd, t);
-        }
         self.commit(cmd, t);
         t
     }
 
-    /// Emits the trace events for one issued command. Read-only: runs
-    /// between [`Self::earliest_issue`] and [`Self::commit`], so the
-    /// pre-commit state still describes what delayed the command.
-    fn trace_issue(&self, cmd: DramCommand, t: f64) {
-        let Some(sink) = &self.trace else { return };
-        let rank = cmd.bank / self.banks_per_rank;
-        let track = Track::dram_lane(self.channel_id, rank as u32, cmd.subarray as u32);
-        if self.last_rank.is_some_and(|r| r != rank) && t == self.now + self.timing.t_rank_switch {
-            sink.record(TraceEvent::Instant {
-                t_ns: t,
-                name: "rank_switch_stall",
-                cat: "dram",
-                track,
-            });
-        }
-        if self.subarrays > 1
-            && self.last_rank.is_some()
-            && t == self.now + self.timing.t_subarray_gate
-        {
-            sink.record(TraceEvent::Instant {
-                t_ns: t,
-                name: "gate_stall",
-                cat: "dram",
-                track,
-            });
-        }
-        sink.span(
-            track,
-            cmd.kind.name(),
-            "dram",
-            t,
-            t + self.occupancy_ns(cmd.kind),
-        );
-        if let Some(m) = sink.metrics() {
-            m.inc("dram.commands", 1);
-        }
-    }
-
-    /// Issues an AAP macro command to `bank` (convenience wrapper).
-    pub fn issue_aap(&mut self, bank: usize) -> f64 {
-        self.issue(DramCommand::new(bank, CommandKind::Aap))
-    }
-
-    /// Issues an AP macro command to `bank` (convenience wrapper).
-    pub fn issue_ap(&mut self, bank: usize) -> f64 {
-        self.issue(DramCommand::new(bank, CommandKind::Ap))
-    }
-
-    /// Issues a macro command to bank `bank` of rank `rank` (convenience
-    /// wrapper translating to the global rank-major bank index).
-    pub fn issue_ranked(&mut self, rank: usize, bank: usize, kind: CommandKind) -> f64 {
-        assert!(bank < self.banks_per_rank, "bank {bank} out of rank");
-        self.issue(DramCommand::new(rank * self.banks_per_rank + bank, kind))
-    }
-
     /// Issues a macro command to subarray stream `subarray` of bank
-    /// `bank` of rank `rank` (convenience wrapper for SALP streams).
+    /// `bank` of rank `rank`, translating the coordinates to the global
+    /// rank-major bank index [`Self::issue`] takes.
     pub fn issue_salp(
         &mut self,
         rank: usize,
@@ -256,17 +151,6 @@ impl ChannelScheduler {
             subarray,
             kind,
         ))
-    }
-
-    /// Issues the same macro command to every bank in `banks` (broadcast),
-    /// as the memory controller does when replicating a μProgram step over
-    /// several CIM subarrays. Returns the issue time of the last copy.
-    pub fn broadcast(&mut self, kind: CommandKind, banks: &[usize]) -> f64 {
-        let mut last = self.now;
-        for &b in banks {
-            last = self.issue(DramCommand::new(b, kind));
-        }
-        last
     }
 
     fn earliest_issue(&self, cmd: DramCommand) -> f64 {
@@ -317,8 +201,7 @@ impl ChannelScheduler {
     }
 
     /// How long a command of `kind` occupies its subarray stream after
-    /// issue — the same figure [`Self::commit`] books into `bank_ready`
-    /// and tracing shows as the command span's duration.
+    /// issue — the figure [`Self::commit`] books into `bank_ready`.
     fn occupancy_ns(&self, kind: CommandKind) -> f64 {
         match kind {
             CommandKind::Aap => self.timing.t_aap() + self.timing.t_rrd,
@@ -327,21 +210,6 @@ impl ChannelScheduler {
             CommandKind::Pre => self.timing.t_rp,
             CommandKind::Rd | CommandKind::Wr => self.timing.t_burst,
         }
-    }
-
-    /// Resets the clock and statistics, keeping timing and geometry.
-    pub fn reset(&mut self) {
-        self.bank_ready.iter_mut().for_each(|t| *t = 0.0);
-        self.last_act
-            .iter_mut()
-            .for_each(|t| *t = f64::NEG_INFINITY);
-        self.act_window
-            .iter_mut()
-            .for_each(|w| *w = [f64::NEG_INFINITY; 4]);
-        self.act_window_pos.iter_mut().for_each(|p| *p = 0);
-        self.last_rank = None;
-        self.now = 0.0;
-        self.stats = CommandStats::default();
     }
 }
 
@@ -405,14 +273,19 @@ mod tests {
     use super::*;
 
     fn sched(banks: usize) -> ChannelScheduler {
-        ChannelScheduler::new(TimingParams::ddr5_4400(), banks)
+        ChannelScheduler::with_subarrays(TimingParams::ddr5_4400(), banks, 1, 1)
+    }
+
+    /// Issues an AAP to `bank` of a single-rank, single-stream channel.
+    fn aap(s: &mut ChannelScheduler, bank: usize) -> f64 {
+        s.issue(DramCommand::new(bank, CommandKind::Aap))
     }
 
     #[test]
     fn single_bank_rate_is_aap_plus_rrd() {
         let mut s = sched(1);
-        let t0 = s.issue_aap(0);
-        let t1 = s.issue_aap(0);
+        let t0 = aap(&mut s, 0);
+        let t1 = aap(&mut s, 0);
         let t = TimingParams::ddr5_4400();
         assert!((t1 - t0 - (t.t_aap() + t.t_rrd)).abs() < 1e-9);
     }
@@ -420,13 +293,13 @@ mod tests {
     #[test]
     fn four_banks_overlap_separated_by_rrd() {
         let mut s = sched(4);
-        let times: Vec<f64> = (0..4).map(|b| s.issue_aap(b)).collect();
+        let times: Vec<f64> = (0..4).map(|b| aap(&mut s, b)).collect();
         let t = TimingParams::ddr5_4400();
         for w in times.windows(2) {
             assert!((w[1] - w[0] - t.t_rrd).abs() < 1e-9);
         }
         // Fifth command (bank 0 again) waits for the first to finish.
-        let t4 = s.issue_aap(0);
+        let t4 = aap(&mut s, 0);
         assert!((t4 - times[0] - (t.t_aap() + t.t_rrd)).abs() < 1e-9);
     }
 
@@ -435,7 +308,7 @@ mod tests {
         let mut s = sched(16);
         let mut times = Vec::new();
         for i in 0..16 {
-            times.push(s.issue_aap(i));
+            times.push(aap(&mut s, i));
         }
         let t = TimingParams::ddr5_4400();
         // First -> fifth activation delay equals tFAW (< tAAP).
@@ -447,12 +320,12 @@ mod tests {
     fn event_driven_matches_closed_form_steady_state() {
         let t = TimingParams::ddr5_4400();
         for &banks in &[1usize, 2, 4, 8, 16] {
-            let mut s = ChannelScheduler::new(t, banks);
+            let mut s = sched(banks);
             let n = 400;
             let mut first = 0.0;
             let mut last = 0.0;
             for i in 0..n {
-                let ti = s.issue_aap(i % banks);
+                let ti = aap(&mut s, i % banks);
                 if i == 0 {
                     first = ti;
                 }
@@ -482,28 +355,19 @@ mod tests {
     fn stats_count_commands() {
         let mut s = sched(4);
         for i in 0..10 {
-            s.issue_aap(i % 4);
+            aap(&mut s, i % 4);
         }
-        s.issue_ap(0);
+        s.issue(DramCommand::new(0, CommandKind::Ap));
         assert_eq!(s.stats().count(CommandKind::Aap), 10);
         assert_eq!(s.stats().count(CommandKind::Ap), 1);
         assert_eq!(s.stats().total(), 11);
     }
 
     #[test]
-    fn reset_clears_clock() {
-        let mut s = sched(2);
-        s.issue_aap(0);
-        s.reset();
-        assert_eq!(s.elapsed_ns(), 0.0);
-        assert_eq!(s.stats().total(), 0);
-    }
-
-    #[test]
     #[should_panic(expected = "out of range")]
     fn issue_to_missing_bank_panics() {
         let mut s = sched(2);
-        s.issue_aap(5);
+        s.issue(DramCommand::new(5, CommandKind::Aap));
     }
 
     // ---- §7.2.1 invariants, pinned explicitly against Table 2 timing ----
@@ -513,48 +377,35 @@ mod tests {
         let t = TimingParams::ddr5_4400();
         // 1 bank: first -> next = tAAP + tRRD.
         let mut s1 = sched(1);
-        let a = s1.issue_aap(0);
-        let b = s1.issue_aap(0);
+        let a = aap(&mut s1, 0);
+        let b = aap(&mut s1, 0);
         assert!((b - a - (t.t_aap() + t.t_rrd)).abs() < 1e-9);
         // 4 banks: first -> fifth = tAAP + tRRD.
         let mut s4 = sched(4);
-        let first = s4.issue_aap(0);
+        let first = aap(&mut s4, 0);
         for bank in 1..4 {
-            s4.issue_aap(bank);
+            aap(&mut s4, bank);
         }
-        let fifth = s4.issue_aap(0);
+        let fifth = aap(&mut s4, 0);
         assert!((fifth - first - (t.t_aap() + t.t_rrd)).abs() < 1e-9);
         // 16 banks: first -> fifth = tFAW.
         let mut s16 = sched(16);
-        let first = s16.issue_aap(0);
+        let first = aap(&mut s16, 0);
         for bank in 1..4 {
-            s16.issue_aap(bank);
+            aap(&mut s16, bank);
         }
-        let fifth = s16.issue_aap(4);
+        let fifth = aap(&mut s16, 4);
         assert!((fifth - first - t.t_faw).abs() < 1e-9);
     }
 
     // ---- multi-rank behaviour ----
 
     #[test]
-    fn single_rank_scheduler_matches_legacy_constructor() {
-        let t = TimingParams::ddr5_4400();
-        let mut a = ChannelScheduler::new(t, 16);
-        let mut b = ChannelScheduler::with_ranks(t, 16, 1);
-        for i in 0..200 {
-            let ta = a.issue_aap(i % 16);
-            let tb = b.issue_aap(i % 16);
-            assert_eq!(ta, tb, "command {i}");
-        }
-        assert_eq!(a.elapsed_ns(), b.elapsed_ns());
-    }
-
-    #[test]
     fn rank_switch_pays_turnaround() {
         let t = TimingParams::ddr5_4400();
-        let mut s = ChannelScheduler::with_ranks(t, 1, 2);
-        let t0 = s.issue_ranked(0, 0, CommandKind::Aap);
-        let t1 = s.issue_ranked(1, 0, CommandKind::Aap);
+        let mut s = ChannelScheduler::with_subarrays(t, 1, 2, 1);
+        let t0 = s.issue_salp(0, 0, 0, CommandKind::Aap);
+        let t1 = s.issue_salp(1, 0, 0, CommandKind::Aap);
         // Different rank: fresh tRRD/tFAW windows, only the bus gap binds.
         assert!((t1 - t0 - t.t_rank_switch).abs() < 1e-9);
     }
@@ -563,14 +414,14 @@ mod tests {
     fn rank_interleaving_matches_ranked_closed_form() {
         let t = TimingParams::ddr5_4400();
         for &(banks, ranks) in &[(1usize, 2usize), (4, 2), (16, 2), (16, 4), (8, 4)] {
-            let mut s = ChannelScheduler::with_ranks(t, banks, ranks);
+            let mut s = ChannelScheduler::with_subarrays(t, banks, ranks, 1);
             let n = 600;
             let mut first = 0.0;
             let mut last = 0.0;
             for i in 0..n {
                 let rank = i % ranks;
                 let bank = (i / ranks) % banks;
-                let ti = s.issue_ranked(rank, bank, CommandKind::Aap);
+                let ti = s.issue_salp(rank, bank, 0, CommandKind::Aap);
                 if i == 0 {
                     first = ti;
                 }
@@ -602,21 +453,6 @@ mod tests {
     }
 
     // ---- subarray-level parallelism (SALP) ----
-
-    #[test]
-    fn single_subarray_scheduler_matches_ranked_constructor() {
-        let t = TimingParams::ddr5_4400();
-        let mut a = ChannelScheduler::with_ranks(t, 8, 2);
-        let mut b = ChannelScheduler::with_subarrays(t, 8, 2, 1);
-        for i in 0..200 {
-            let rank = i % 2;
-            let bank = (i / 2) % 8;
-            let ta = a.issue_ranked(rank, bank, CommandKind::Aap);
-            let tb = b.issue_salp(rank, bank, 0, CommandKind::Aap);
-            assert_eq!(ta, tb, "command {i}");
-        }
-        assert_eq!(a.elapsed_ns(), b.elapsed_ns());
-    }
 
     #[test]
     fn salp_streams_overlap_within_one_bank() {
@@ -703,17 +539,5 @@ mod tests {
         assert_eq!(salp_stream_cap(&t, 16, 1), 15);
         // Multi-rank channels are already at the rank-switch floor.
         assert_eq!(salp_stream_cap(&t, 16, 2), 1);
-    }
-
-    #[test]
-    fn reset_clears_rank_state() {
-        let t = TimingParams::ddr5_4400();
-        let mut s = ChannelScheduler::with_ranks(t, 2, 2);
-        s.issue_ranked(1, 0, CommandKind::Aap);
-        s.reset();
-        assert_eq!(s.elapsed_ns(), 0.0);
-        // After reset the first command pays no rank-switch gap.
-        let t0 = s.issue_ranked(0, 0, CommandKind::Aap);
-        assert_eq!(t0, 0.0);
     }
 }

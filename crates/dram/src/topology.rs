@@ -3,21 +3,14 @@
 //! The paper's evaluation (Table 2) models a single DDR5 channel with
 //! one rank; [`Topology`] generalises that to the full system the
 //! [`crate::DramConfig`] geometry describes. Channels are fully
-//! independent (each has its own command bus, scheduler and clock);
-//! ranks within a channel share the bus but relax the per-rank
-//! `tRRD`/`tFAW` activation windows (see
-//! [`crate::scheduler::steady_state_aap_interval`]).
-//!
-//! [`SystemScheduler`] drives one [`ChannelScheduler`] per channel and
-//! merges their results the way a sharded kernel experiences them:
-//! elapsed time is the *maximum* over channels (they run concurrently),
-//! commands and energy are *sums*.
+//! independent (each has its own command bus and clock), so a sharded
+//! kernel's elapsed time is the maximum over channels; ranks within a
+//! channel share the bus but relax the per-rank `tRRD`/`tFAW`
+//! activation windows (see
+//! [`crate::scheduler::steady_state_aap_interval`], the closed form the
+//! engine prices each channel with).
 
 use crate::config::DramConfig;
-use crate::scheduler::ChannelScheduler;
-use crate::stats::CommandStats;
-use crate::timing::TimingParams;
-use crate::CommandKind;
 use serde::{Deserialize, Serialize};
 
 /// Parallel compute topology of the memory system.
@@ -103,105 +96,6 @@ impl Topology {
     pub fn shard_slots(&self) -> usize {
         self.channels * self.ranks * self.subarrays
     }
-
-    /// Total compute banks across the whole system.
-    #[must_use]
-    pub fn total_banks(&self) -> usize {
-        self.channels * self.ranks * self.banks
-    }
-
-    /// True for the paper's 1×1 setup, where the engine must reproduce
-    /// the seed single-channel numbers bit-for-bit.
-    #[must_use]
-    pub fn is_single(&self) -> bool {
-        self.channels == 1 && self.ranks == 1
-    }
-}
-
-/// Per-channel schedulers driven concurrently.
-#[derive(Debug, Clone)]
-pub struct SystemScheduler {
-    channels: Vec<ChannelScheduler>,
-}
-
-impl SystemScheduler {
-    /// Builds one rank-aware (and, when the topology carries more than
-    /// one subarray stream, SALP-aware) [`ChannelScheduler`] per
-    /// channel.
-    #[must_use]
-    pub fn new(timing: TimingParams, topology: &Topology) -> Self {
-        Self {
-            channels: (0..topology.channels)
-                .map(|_| {
-                    ChannelScheduler::with_subarrays(
-                        timing,
-                        topology.banks,
-                        topology.ranks,
-                        topology.subarrays,
-                    )
-                })
-                .collect(),
-        }
-    }
-
-    /// Number of channels.
-    #[must_use]
-    pub fn channels(&self) -> usize {
-        self.channels.len()
-    }
-
-    /// Mutable access to one channel's scheduler (for driving a shard's
-    /// command stream).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `channel` is out of range.
-    pub fn channel_mut(&mut self, channel: usize) -> &mut ChannelScheduler {
-        &mut self.channels[channel]
-    }
-
-    /// Issues a command on `channel` to bank `bank` of rank `rank`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if any coordinate is out of range.
-    pub fn issue(&mut self, channel: usize, rank: usize, bank: usize, kind: CommandKind) -> f64 {
-        self.channels[channel].issue_ranked(rank, bank, kind)
-    }
-
-    /// System elapsed time: channels run concurrently, so the makespan
-    /// is the maximum channel clock.
-    #[must_use]
-    pub fn elapsed_ns(&self) -> f64 {
-        self.channels
-            .iter()
-            .map(ChannelScheduler::elapsed_ns)
-            .fold(0.0, f64::max)
-    }
-
-    /// Merged command statistics across all channels.
-    #[must_use]
-    pub fn stats(&self) -> CommandStats {
-        let mut total = CommandStats::default();
-        for ch in &self.channels {
-            total.merge(ch.stats());
-        }
-        total
-    }
-
-    /// Resets every channel's clock and statistics.
-    pub fn reset(&mut self) {
-        self.channels.iter_mut().for_each(ChannelScheduler::reset);
-    }
-
-    /// Attaches a trace sink to every channel scheduler, stamping each
-    /// with its channel index so command spans land on per-
-    /// `(channel, rank, subarray)` tracks.
-    pub fn set_trace(&mut self, sink: &std::sync::Arc<dyn c2m_trace::TraceSink>) {
-        for (c, ch) in self.channels.iter_mut().enumerate() {
-            ch.set_trace(std::sync::Arc::clone(sink), c as u32);
-        }
-    }
 }
 
 #[cfg(test)]
@@ -216,9 +110,6 @@ mod tests {
         let t = Topology::from_config(&cfg, 16);
         assert_eq!((t.channels, t.ranks, t.banks), (4, 2, 16));
         assert_eq!(t.units(), 8);
-        assert_eq!(t.total_banks(), 128);
-        assert!(!t.is_single());
-        assert!(Topology::single(16).is_single());
     }
 
     #[test]
@@ -235,45 +126,5 @@ mod tests {
     fn from_config_rejects_too_many_banks() {
         let cfg = DramConfig::ddr5_4400();
         let _ = Topology::from_config(&cfg, cfg.banks + 1);
-    }
-
-    #[test]
-    fn channels_run_concurrently() {
-        let topo = Topology {
-            channels: 2,
-            ranks: 1,
-            banks: 1,
-            subarrays: 1,
-        };
-        let mut sys = SystemScheduler::new(TimingParams::ddr5_4400(), &topo);
-        // 10 AAPs on channel 0, 1 on channel 1: makespan is channel 0's.
-        for _ in 0..10 {
-            sys.issue(0, 0, 0, CommandKind::Aap);
-        }
-        sys.issue(1, 0, 0, CommandKind::Aap);
-        let ch0 = sys.channel_mut(0).elapsed_ns();
-        let ch1 = sys.channel_mut(1).elapsed_ns();
-        assert!(ch0 > ch1);
-        assert_eq!(sys.elapsed_ns(), ch0);
-    }
-
-    #[test]
-    fn stats_merge_over_channels() {
-        let topo = Topology {
-            channels: 3,
-            ranks: 1,
-            banks: 2,
-            subarrays: 1,
-        };
-        let mut sys = SystemScheduler::new(TimingParams::ddr5_4400(), &topo);
-        for c in 0..3 {
-            for i in 0..4 {
-                sys.issue(c, 0, i % 2, CommandKind::Aap);
-            }
-        }
-        assert_eq!(sys.stats().count(CommandKind::Aap), 12);
-        sys.reset();
-        assert_eq!(sys.stats().total(), 0);
-        assert_eq!(sys.elapsed_ns(), 0.0);
     }
 }

@@ -124,17 +124,21 @@ pub struct ServeConfig {
     /// [`C2mEngine::mask_reload_ns`] whenever a dispatched tenant is
     /// not resident. `None` (seed-faithful) assumes every tenant stays
     /// resident for free. [`C2mEngine::residency_capacity_rows`] derives
-    /// the budget from the engine's actual geometry.
+    /// the budget from the engine's actual geometry. Must be positive
+    /// and a multiple of `residency_slots`, so every slot owns the same
+    /// whole number of rows.
     pub residency_rows: Option<usize>,
     /// Subarray slots the residency budget splits over — one per
     /// (channel, rank, SALP stream) when the engine runs with
     /// subarray-level parallelism
     /// ([`C2mEngine::residency_slots`] derives the count from the
     /// engine's topology). Each slot holds `residency_rows / slots`
-    /// rows, and a tenant's mask spreads evenly over every slot, so its
-    /// footprint rounds up to a whole `⌈rows/slots⌉` share per slot and
-    /// a reload restreams every slot's share. 1 (the default) keeps the
-    /// footprint unrounded. Ignored when `residency_rows` is `None`.
+    /// rows, so the budget must be a multiple of the slot count
+    /// ([`ServeRuntime::new`] rejects one that is not). A tenant's mask
+    /// spreads evenly over every slot, so its footprint rounds up to a
+    /// whole `⌈rows/slots⌉` share per slot and a reload restreams every
+    /// slot's share. 1 (the default) keeps the footprint unrounded.
+    /// Ignored when `residency_rows` is `None`.
     pub residency_slots: usize,
     /// Rolling window the power timeline (and the power cap) averages
     /// over, ns.
@@ -218,6 +222,14 @@ impl ServeConfig {
         }
         if self.residency_slots == 0 {
             return Err("residency slots must be positive".into());
+        }
+        if let Some(rows) = self.residency_rows {
+            if !rows.is_multiple_of(self.residency_slots) {
+                return Err(format!(
+                    "residency budget of {rows} rows is not a multiple of the {} residency slots",
+                    self.residency_slots
+                ));
+            }
         }
         if self.power_window_ns <= 0.0 || !self.power_window_ns.is_finite() {
             return Err("power window must be positive and finite".into());
@@ -347,9 +359,10 @@ impl ServeRuntime {
     ///
     /// Panics on a zero batch cap, negative window, negative or
     /// non-finite host planning cost or dispatch overhead, zero
-    /// residency budget, non-positive power window, or a power cap at
-    /// or below the module's static idle floor (no schedule can comply:
-    /// the ranks burn that much doing nothing).
+    /// residency budget or slot count, a residency budget that is not a
+    /// multiple of the slot count, non-positive power window, or a
+    /// power cap at or below the module's static idle floor (no
+    /// schedule can comply: the ranks burn that much doing nothing).
     #[must_use]
     #[expect(
         clippy::panic,
@@ -605,9 +618,9 @@ impl ServeRuntime {
             accesses: 0,
             residency: self.cfg.residency_rows.map(|rows| {
                 // The budget is module-wide; each slot owns an even
-                // share.
+                // share (`validate` guarantees it divides).
                 let slots = self.cfg.residency_slots;
-                ResidencyModel::with_slots(slots, (rows / slots).max(1))
+                ResidencyModel::with_slots(slots, rows / slots)
             }),
             busy: Vec::new(),
             defer_until: 0.0,
@@ -1672,6 +1685,24 @@ mod tests {
                     ..ServeConfig::default()
                 },
                 "slots",
+            ),
+            // A budget the slots cannot split: 10 rows over 4 slots
+            // would model 8 rows, 3 rows over 8 slots would model 8.
+            (
+                ServeConfig {
+                    residency_rows: Some(10),
+                    residency_slots: 4,
+                    ..ServeConfig::default()
+                },
+                "not a multiple",
+            ),
+            (
+                ServeConfig {
+                    residency_rows: Some(3),
+                    residency_slots: 8,
+                    ..ServeConfig::default()
+                },
+                "not a multiple",
             ),
             (
                 ServeConfig {

@@ -1,7 +1,7 @@
 //! Typed trace events and track identities.
 
-/// Perfetto process id for the DRAM layer (command schedulers and the
-/// host fetch queue).
+/// Perfetto process id for the DRAM layer (the host fetch queue's
+/// per-bank lanes).
 pub const PID_DRAM: u32 = 1;
 /// Perfetto process id for the core layer (engine launches).
 pub const PID_CORE: u32 = 2;
@@ -21,7 +21,8 @@ pub struct Track {
     pub tid: u32,
 }
 
-/// Tid bit marking a DRAM host-fetch bank lane (vs a command lane).
+/// Tid bit marking a DRAM host-fetch bank lane. Exported traces carry
+/// it, so changing it changes their bytes.
 const FETCH_LANE: u32 = 0x0100_0000;
 
 impl Track {
@@ -29,14 +30,6 @@ impl Track {
     #[must_use]
     pub const fn new(pid: u32, tid: u32) -> Self {
         Self { pid, tid }
-    }
-
-    /// The command lane of `(channel, rank, subarray)` on the DRAM pid:
-    /// one track per SALP stream gate lane of a
-    /// [`ChannelScheduler`](https://docs.rs/c2m_dram).
-    #[must_use]
-    pub const fn dram_lane(channel: u32, rank: u32, subarray: u32) -> Self {
-        Self::new(PID_DRAM, (channel << 16) | (rank << 8) | subarray)
     }
 
     /// The host-fetch lane of one bank of the FR-FCFS request queue.
@@ -60,18 +53,6 @@ impl Track {
     pub const fn serve(tid: u32) -> Self {
         Self::new(PID_SERVE, tid)
     }
-
-    /// Whether this is a DRAM host-fetch lane (vs a command lane).
-    #[must_use]
-    pub const fn is_fetch_lane(self) -> bool {
-        self.pid == PID_DRAM && self.tid & FETCH_LANE != 0
-    }
-
-    /// Decodes a DRAM command lane tid into `(channel, rank, subarray)`.
-    #[must_use]
-    pub const fn dram_lane_parts(self) -> (u32, u32, u32) {
-        (self.tid >> 16, (self.tid >> 8) & 0xFF, self.tid & 0xFF)
-    }
 }
 
 /// One structured trace event. All payloads are `Copy` (`&'static str`
@@ -80,8 +61,9 @@ impl Track {
 pub enum TraceEvent {
     /// A span opens on `track` at `t_ns`. Spans on one track must nest:
     /// emitters record begin/end pairs back-to-back (via
-    /// [`TraceSink::span`](crate::TraceSink::span)) with
-    /// non-overlapping or properly contained intervals.
+    /// [`TraceSink::span`](crate::TraceSink::span)), and a span lies
+    /// within any span still open around it on its track. Sibling spans
+    /// may overlap in time.
     Begin {
         /// Start instant, ns.
         t_ns: f64,
@@ -99,7 +81,7 @@ pub enum TraceEvent {
         /// Timeline track.
         track: Track,
     },
-    /// A point event (e.g. a gate stall, a request arrival).
+    /// A point event (e.g. a request arrival).
     Instant {
         /// Instant, ns.
         t_ns: f64,
@@ -166,10 +148,7 @@ mod tests {
 
     #[test]
     fn track_encodings_round_trip() {
-        let lane = Track::dram_lane(3, 2, 7);
-        assert_eq!(lane.dram_lane_parts(), (3, 2, 7));
-        assert!(!lane.is_fetch_lane());
-        assert!(Track::dram_fetch(5).is_fetch_lane());
+        assert_eq!(Track::dram_fetch(5), Track::new(PID_DRAM, 0x0100_0005));
         assert_eq!(Track::core(0).pid, PID_CORE);
         assert_eq!(Track::serve(2).tid, 2);
     }

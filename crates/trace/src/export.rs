@@ -6,7 +6,7 @@
 //! counters, `"M"` metadata), `ts` in microseconds, and `pid`/`tid`
 //! selecting the track. [`process_label`] and the exporter's
 //! thread-name metadata decode the [`Track`] encodings so the Perfetto
-//! UI shows e.g. `dram / ch0 rk1 sa3` instead of raw ids.
+//! UI shows e.g. `dram / fetch bank 3` instead of raw ids.
 
 use crate::event::{TraceEvent, Track, PID_CORE, PID_DRAM, PID_SERVE};
 use serde::Value;
@@ -26,14 +26,7 @@ pub fn process_label(pid: u32) -> &'static str {
 /// Human label for a track within its layer.
 fn thread_label(track: Track) -> String {
     match track.pid {
-        PID_DRAM => {
-            if track.is_fetch_lane() {
-                format!("fetch bank {}", track.tid & 0x00FF_FFFF)
-            } else {
-                let (c, r, s) = track.dram_lane_parts();
-                format!("ch{c} rk{r} sa{s}")
-            }
-        }
+        PID_DRAM => format!("fetch bank {}", track.tid & 0x00FF_FFFF),
         PID_CORE => {
             if track.tid == 0 {
                 "launch".to_string()
@@ -233,13 +226,38 @@ fn num_field(fields: &[(String, Value)], key: &str) -> Option<f64> {
     }
 }
 
-/// Parses and structurally validates a Chrome-trace JSON string.
+/// Relative slack of the span-order checks: emitters compute a span's
+/// end and its inner spans' ends along different float sums, so one
+/// instant can differ in its last bits (`4365.89465` closing a span
+/// whose inner span ends at `4365.894650000001`).
+const TS_SLACK: f64 = 1e-9;
+
+/// Whether `a` lies before `b` by more than float rounding.
+fn before(a: f64, b: f64) -> bool {
+    a < b - TS_SLACK * a.abs().max(b.abs())
+}
+
+/// A span still open on a track while [`validate_chrome_trace`] walks
+/// the events.
+struct OpenSpan {
+    /// The span's `ts`.
+    begin: f64,
+    /// The earliest the span may end: its `begin`, or the latest end of
+    /// the spans already closed inside it.
+    min_end: f64,
+}
+
+/// Parses and validates a Chrome-trace JSON string.
 ///
 /// Checks: the document parses, has a `traceEvents` array, every event
-/// carries the fields its phase requires (`ts`/`pid`/`tid` everywhere,
-/// `name`+`cat` on begins/instants/counters, an `args` object on
-/// counters), and begin/end pairs balance on every `(pid, tid)` track.
-/// This is what the CI smoke job and `c2m trace --check` run.
+/// carries the fields its phase requires (a finite `ts` and integer
+/// `pid`/`tid` everywhere, `name`+`cat` on begins/instants/counters, an
+/// `args` object on counters), and begin/end pairs balance and nest in
+/// time on every `(pid, tid)` track: an `E` comes no earlier than its
+/// `B`, and a span starts and ends within the span enclosing it.
+/// Sibling spans may overlap (the serving runtime's rejected
+/// power-governor trials leave overlapping fetch spans). This is what
+/// the CI smoke job and `c2m trace --check` run.
 ///
 /// # Errors
 ///
@@ -253,7 +271,7 @@ pub fn validate_chrome_trace(json: &str) -> Result<TraceCheck, String> {
         return Err("missing traceEvents array".to_string());
     };
 
-    let mut depth: BTreeMap<(i128, i128), usize> = BTreeMap::new();
+    let mut open: BTreeMap<(i128, i128), Vec<OpenSpan>> = BTreeMap::new();
     let mut track_set: BTreeSet<(i128, i128)> = BTreeSet::new();
     let mut cats: Vec<String> = Vec::new();
     let mut counted = 0usize;
@@ -273,8 +291,11 @@ pub fn validate_chrome_trace(json: &str) -> Result<TraceCheck, String> {
         if ph == "M" {
             continue; // metadata: no ts, not a track event
         }
-        if num_field(fields, "ts").is_none() {
+        let Some(ts) = num_field(fields, "ts") else {
             return Err(format!("event {i} (ph {ph}) has no numeric ts"));
+        };
+        if !ts.is_finite() {
+            return Err(format!("event {i} (ph {ph}) has a non-finite ts"));
         }
         counted += 1;
         track_set.insert((pid, tid));
@@ -288,16 +309,38 @@ pub fn validate_chrome_trace(json: &str) -> Result<TraceCheck, String> {
                 if str_field(fields, "name").is_none() || str_field(fields, "cat").is_none() {
                     return Err(format!("B event {i} missing name/cat"));
                 }
-                *depth.entry((pid, tid)).or_insert(0) += 1;
+                let stack = open.entry((pid, tid)).or_default();
+                if let Some(outer) = stack.last() {
+                    if before(ts, outer.begin) {
+                        return Err(format!(
+                            "B event {i} on track ({pid},{tid}) starts at {ts}, before its \
+                             enclosing span begins at {}",
+                            outer.begin
+                        ));
+                    }
+                }
+                stack.push(OpenSpan {
+                    begin: ts,
+                    min_end: ts,
+                });
             }
             "E" => {
-                let d = depth.entry((pid, tid)).or_insert(0);
-                if *d == 0 {
+                let stack = open.entry((pid, tid)).or_default();
+                let Some(span) = stack.pop() else {
                     return Err(format!(
                         "E event {i} on track ({pid},{tid}) has no open span"
                     ));
+                };
+                if before(ts, span.min_end) {
+                    return Err(format!(
+                        "E event {i} on track ({pid},{tid}) at {ts} closes a span that \
+                         began at {} before it or a span inside it ends at {}",
+                        span.begin, span.min_end
+                    ));
                 }
-                *d -= 1;
+                if let Some(outer) = stack.last_mut() {
+                    outer.min_end = outer.min_end.max(ts);
+                }
                 spans += 1;
             }
             "i" | "I" => {
@@ -318,10 +361,11 @@ pub fn validate_chrome_trace(json: &str) -> Result<TraceCheck, String> {
         }
     }
 
-    for ((pid, tid), d) in &depth {
-        if *d != 0 {
+    for ((pid, tid), stack) in &open {
+        if !stack.is_empty() {
             return Err(format!(
-                "track ({pid},{tid}) ends with {d} unclosed span(s)"
+                "track ({pid},{tid}) ends with {} unclosed span(s)",
+                stack.len()
             ));
         }
     }
@@ -342,13 +386,8 @@ mod tests {
 
     fn sample_sink() -> RecordingSink {
         let sink = RecordingSink::new(64);
-        sink.span(Track::dram_lane(0, 0, 0), "Aap", "dram", 0.0, 10.0);
-        sink.record(TraceEvent::Instant {
-            t_ns: 4.0,
-            name: "gate_stall",
-            cat: "dram",
-            track: Track::dram_lane(0, 0, 1),
-        });
+        sink.span(Track::dram_fetch(0), "fetch_miss", "dram", 0.0, 10.0);
+        sink.span(Track::dram_fetch(1), "fetch_hit", "dram", 4.0, 6.0);
         sink.span(Track::core(0), "launch", "core", 0.0, 100.0);
         sink.record(TraceEvent::Counter {
             t_ns: 50.0,
@@ -364,7 +403,7 @@ mod tests {
     fn export_round_trips_through_validator() {
         let json = sample_sink().chrome_trace_json();
         let check = validate_chrome_trace(&json).expect("exported trace validates");
-        assert_eq!(check.spans, 2);
+        assert_eq!(check.spans, 3);
         assert_eq!(check.cats, vec!["core", "dram", "serve"]);
         assert!(check.tracks >= 4);
         assert!(check.events >= 6);
@@ -404,6 +443,36 @@ mod tests {
         ]}"#;
         let err = validate_chrome_trace(json).unwrap_err();
         assert!(err.contains("unclosed"), "err = {err}");
+    }
+
+    #[test]
+    fn validator_checks_spans_nest_in_time() {
+        // `tests/cli.rs` covers a non-finite ts, an E before its B and
+        // an inner span that ends after its outer one.
+        let starts_early = r#"{"traceEvents":[
+            {"name":"outer","cat":"core","ph":"B","ts":5,"pid":2,"tid":0},
+            {"name":"inner","cat":"core","ph":"B","ts":2,"pid":2,"tid":0},
+            {"ph":"E","ts":6,"pid":2,"tid":0},
+            {"ph":"E","ts":8,"pid":2,"tid":0}
+        ]}"#;
+        let err = validate_chrome_trace(starts_early).unwrap_err();
+        assert!(err.contains("before its enclosing span"), "err = {err}");
+        // Overlapping siblings on one track stay valid, and so does an
+        // inner span that outlasts its outer one by float rounding.
+        let siblings = r#"{"traceEvents":[
+            {"name":"a","cat":"dram","ph":"B","ts":0,"pid":1,"tid":0},
+            {"ph":"E","ts":10,"pid":1,"tid":0},
+            {"name":"b","cat":"dram","ph":"B","ts":4,"pid":1,"tid":0},
+            {"ph":"E","ts":6,"pid":1,"tid":0}
+        ]}"#;
+        assert_eq!(validate_chrome_trace(siblings).map(|c| c.spans), Ok(2));
+        let rounded = r#"{"traceEvents":[
+            {"name":"launch","cat":"core","ph":"B","ts":0,"pid":2,"tid":0},
+            {"name":"merge","cat":"core","ph":"B","ts":1,"pid":2,"tid":0},
+            {"ph":"E","ts":4365.894650000001,"pid":2,"tid":0},
+            {"ph":"E","ts":4365.89465,"pid":2,"tid":0}
+        ]}"#;
+        assert_eq!(validate_chrome_trace(rounded).map(|c| c.spans), Ok(2));
     }
 
     #[test]

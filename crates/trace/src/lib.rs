@@ -1,10 +1,11 @@
 //! Zero-cost structured tracing + metrics for the Count2Multiply stack.
 //!
-//! The execution layers (`c2m_dram` schedulers, the `c2m_core` engine,
-//! the `c2m_serve` runtime) compute detailed per-command / per-shard /
-//! per-request timelines and, until this crate, threw them away: the
-//! only visibility into a run was the end-of-run aggregate. This crate
-//! provides the instrumentation substrate they thread events through:
+//! The execution layers (the `c2m_dram` host fetch queue, the
+//! `c2m_core` engine, the `c2m_serve` runtime) compute detailed
+//! per-fetch / per-shard / per-request timelines and, until this crate,
+//! threw them away: the only visibility into a run was the end-of-run
+//! aggregate. This crate provides the instrumentation substrate they
+//! thread events through:
 //!
 //! * [`TraceEvent`] — typed, allocation-free events: span begin/end
 //!   with a category and a [`Track`] (Perfetto pid/tid), instant
@@ -19,14 +20,13 @@
 //!   latency histograms ([`LogHistogram`]), exported as flat JSON.
 //! * [`chrome_trace_json`] — Chrome-trace/Perfetto JSON export
 //!   (`traceEvents` array, pid/tid = layer/lane tracks), and
-//!   [`validate_chrome_trace`] — the parser/balance checker the CI
+//!   [`validate_chrome_trace`] — the parser/balance/time-order checker the CI
 //!   smoke job and the `c2m trace --check` subcommand run.
 //!
-//! Track conventions (see [`Track`]): pid [`PID_DRAM`] carries
-//! per-(channel, rank, subarray) command lanes and per-bank host-fetch
-//! lanes, pid [`PID_CORE`] carries engine launches (one launch track
-//! plus one track per channel), pid [`PID_SERVE`] carries the serving
-//! pipeline (requests / planner / engine tracks).
+//! Track conventions (see [`Track`]): pid [`PID_DRAM`] carries the
+//! per-bank host-fetch lanes, pid [`PID_CORE`] carries engine launches
+//! (one launch track plus one track per channel), pid [`PID_SERVE`]
+//! carries the serving pipeline (requests / planner / engine tracks).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

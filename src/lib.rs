@@ -23,7 +23,7 @@
 //!   runtime: multi-tenant traffic, FR-FCFS batched host queue,
 //!   double-buffered planner, latency-percentile reports.
 //! * [`trace`] — zero-cost structured tracing and metrics threaded
-//!   through all three execution layers (DRAM command lanes → engine
+//!   through all three execution layers (DRAM host fetches → engine
 //!   launches → serving pipeline), with a Chrome-trace/Perfetto JSON
 //!   exporter and log-bucketed latency histograms.
 //!

@@ -82,7 +82,7 @@ fn every_reexport_is_reachable_and_sane() {
     assert!(gemm.elapsed_ns > 0.0);
     assert_ne!(MaskEncoding::Binary, MaskEncoding::Ternary);
     // topology + sharding surface
-    assert!(Topology::single(4).is_single());
+    assert_eq!(Topology::single(4).units(), 1);
     assert_eq!(engine.topology().units(), 1);
     let plan = ShardPlanner::new(
         Topology {

@@ -2,6 +2,7 @@
 //! malformed value exits 1 with an `error:` line, never with a panic
 //! (exit 101) or an abort (exit 134).
 
+use count2multiply::trace::{RecordingSink, TraceSink, Track};
 use std::process::{Command, Output};
 
 fn c2m(args: &[&str]) -> Output {
@@ -26,13 +27,7 @@ fn malformed_flags_exit_with_an_error_line() {
         &["radix-sweep", "--max-radix", "66"],
     ];
     for args in cases {
-        let out = c2m(args);
-        let stderr = String::from_utf8_lossy(&out.stderr);
-        assert_eq!(out.status.code(), Some(1), "c2m {args:?}: {stderr}");
-        assert!(
-            stderr.lines().any(|l| l.starts_with("error: ")),
-            "c2m {args:?}: {stderr}"
-        );
+        assert_error_exit(&format!("c2m {args:?}"), &c2m(args));
     }
 }
 
@@ -48,19 +43,99 @@ fn a_valid_call_exits_zero() {
     assert!(String::from_utf8_lossy(&out.stdout).contains("bit-exact vs reference : true"));
 }
 
-#[test]
-fn a_deeply_nested_trace_file_exits_with_an_error_line() {
-    // 400 KB of `[` overflows the stack of a parser without a depth
-    // limit.
-    let path = std::env::temp_dir().join(format!("c2m-nested-{}.json", std::process::id()));
-    std::fs::write(&path, "[".repeat(400_000)).expect("the temp dir is writable");
+/// Runs `c2m trace --check` on a temp file holding `contents` (no file
+/// at all for `None`). `tag` keeps the paths of concurrently running
+/// tests apart.
+fn trace_check(tag: &str, contents: Option<&[u8]>) -> Output {
+    let path = std::env::temp_dir().join(format!("c2m-{tag}-{}.json", std::process::id()));
+    let _ = std::fs::remove_file(&path);
+    if let Some(bytes) = contents {
+        std::fs::write(&path, bytes).expect("the temp dir is writable");
+    }
     let out = c2m(&[
         "trace",
         "--check",
         path.to_str().expect("a UTF-8 temp path"),
     ]);
     let _ = std::fs::remove_file(&path);
+    out
+}
+
+fn assert_error_exit(case: &str, out: &Output) {
     let stderr = String::from_utf8_lossy(&out.stderr);
-    assert_eq!(out.status.code(), Some(1), "{stderr}");
-    assert!(stderr.lines().any(|l| l.starts_with("error: ")), "{stderr}");
+    assert_eq!(out.status.code(), Some(1), "{case}: {stderr}");
+    assert!(
+        stderr.lines().any(|l| l.starts_with("error: ")),
+        "{case}: {stderr}"
+    );
+}
+
+#[test]
+fn a_deeply_nested_trace_file_exits_with_an_error_line() {
+    // 400 KB of `[` overflows the stack of a parser without a depth
+    // limit.
+    let out = trace_check("nested", Some("[".repeat(400_000).as_bytes()));
+    assert_error_exit("deep nesting", &out);
+}
+
+/// A small valid export: a fetch span, and a launch span with a merge
+/// round nested inside it.
+fn small_export() -> String {
+    let sink = RecordingSink::new(16);
+    sink.span(Track::dram_fetch(0), "fetch_hit", "dram", 0.0, 10.0);
+    sink.span(Track::core(0), "launch", "core", 0.0, 100.0);
+    sink.span(Track::core(0), "merge_round", "core", 20.0, 30.0);
+    sink.chrome_trace_json()
+}
+
+#[test]
+fn malformed_trace_files_exit_with_an_error_line() {
+    let span = |b: &str, e: &str| {
+        format!(
+            r#"{{"traceEvents":[{{"name":"x","cat":"core","ph":"B","ts":{b},"pid":2,"tid":0}},{{"ph":"E","ts":{e},"pid":2,"tid":0}}]}}"#
+        )
+    };
+    let cases: Vec<(&str, Option<Vec<u8>>)> = vec![
+        ("invalid UTF-8", Some(vec![b'{', 0xFF, 0xFE, b'}'])),
+        ("missing file", None),
+        ("non-finite ts", Some(span("1e400", "1e400").into_bytes())),
+        ("E before its B", Some(span("5", "1").into_bytes())),
+        (
+            "child outside its parent",
+            Some(
+                concat!(
+                    r#"{"traceEvents":["#,
+                    r#"{"name":"outer","cat":"core","ph":"B","ts":0,"pid":2,"tid":0},"#,
+                    r#"{"name":"inner","cat":"core","ph":"B","ts":5,"pid":2,"tid":0},"#,
+                    r#"{"ph":"E","ts":10,"pid":2,"tid":0},"#,
+                    r#"{"ph":"E","ts":3,"pid":2,"tid":0}]}"#
+                )
+                .as_bytes()
+                .to_vec(),
+            ),
+        ),
+    ];
+    for (case, contents) in &cases {
+        assert_error_exit(case, &trace_check("malformed", contents.as_deref()));
+    }
+
+    // Every proper byte-prefix of a valid export is malformed.
+    let export = small_export();
+    let out = trace_check("prefix", Some(export.as_bytes()));
+    assert_eq!(
+        out.status.code(),
+        Some(0),
+        "the whole export is valid: {}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    for len in 0..export.len() {
+        let case = format!(
+            "the first {len} of {} bytes of a valid export",
+            export.len()
+        );
+        assert_error_exit(
+            &case,
+            &trace_check("prefix", Some(&export.as_bytes()[..len])),
+        );
+    }
 }

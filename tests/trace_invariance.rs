@@ -24,11 +24,11 @@ fn engine(channels: usize, subarrays: usize, trace: Option<Arc<dyn TraceSink>>) 
     let mut cfg = EngineConfig::c2m(16);
     cfg.dram.channels = channels;
     cfg.subarrays = subarrays;
-    let mut b = C2mEngine::builder(cfg);
+    let mut engine = C2mEngine::builder(cfg).build();
     if let Some(sink) = trace {
-        b = b.trace(sink);
+        engine.set_trace(sink);
     }
-    b.build()
+    engine
 }
 
 fn serve_cfg(policy: SchedPolicy, max_batch: usize, residency: bool) -> ServeConfig {
