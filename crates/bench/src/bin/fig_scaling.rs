@@ -18,7 +18,7 @@
 //! `RAYON_NUM_THREADS`. With `--cache-dir <dir>` the shared cache
 //! persists to `<dir>/fig_scaling.c2mcache.json` across invocations.
 
-use c2m_bench::{cache_store_path, eng, header, maybe_json, trace_flag};
+use c2m_bench::{eng, fail, header, maybe_json, Outputs};
 use c2m_cim::Backend;
 use c2m_core::cache::PlanCache;
 use c2m_core::engine::{C2mEngine, EngineConfig};
@@ -28,6 +28,8 @@ use c2m_workloads::distributions::int8_embeddings;
 use c2m_workloads::llama::{GEMM_SHAPES, GEMV_SHAPES};
 use rayon::prelude::*;
 use serde::Serialize;
+use std::fs::File;
+use std::io::Write;
 use std::sync::Arc;
 
 #[derive(Serialize)]
@@ -120,7 +122,7 @@ fn print_row(row: &ScalingRow) {
 /// (launch span, per-channel shard spans, merge rounds, cache
 /// counters). The analytic launch never drives a command scheduler or
 /// fetch queue, so the trace carries `core` events only.
-fn trace_export(path: &str) {
+fn trace_export((path, mut file): (String, File)) {
     let shape = GEMV_SHAPES[0];
     let x = int8_embeddings(shape.k, 0x5CA1);
     let build = |sink: Option<Arc<dyn c2m_trace::TraceSink>>| {
@@ -148,7 +150,8 @@ fn trace_export(path: &str) {
         check.cats.iter().any(|c| c == "core"),
         "engine trace must carry core events"
     );
-    std::fs::write(path, &json).expect("trace output path is writable");
+    file.write_all(json.as_bytes())
+        .unwrap_or_else(|e| fail(&format!("cannot write the --trace file {path}: {e}")));
     println!(
         "\n--trace: {path} — {} events, {} spans, {} tracks; traced report bit-equal to untraced",
         check.events, check.spans, check.tracks
@@ -156,6 +159,7 @@ fn trace_export(path: &str) {
 }
 
 fn main() {
+    let outputs = Outputs::open("fig_scaling").unwrap_or_else(|e| fail(&e));
     header(
         "fig_scaling",
         "Topology scaling: V0 GEMV / M2 GEMM over channels and SALP streams",
@@ -169,8 +173,7 @@ fn main() {
     let x_gemv = int8_embeddings(gemv_shape.k, 0x5CA1);
     let x_gemm = int8_embeddings(gemm_shape.k, 0x5CA2);
     let cache = Arc::new(PlanCache::default());
-    let store = cache_store_path("fig_scaling");
-    if let Some(path) = &store {
+    if let Some(path) = &outputs.store {
         let _ = CacheStore::load_into(path, &cache);
     }
 
@@ -246,11 +249,16 @@ fn main() {
     println!("speedups are sublinear in channels, and FCDRAM pays the generic-lowering premium.");
     println!("SALP rows shard below the rank too: streams saturate at the channel-gate cap,");
     println!("so the 32- and 128-subarray points coincide once the cap binds.");
-    if let Some(path) = trace_flag() {
-        trace_export(&path);
+    if let Some(trace) = outputs.trace {
+        trace_export(trace);
     }
-    if let Some(path) = &store {
-        CacheStore::save(path, &cache).expect("cache store path is writable");
+    if let Some(path) = &outputs.store {
+        CacheStore::save(path, &cache).unwrap_or_else(|e| {
+            fail(&format!(
+                "cannot write the cache store {}: {e}",
+                path.display()
+            ))
+        });
     }
     maybe_json(&rows);
 }

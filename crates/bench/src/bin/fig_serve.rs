@@ -45,7 +45,7 @@
 //! the sweep and saved back afterwards, so a repeated invocation starts
 //! warm across processes.
 
-use c2m_bench::{cache_store_path, eng, header, maybe_json, trace_flag};
+use c2m_bench::{eng, fail, header, maybe_json, Outputs};
 use c2m_cim::Backend;
 use c2m_core::cache::PlanCache;
 use c2m_core::engine::{C2mEngine, EngineConfig};
@@ -57,6 +57,8 @@ use c2m_serve::{
 };
 use rayon::prelude::*;
 use serde::Serialize;
+use std::fs::File;
+use std::io::Write;
 use std::sync::Arc;
 
 #[derive(Serialize)]
@@ -283,7 +285,11 @@ fn exec(
 /// through serve → core → dram — assert the traced report serialises
 /// bit-identically to the untraced one (tracing is observational), and
 /// export the Chrome-trace JSON.
-fn trace_export(slo_trace: &[ServeRequest], ambit: &BackendPolicy, path: &str) {
+fn trace_export(
+    slo_trace: &[ServeRequest],
+    ambit: &BackendPolicy,
+    (path, mut file): (String, File),
+) {
     let fresh = || {
         // Private caches on both sides: shared warm state would make
         // the cumulative cache tallies differ between the two runs.
@@ -316,7 +322,8 @@ fn trace_export(slo_trace: &[ServeRequest], ambit: &BackendPolicy, path: &str) {
             "trace is missing `{cat}` events"
         );
     }
-    std::fs::write(path, &json).expect("trace output path is writable");
+    file.write_all(json.as_bytes())
+        .unwrap_or_else(|e| fail(&format!("cannot write the --trace file {path}: {e}")));
     println!(
         "\n--trace: {path} — {} events, {} spans, {} tracks; traced report bit-equal to untraced",
         check.events, check.spans, check.tracks
@@ -324,6 +331,7 @@ fn trace_export(slo_trace: &[ServeRequest], ambit: &BackendPolicy, path: &str) {
 }
 
 fn main() {
+    let outputs = Outputs::open("fig_serve").unwrap_or_else(|e| fail(&e));
     header(
         "fig_serve",
         "Serving runtime: batch window x topology x backend mix x policy",
@@ -355,8 +363,7 @@ fn main() {
     // policies, not inputs.
     let traces = (workload(), slo_workload());
     let cache = Arc::new(PlanCache::default());
-    let store = cache_store_path("fig_serve");
-    if let Some(path) = &store {
+    if let Some(path) = &outputs.store {
         let _ = CacheStore::load_into(path, &cache);
     }
     let mut jobs: Vec<Job> = Vec::new();
@@ -552,11 +559,16 @@ fn main() {
     println!("sweep reports J/request off the ledger and holds a rolling-window power cap");
     println!("by shrinking/deferring batches, trading latency for cap compliance; the SALP");
     println!("residency sweep prices reloads per subarray slot, never under the flat model.");
-    if let Some(path) = trace_flag() {
-        trace_export(&traces.1, &ambit, &path);
+    if let Some(trace) = outputs.trace {
+        trace_export(&traces.1, &ambit, trace);
     }
-    if let Some(path) = &store {
-        CacheStore::save(path, &cache).expect("cache store path is writable");
+    if let Some(path) = &outputs.store {
+        CacheStore::save(path, &cache).unwrap_or_else(|e| {
+            fail(&format!(
+                "cannot write the cache store {}: {e}",
+                path.display()
+            ))
+        });
     }
     maybe_json(&rows);
 }

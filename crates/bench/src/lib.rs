@@ -30,38 +30,77 @@ pub fn geomean(values: &[f64]) -> f64 {
     (s / values.len() as f64).exp()
 }
 
-/// The output path of a `--trace <out.json>` flag, when one was passed:
-/// bench binaries that support it re-run one representative
-/// configuration with a recording sink, assert the traced report is
-/// bit-identical to the untraced one, and export the Chrome-trace JSON.
-#[must_use]
-pub fn trace_flag() -> Option<String> {
+/// The value after flag `name`, when the flag was passed.
+///
+/// # Errors
+///
+/// The flag is last, or the next argument is another flag (begins with
+/// `--`).
+fn flag_value(name: &str) -> Result<Option<String>, String> {
     let args: Vec<String> = std::env::args().collect();
-    args.iter()
-        .position(|a| a == "--trace")
-        .and_then(|i| args.get(i + 1).cloned())
+    let Some(i) = args.iter().position(|a| a == name) else {
+        return Ok(None);
+    };
+    match args.get(i + 1) {
+        Some(value) if !value.starts_with("--") => Ok(Some(value.clone())),
+        Some(flag) => Err(format!("{name} needs a value, not the flag {flag}")),
+        None => Err(format!("{name} needs a value")),
+    }
 }
 
-/// The directory of a `--cache-dir <dir>` flag, when one was passed:
-/// binaries that support it load their persistent plan/report cache
-/// store from `<dir>/<name>.c2mcache.json` before sweeping and save it
-/// back afterwards, so repeated invocations start warm across
-/// processes. A missing, stale or corrupt store file is simply a cold
-/// start — results are bit-for-bit identical either way.
-#[must_use]
-pub fn cache_dir_flag() -> Option<std::path::PathBuf> {
-    let args: Vec<String> = std::env::args().collect();
-    args.iter()
-        .position(|a| a == "--cache-dir")
-        .and_then(|i| args.get(i + 1))
-        .map(std::path::PathBuf::from)
+/// The files a binary writes for `--trace` and `--cache-dir`, opened
+/// before its sweep runs, so that a bad flag costs no sweep.
+#[derive(Debug)]
+pub struct Outputs {
+    /// `--trace <out.json>`: the path, and the file created empty there.
+    /// Binaries that take it re-run one representative configuration
+    /// with a recording sink, assert the traced report is bit-identical
+    /// to the untraced one, and export the Chrome-trace JSON.
+    pub trace: Option<(String, std::fs::File)>,
+    /// `--cache-dir <dir>`: binary `name`'s store file
+    /// `<dir>/<name>.c2mcache.json`, whose directory exists. Binaries
+    /// that take it load their persistent plan/report cache from it
+    /// before sweeping and save it back afterwards, so repeated
+    /// invocations start warm across processes. A missing, stale or
+    /// corrupt store file is simply a cold start — results are
+    /// bit-for-bit identical either way.
+    pub store: Option<std::path::PathBuf>,
 }
 
-/// The store-file path for binary `name` under `--cache-dir`, when the
-/// flag was passed.
-#[must_use]
-pub fn cache_store_path(name: &str) -> Option<std::path::PathBuf> {
-    cache_dir_flag().map(|d| d.join(format!("{name}.c2mcache.json")))
+impl Outputs {
+    /// Reads both flags for binary `name`, creates the cache directory,
+    /// then the trace file.
+    ///
+    /// # Errors
+    ///
+    /// A flag has no value, or its path cannot be created.
+    pub fn open(name: &str) -> Result<Self, String> {
+        let store = match flag_value("--cache-dir")? {
+            Some(dir) => {
+                let dir = std::path::PathBuf::from(dir);
+                std::fs::create_dir_all(&dir)
+                    .map_err(|e| format!("cannot create the --cache-dir {}: {e}", dir.display()))?;
+                Some(dir.join(format!("{name}.c2mcache.json")))
+            }
+            None => None,
+        };
+        let trace = match flag_value("--trace")? {
+            Some(path) => {
+                let file = std::fs::File::create(&path)
+                    .map_err(|e| format!("cannot create the --trace file {path}: {e}"))?;
+                Some((path, file))
+            }
+            None => None,
+        };
+        Ok(Self { trace, store })
+    }
+}
+
+/// Prints `error: <msg>` to stderr and exits with status 1: how a
+/// binary reports a bad flag or an output it cannot write.
+pub fn fail(msg: &str) -> ! {
+    eprintln!("error: {msg}");
+    std::process::exit(1)
 }
 
 /// Dumps a serialisable result as pretty JSON when `--json` was passed.

@@ -1482,16 +1482,22 @@ impl C2mEngine {
                 sink.span(Track::core(1 + c as u32), "shard_exec", "core", t0, t0 + ns);
             }
         }
+        // `elapsed_ns` adds the rounds up in another order than this
+        // walk does, so the last child can overrun the launch by an ulp:
+        // each child is clamped into the launch.
+        let end = t0 + report.elapsed_ns;
         let mut t = t0 + compute_ns;
         for &round_ns in merge_rounds {
-            sink.span(Track::core(0), "merge_round", "core", t, t + round_ns);
+            let (b, e) = (t.min(end), (t + round_ns).min(end));
+            sink.span(Track::core(0), "merge_round", "core", b, e);
             t += round_ns;
         }
         if gather_ns > 0.0 {
-            sink.span(Track::core(0), "host_gather", "core", t, t + gather_ns);
+            let (b, e) = (t.min(end), (t + gather_ns).min(end));
+            sink.span(Track::core(0), "host_gather", "core", b, e);
         }
         sink.record(TraceEvent::End {
-            t_ns: t0 + report.elapsed_ns,
+            t_ns: end,
             track: Track::core(0),
         });
         if let Some(m) = sink.metrics() {
@@ -1527,6 +1533,22 @@ mod tests {
     fn int8_stream(len: usize, seed: u64) -> Vec<i64> {
         let mut rng = ChaCha12Rng::seed_from_u64(seed);
         (0..len).map(|_| rng.gen_range(-128i64..128)).collect()
+    }
+
+    #[test]
+    fn merge_rounds_summing_past_the_launch_stay_inside_it() {
+        let sink = Arc::new(c2m_trace::RecordingSink::new(64));
+        let mut e = C2mEngine::builder(EngineConfig::c2m(1)).build();
+        let mut report = e.ternary_gemv(&int8_stream(64, 9), 64);
+        e.set_trace(sink.clone());
+        // The launch clock starts at 0, so the walk ends the last round
+        // at `compute + 0.1 + 0.2`, one ulp past the launch's end.
+        let (compute_ns, rounds, gather_ns) = (0.3f64, [0.1, 0.2], 0.05);
+        report.elapsed_ns = (compute_ns + rounds[0] + rounds[1]).next_down();
+        e.trace_launch(&[compute_ns], compute_ns, &rounds, gather_ns, &report);
+        let json = sink.chrome_trace_json();
+        let check = c2m_trace::validate_chrome_trace(&json).expect("children nest in the launch");
+        assert_eq!(check.spans, 5); // launch, shard_exec, 2 rounds, gather
     }
 
     #[test]

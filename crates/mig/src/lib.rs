@@ -46,6 +46,7 @@
 //! assert!(!lowered.program.is_empty());
 //! ```
 
+#![forbid(unsafe_code)]
 #![expect(
     clippy::disallowed_types,
     reason = "the HashMaps here are lookup-only (structural hashing, row placement, refcounts); \

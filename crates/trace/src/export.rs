@@ -226,17 +226,6 @@ fn num_field(fields: &[(String, Value)], key: &str) -> Option<f64> {
     }
 }
 
-/// Relative slack of the span-order checks: emitters compute a span's
-/// end and its inner spans' ends along different float sums, so one
-/// instant can differ in its last bits (`4365.89465` closing a span
-/// whose inner span ends at `4365.894650000001`).
-const TS_SLACK: f64 = 1e-9;
-
-/// Whether `a` lies before `b` by more than float rounding.
-fn before(a: f64, b: f64) -> bool {
-    a < b - TS_SLACK * a.abs().max(b.abs())
-}
-
 /// A span still open on a track while [`validate_chrome_trace`] walks
 /// the events.
 struct OpenSpan {
@@ -311,7 +300,7 @@ pub fn validate_chrome_trace(json: &str) -> Result<TraceCheck, String> {
                 }
                 let stack = open.entry((pid, tid)).or_default();
                 if let Some(outer) = stack.last() {
-                    if before(ts, outer.begin) {
+                    if ts < outer.begin {
                         return Err(format!(
                             "B event {i} on track ({pid},{tid}) starts at {ts}, before its \
                              enclosing span begins at {}",
@@ -331,7 +320,7 @@ pub fn validate_chrome_trace(json: &str) -> Result<TraceCheck, String> {
                         "E event {i} on track ({pid},{tid}) has no open span"
                     ));
                 };
-                if before(ts, span.min_end) {
+                if ts < span.min_end {
                     return Err(format!(
                         "E event {i} on track ({pid},{tid}) at {ts} closes a span that \
                          began at {} before it or a span inside it ends at {}",
@@ -457,8 +446,7 @@ mod tests {
         ]}"#;
         let err = validate_chrome_trace(starts_early).unwrap_err();
         assert!(err.contains("before its enclosing span"), "err = {err}");
-        // Overlapping siblings on one track stay valid, and so does an
-        // inner span that outlasts its outer one by float rounding.
+        // Overlapping siblings on one track stay valid.
         let siblings = r#"{"traceEvents":[
             {"name":"a","cat":"dram","ph":"B","ts":0,"pid":1,"tid":0},
             {"ph":"E","ts":10,"pid":1,"tid":0},
@@ -466,13 +454,16 @@ mod tests {
             {"ph":"E","ts":6,"pid":1,"tid":0}
         ]}"#;
         assert_eq!(validate_chrome_trace(siblings).map(|c| c.spans), Ok(2));
+        // An inner span that outlasts its outer one by a single ulp is
+        // rejected: the checks are exact.
         let rounded = r#"{"traceEvents":[
             {"name":"launch","cat":"core","ph":"B","ts":0,"pid":2,"tid":0},
             {"name":"merge","cat":"core","ph":"B","ts":1,"pid":2,"tid":0},
             {"ph":"E","ts":4365.894650000001,"pid":2,"tid":0},
             {"ph":"E","ts":4365.89465,"pid":2,"tid":0}
         ]}"#;
-        assert_eq!(validate_chrome_trace(rounded).map(|c| c.spans), Ok(2));
+        let err = validate_chrome_trace(rounded).unwrap_err();
+        assert!(err.contains("span inside it ends"), "err = {err}");
     }
 
     #[test]
