@@ -29,9 +29,13 @@
 //!
 //! **Stale or mismatched files are ignored, never trusted**: any guard
 //! failure — missing file, wrong magic, version mismatch, malformed
-//! JSON, a length prefix longer than the words left, trailing words, or
-//! a malformed report — makes [`CacheStore::load_into`] return `false`
-//! and leave the cache cold. Keys are opaque: a lookup serves an entry
+//! JSON, a header field given twice, a length prefix longer than the
+//! words left, trailing words, a tier whose keys are not strictly
+//! increasing, a report float that is NaN or infinite, or a malformed
+//! report — makes [`CacheStore::load_into`] return `false` and leave the
+//! cache cold. (`save` writes each field once and each tier in strictly
+//! increasing key order, and a priced report is finite, so none of these
+//! can come from a real store.) Keys are opaque: a lookup serves an entry
 //! only under a key equal to the one a query builds, so a corrupt key
 //! is an entry that is never served. Loading never panics on file
 //! content, and no stored value is ever used as an index, so no stored
@@ -135,6 +139,11 @@ fn parse(text: &str) -> Option<(Entries<u64>, Entries<ExecutionReport>)> {
     let Value::Object(fields) = value else {
         return None;
     };
+    // A repeated field is ambiguous: `field` would take the first,
+    // real `serde_json` the last.
+    if (1..fields.len()).any(|i| fields[..i].iter().any(|(k, _)| *k == fields[i].0)) {
+        return None;
+    }
     let field = |name: &str| fields.iter().find(|(k, _)| k == name).map(|(_, v)| v);
     match field("magic")? {
         Value::Str(s) if s == MAGIC => {}
@@ -242,8 +251,10 @@ impl<'a> Reader<'a> {
         usize::try_from(self.u()?).ok()
     }
 
+    /// A report float, rejected when NaN or infinite: a report hit would
+    /// serve it as output.
     fn f(&mut self) -> Option<f64> {
-        Some(f64::from_bits(self.u()?))
+        Some(f64::from_bits(self.u()?)).filter(|v| v.is_finite())
     }
 
     /// A length prefix, rejected when it exceeds the words remaining
@@ -326,12 +337,17 @@ fn decode_tier<'a, V>(
     value: impl Fn(&mut Reader<'a>) -> Option<V>,
 ) -> Option<Entries<V>> {
     let len = r.len()?;
-    (0..len)
-        .map(|_| {
-            let key = r.key()?;
-            Some((key, value(r)?))
-        })
-        .collect()
+    let mut entries: Entries<V> = Vec::new();
+    for _ in 0..len {
+        let key = r.key()?;
+        // Keys must be strictly increasing, as `save` writes them: a
+        // repeated key would silently replace an entry.
+        if entries.last().is_some_and(|(prev, _)| *prev >= key) {
+            return None;
+        }
+        entries.push((key, value(r)?));
+    }
+    Some(entries)
 }
 
 #[cfg(test)]
@@ -499,5 +515,92 @@ mod tests {
         }
         std::fs::remove_file(&path).ok();
         assert!(accepted > 0, "some corrupt stores must load and be served");
+    }
+
+    /// `text`, a saved store, with its `words` array replaced.
+    fn with_words(text: &str, words: &[u64]) -> String {
+        let Ok(Value::Object(mut fields)) = serde_json::from_str(text) else {
+            panic!("store is a JSON object");
+        };
+        let (_, slot) = fields
+            .iter_mut()
+            .find(|(k, _)| k == "words")
+            .expect("words field");
+        *slot = Value::Array(words.iter().map(|&w| Value::Int(i128::from(w))).collect());
+        serde_json::to_string(&Value::Object(fields)).unwrap()
+    }
+
+    #[test]
+    fn hostile_stores_load_cold_and_launch_as_a_cold_engine_does() {
+        let cache = warm_cache();
+        let path = temp_store("hostile");
+        CacheStore::save(&path, &cache).expect("save");
+        let text = std::fs::read_to_string(&path).expect("store written");
+        let words = encode(&cache);
+        // Word positions: the stream tier's count (word 0), each stream
+        // entry as its key length, key words and sequence count; then
+        // the report tier's count, and the first report after its key,
+        // whose shard count follows 16 words of scalars, command counts
+        // and energies.
+        let mut reports = 1;
+        for _ in 0..words[0] {
+            reports += 2 + words[reports] as usize;
+        }
+        let first_report = reports + 2 + words[reports + 1] as usize;
+        let set = |at: usize, w: u64| {
+            let mut v = words.clone();
+            v[at] = w;
+            with_words(&text, &v)
+        };
+        let duplicate_key = {
+            let mut v = vec![words[0] + 1];
+            v.extend_from_slice(&words[1..3 + words[1] as usize]);
+            v.extend_from_slice(&words[1..]);
+            with_words(&text, &v)
+        };
+        let head = text.strip_suffix('}').expect("store is one object");
+        let cases = [
+            // Rejected by the guards in `parse`, `decode_tier` and
+            // `Reader::f`.
+            ("NaN report float", set(first_report, f64::NAN.to_bits())),
+            (
+                "+inf report float",
+                set(first_report, f64::INFINITY.to_bits()),
+            ),
+            (
+                "-inf report float",
+                set(first_report + 1, f64::NEG_INFINITY.to_bits()),
+            ),
+            ("duplicate stream key", duplicate_key),
+            (
+                "repeated header field",
+                format!("{head},\"format_version\":2}}"),
+            ),
+            // Huge length prefixes, rejected by the words-left check.
+            ("u64::MAX stream count", set(0, u64::MAX)),
+            ("u64::MAX key length", set(1, u64::MAX)),
+            ("u64::MAX shard count", set(first_report + 16, u64::MAX)),
+        ];
+
+        let xs: Vec<i64> = (0..256).map(|i| i64::from(i % 3) - 1).collect();
+        let launch = |cache: Arc<PlanCache>| {
+            let engine = C2mEngine::builder(EngineConfig::c2m(16))
+                .shared_cache(cache)
+                .build();
+            serde_json::to_string(&engine.ternary_gemv(&xs, 64)).expect("report serialises")
+        };
+        let cold = launch(Arc::new(PlanCache::default()));
+        for (case, contents) in &cases {
+            std::fs::write(&path, contents).expect("temp dir is writable");
+            let cache = Arc::new(PlanCache::default());
+            assert!(!CacheStore::load_into(&path, &cache), "{case} loaded");
+            assert!(cache.streams.read(BTreeMap::is_empty), "{case}");
+            assert!(cache.reports.read(BTreeMap::is_empty), "{case}");
+            assert_eq!(launch(cache), cold, "{case}");
+        }
+        // The unedited store still loads.
+        std::fs::write(&path, &text).expect("temp dir is writable");
+        assert!(CacheStore::load_into(&path, &PlanCache::default()));
+        std::fs::remove_file(&path).ok();
     }
 }

@@ -204,6 +204,15 @@ fn field<'a>(fields: &'a [(String, Value)], key: &str) -> Option<&'a Value> {
     fields.iter().find(|(k, _)| k == key).map(|(_, v)| v)
 }
 
+/// The first key that `fields` holds twice. [`field`] reads the first
+/// of the two, other JSON readers the last, so the validator rejects the
+/// object.
+fn repeated_key(fields: &[(String, Value)]) -> Option<&str> {
+    (1..fields.len())
+        .find(|&i| fields[..i].iter().any(|(k, _)| *k == fields[i].0))
+        .map(|i| fields[i].0.as_str())
+}
+
 fn int_field(fields: &[(String, Value)], key: &str) -> Option<i128> {
     match field(fields, key)? {
         Value::Int(v) => Some(*v),
@@ -238,8 +247,9 @@ struct OpenSpan {
 
 /// Parses and validates a Chrome-trace JSON string.
 ///
-/// Checks: the document parses, has a `traceEvents` array, every event
-/// carries the fields its phase requires (a finite `ts` and integer
+/// Checks: the document parses, has a `traceEvents` array, no event
+/// (nor the top-level object) repeats a key, every event carries the
+/// fields its phase requires (a finite `ts` and integer
 /// `pid`/`tid` everywhere, `name`+`cat` on begins/instants/counters, an
 /// `args` object on counters), and begin/end pairs balance and nest in
 /// time on every `(pid, tid)` track: an `E` comes no earlier than its
@@ -256,6 +266,9 @@ pub fn validate_chrome_trace(json: &str) -> Result<TraceCheck, String> {
     let Value::Object(top) = doc else {
         return Err("top level is not an object".to_string());
     };
+    if let Some(key) = repeated_key(&top) {
+        return Err(format!("top level repeats the key {key:?}"));
+    }
     let Some(Value::Array(events)) = field(&top, "traceEvents") else {
         return Err("missing traceEvents array".to_string());
     };
@@ -270,6 +283,9 @@ pub fn validate_chrome_trace(json: &str) -> Result<TraceCheck, String> {
         let Value::Object(fields) = ev else {
             return Err(format!("event {i} is not an object"));
         };
+        if let Some(key) = repeated_key(fields) {
+            return Err(format!("event {i} repeats the key {key:?}"));
+        }
         let Some(ph) = str_field(fields, "ph") else {
             return Err(format!("event {i} has no ph"));
         };

@@ -55,10 +55,24 @@ impl TernaryMlp {
     /// execute on the simulated CIM substrate — faults and all).
     #[must_use]
     pub fn forward(&self, cfg: &KernelConfig, x: &[i64]) -> usize {
-        let h1 = relu_scale(ternary_gemv(cfg, x, &self.w1).y);
-        let h2 = relu_scale(ternary_gemv(cfg, &h1, &self.w2).y);
-        let out = ternary_gemv(cfg, &h2, &self.w3).y;
-        argmax(&out)
+        self.layers(x, |x, w| ternary_gemv(cfg, x, w).y)
+    }
+
+    /// The fault-free forward pass in host arithmetic: the same layers as
+    /// [`TernaryMlp::forward`], each matmul a
+    /// [`TernaryMatrix::reference_gemv`].
+    #[must_use]
+    pub fn forward_reference(&self, x: &[i64]) -> usize {
+        self.layers(x, |x, w| {
+            w.reference_gemv(x).into_iter().map(i128::from).collect()
+        })
+    }
+
+    /// The three layers, with `gemv` computing each matmul.
+    fn layers(&self, x: &[i64], gemv: impl Fn(&[i64], &TernaryMatrix) -> Vec<i128>) -> usize {
+        let h1 = relu_scale(gemv(x, &self.w1));
+        let h2 = relu_scale(gemv(&h1, &self.w2));
+        argmax(&gemv(&h2, &self.w3))
     }
 
     /// Samples an input vector (Fig. 3b-style int8 embeddings).
@@ -73,17 +87,20 @@ impl TernaryMlp {
 
     /// Classification accuracy of a (possibly faulty) configuration
     /// against the fault-free reference labels.
+    ///
+    /// The labels come from [`TernaryMlp::forward_reference`]. That is
+    /// the label a rate-0 [`TernaryMlp::forward`] computes whenever the
+    /// counters' signed range holds `±64 · 128`, as the compact ones do
+    /// (±2²³ at radix 2, ±5·10⁷ at radix 10): a fault-free counter bank
+    /// is exact, and every pre-activation here is at most `64 · 128` in
+    /// magnitude.
     #[must_use]
     pub fn accuracy(&self, faulty: &KernelConfig, samples: usize, seed: u64) -> f64 {
-        let exact = KernelConfig {
-            fault_rate: 0.0,
-            ..*faulty
-        };
         let mut rng = ChaCha12Rng::seed_from_u64(seed);
         let mut agree = 0usize;
         for _ in 0..samples {
             let x = Self::sample_input(&mut rng);
-            let label = self.forward(&exact, &x);
+            let label = self.forward_reference(&x);
             let predicted = self.forward(faulty, &x);
             if predicted == label {
                 agree += 1;
@@ -129,6 +146,28 @@ mod tests {
         let cfg = KernelConfig::compact();
         let acc = mlp.accuracy(&cfg, 10, 2);
         assert_eq!(acc, 1.0);
+    }
+
+    #[test]
+    fn the_reference_labels_are_the_rate_0_banks_labels() {
+        // fig17(b)'s two kernel configurations at rate 0: JC at radix 10
+        // and the RCA proxy's binary counters.
+        let mlp = TernaryMlp::new(7);
+        let mut rng = ChaCha12Rng::seed_from_u64(11);
+        for radix in [10, 2] {
+            let cfg = KernelConfig {
+                radix,
+                ..KernelConfig::compact()
+            };
+            for sample in 0..64 {
+                let x = TernaryMlp::sample_input(&mut rng);
+                assert_eq!(
+                    mlp.forward(&cfg, &x),
+                    mlp.forward_reference(&x),
+                    "radix {radix}, sample {sample}"
+                );
+            }
+        }
     }
 
     #[test]

@@ -2,7 +2,8 @@
 //! malformed value exits 1 with an `error:` line, never with a panic
 //! (exit 101) or an abort (exit 134).
 
-use count2multiply::trace::{RecordingSink, TraceSink, Track};
+use count2multiply::trace::{validate_chrome_trace, RecordingSink, TraceSink, Track};
+use proptest::prelude::*;
 use std::process::{Command, Output};
 
 fn c2m(args: &[&str]) -> Output {
@@ -101,6 +102,18 @@ fn malformed_trace_files_exit_with_an_error_line() {
         ("non-finite ts", Some(span("1e400", "1e400").into_bytes())),
         ("E before its B", Some(span("5", "1").into_bytes())),
         (
+            "an event repeating a key",
+            Some(
+                concat!(
+                    r#"{"traceEvents":["#,
+                    r#"{"name":"x","cat":"core","ph":"B","ts":1,"pid":2,"tid":0},"#,
+                    r#"{"ph":"E","ts":5,"ts":0,"pid":2,"tid":0}]}"#
+                )
+                .as_bytes()
+                .to_vec(),
+            ),
+        ),
+        (
             "child outside its parent",
             Some(
                 concat!(
@@ -137,5 +150,40 @@ fn malformed_trace_files_exit_with_an_error_line() {
             &case,
             &trace_check("prefix", Some(&export.as_bytes()[..len])),
         );
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(96))]
+
+    /// Random byte flips, insertions and deletions of a valid export
+    /// come back as a result, never a panic: a UTF-8 mutant from
+    /// `validate_chrome_trace`, any other from the CLI's read path as an
+    /// `error:` line.
+    #[test]
+    fn mutated_exports_are_checked_without_a_panic(
+        edits in prop::collection::vec((0u8..3, any::<u16>(), 1u8..=255), 1..6),
+    ) {
+        let mut bytes = small_export().into_bytes();
+        for &(op, at, byte) in &edits {
+            let at = usize::from(at) % (bytes.len() + 1);
+            match op {
+                0 if at < bytes.len() => bytes[at] ^= byte,
+                1 => bytes.insert(at, byte),
+                _ if at < bytes.len() => {
+                    bytes.remove(at);
+                }
+                _ => {}
+            }
+        }
+        match String::from_utf8(bytes) {
+            Ok(text) => {
+                let _ = validate_chrome_trace(&text);
+            }
+            Err(e) => assert_error_exit(
+                &format!("non-UTF-8 mutant {edits:?}"),
+                &trace_check("mutant", Some(e.as_bytes())),
+            ),
+        }
     }
 }
