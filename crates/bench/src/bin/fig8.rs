@@ -30,7 +30,7 @@ struct RadixRow {
 fn main() {
     header("fig8", "Masked addition: unit vs k-ary vs IARM vs RCA");
     let radices: Vec<usize> = (1..=10).map(|n| 2 * n).collect();
-    let inputs: Vec<u128> = (0..256u128).collect();
+    let inputs: Vec<u64> = (0..256).collect();
 
     println!(
         "\nRCA levels: i16 = {}, i32 = {}, i64 = {} AAP ops",

@@ -1,42 +1,78 @@
-//! The fault studies' full `--json` stdout, byte for byte, against the
-//! files in `golden/` (recorded at `RAYON_NUM_THREADS=1`; the bytes do
-//! not depend on the thread count).
+//! Every figure binary's full `--json` stdout, byte for byte, against
+//! the files in `golden/` (recorded at `RAYON_NUM_THREADS=1`; the bytes
+//! do not depend on the thread count, nor on a debug or release build).
 //!
 //! A change that moves these bytes on purpose re-records the files in
 //! the same diff: `RAYON_NUM_THREADS=1 cargo run --release -p c2m_bench
-//! --bin fig4 -- --json > golden/fig4.json`, and likewise for fig17.
+//! --bin fig8 -- --json > golden/fig8.json`, and likewise for the
+//! others.
 
 use std::path::Path;
 use std::process::Command;
 
+/// Runs `exe --json` single-threaded and panics with the first line
+/// that differs from `golden/<bin>.json`.
+fn assert_matches_golden(bin: &str, exe: &str) {
+    let golden = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../golden");
+    let out = Command::new(exe)
+        .arg("--json")
+        .env("RAYON_NUM_THREADS", "1")
+        .output()
+        .expect("binary runs");
+    assert!(
+        out.status.success(),
+        "{bin}: {}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let want = std::fs::read(golden.join(format!("{bin}.json"))).expect("golden file");
+    let differs = (out.stdout != want).then(|| {
+        let got = String::from_utf8_lossy(&out.stdout);
+        let want = String::from_utf8_lossy(&want);
+        let first = got
+            .lines()
+            .zip(want.lines())
+            .enumerate()
+            .find(|(_, (g, w))| g != w)
+            .map(|(i, (g, w))| (i, g.to_string(), w.to_string()));
+        (first, got.lines().count(), want.lines().count())
+    });
+    assert!(
+        differs.is_none(),
+        "{bin} --json differs from golden/{bin}.json; (first differing line as (index from 0, got, golden), lines got, lines golden): {differs:?}"
+    );
+}
+
+#[test]
+fn figures_match_their_golden_files() {
+    // The 13 figures that are cheap in a debug build (about 7 s
+    // together, fig_serve the most); every one that prices through the
+    // engine is here, so a count that moves shows up as a diff.
+    for (bin, exe) in [
+        ("backends", env!("CARGO_BIN_EXE_backends")),
+        ("fig3", env!("CARGO_BIN_EXE_fig3")),
+        ("fig8", env!("CARGO_BIN_EXE_fig8")),
+        ("fig14", env!("CARGO_BIN_EXE_fig14")),
+        ("fig15", env!("CARGO_BIN_EXE_fig15")),
+        ("fig16", env!("CARGO_BIN_EXE_fig16")),
+        ("fig18", env!("CARGO_BIN_EXE_fig18")),
+        ("fig19", env!("CARGO_BIN_EXE_fig19")),
+        ("fig_scaling", env!("CARGO_BIN_EXE_fig_scaling")),
+        ("fig_serve", env!("CARGO_BIN_EXE_fig_serve")),
+        ("hostpath", env!("CARGO_BIN_EXE_hostpath")),
+        ("mig", env!("CARGO_BIN_EXE_mig")),
+        ("table1", env!("CARGO_BIN_EXE_table1")),
+    ] {
+        assert_matches_golden(bin, exe);
+    }
+}
+
 #[test]
 #[ignore = "nightly tier: fig4 and fig17 take ~28 s in a debug build; tests/fault_digests.rs pins them in tier-1"]
 fn fault_studies_match_their_golden_files() {
-    let golden = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../golden");
     for (bin, exe) in [
         ("fig4", env!("CARGO_BIN_EXE_fig4")),
         ("fig17", env!("CARGO_BIN_EXE_fig17")),
     ] {
-        let out = Command::new(exe)
-            .arg("--json")
-            .env("RAYON_NUM_THREADS", "1")
-            .output()
-            .expect("binary runs");
-        assert!(
-            out.status.success(),
-            "{bin}: {}",
-            String::from_utf8_lossy(&out.stderr)
-        );
-        let want = std::fs::read(golden.join(format!("{bin}.json"))).expect("golden file");
-        if out.stdout != want {
-            let got = String::from_utf8_lossy(&out.stdout);
-            let want = String::from_utf8_lossy(&want);
-            let first = got
-                .lines()
-                .zip(want.lines())
-                .enumerate()
-                .find(|(_, (g, w))| g != w);
-            panic!("{bin} --json differs from golden/{bin}.json; first differing line (index from 0, got, golden): {first:?}");
-        }
+        assert_matches_golden(bin, exe);
     }
 }

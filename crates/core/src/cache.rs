@@ -1,10 +1,10 @@
 //! Exact memoisation of shard plans, stream pricing and whole launches.
 //!
-//! The engine gets the paper's command counts by running the real
-//! host-side IARM pass over every input (§4.5.2, §7.2.3), and
-//! steady-state serving and configuration sweeps repeat that work with
-//! the same inputs again and again. Every repeat is *exact* to memoise,
-//! because each result is a pure function of content, so every cache
+//! The engine gets the paper's command counts from the host-side IARM
+//! plan of every input (§4.5.2, §7.2.3), and steady-state serving and
+//! configuration sweeps repeat that work with the same inputs again and
+//! again. Every repeat is *exact* to memoise, because each result is a
+//! pure function of content, so every cache
 //! tier is one [`Memo`]: a map whose key is that content itself. A
 //! lookup serves a value only under a key equal to the one it was
 //! stored with, so a cached path can never return anything the
@@ -42,7 +42,7 @@
 use crate::shard::{BackendPolicy, ShardAxis, ShardPlan, ShardPlanner, ShardSizing};
 use c2m_dram::{CacheCounters, ExecutionReport, Topology};
 use c2m_jc::digits::Digits;
-use c2m_jc::iarm::{ActionCount, IarmPlanner};
+use c2m_jc::iarm;
 use std::borrow::Borrow;
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -275,12 +275,12 @@ impl StreamParams {
     /// Broadcast command *sequences* needed to accumulate the signed
     /// stream `xs` (zeros skipped, §7.2.3), or its doubled ternary form
     /// ([`doubled_ternary`](crate::engine::doubled_ternary)) when
-    /// `self.doubled`, without building that copy. Runs the real
-    /// host-side routine: the IARM planner's one state machine feeding
-    /// an [`ActionCount`], so the count is the length of the plan the
-    /// same planner hands a counter bank (or the oblivious full-ripple
-    /// chain when IARM is off). Either way a value costs one [`Digits`]
-    /// step per digit up to its most significant non-zero one.
+    /// `self.doubled`, without building that copy. With IARM on, this is
+    /// the length of the plan the host-side IARM planner hands a counter
+    /// bank for the reordered stream (adds, subtractions, flush),
+    /// counted one digit column at a time by [`iarm::count_actions`];
+    /// with it off, the oblivious full-ripple chain, one [`Digits`] step
+    /// per digit up to each value's most significant non-zero one.
     pub(crate) fn count(self, xs: &[i64]) -> u64 {
         if !self.iarm {
             // k-ary with per-increment carry rippling (§4.5.1): each
@@ -298,27 +298,18 @@ impl StreamParams {
                 .sum();
             return 2 * (1 + u64::from(self.doubled)) * nonzero as u64;
         }
-        let mut planner = IarmPlanner::new(self.radix, self.digits);
-        planner.assume_zero();
-        let mut seqs = ActionCount::default();
         let positive = magnitudes(xs, |x| x > 0);
         let negative = magnitudes(xs, |x| x < 0);
-        // Addition pass, then subtraction pass (host reordering). The
-        // doubled stream `x ++ −x` adds the positive values and then the
-        // negated negative ones, and subtracts the other way round.
-        let (add_tail, sub_tail): (&[u64], &[u64]) = if self.doubled {
-            (&negative, &positive)
+        // Addition pass, then subtraction pass (host reordering), from
+        // zeroed counters. The doubled stream `x ++ −x` adds the positive
+        // values and then the negated negative ones, and subtracts the
+        // other way round.
+        let (adds, subs): ([&[u64]; 2], [&[u64]; 2]) = if self.doubled {
+            ([&positive, &negative], [&negative, &positive])
         } else {
-            (&[], &[])
+            ([&positive, &[]], [&negative, &[]])
         };
-        for &v in positive.iter().chain(add_tail) {
-            planner.plan_add_into(u128::from(v), &mut seqs);
-        }
-        for &v in negative.iter().chain(sub_tail) {
-            planner.plan_sub_into(u128::from(v), &mut seqs);
-        }
-        planner.flush_into(&mut seqs);
-        seqs.0
+        iarm::count_actions(self.radix, self.digits, true, &adds, &subs)
     }
 }
 
@@ -410,6 +401,7 @@ mod tests {
     use super::*;
     use crate::engine::doubled_ternary;
     use c2m_cim::Backend;
+    use c2m_jc::iarm::IarmPlanner;
     use proptest::prelude::*;
 
     fn key(total: usize) -> PlanKey {

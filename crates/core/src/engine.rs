@@ -579,9 +579,10 @@ impl C2mEngine {
     }
 
     /// Broadcast command *sequences* needed to accumulate the signed
-    /// input stream `xs` (zeros skipped, §7.2.3). Runs the real host-side
-    /// routine: digit unpacking plus IARM planning (or the oblivious
-    /// full-ripple chain when IARM is off).
+    /// input stream `xs` (zeros skipped, §7.2.3): the length of the
+    /// host-side IARM plan, counted one digit column at a time by
+    /// [`c2m_jc::iarm::count_actions`] (or the oblivious full-ripple
+    /// chain when IARM is off).
     #[must_use]
     pub fn sequences_for_stream(&self, xs: &[i64]) -> u64 {
         self.stream_params(false).count(xs)

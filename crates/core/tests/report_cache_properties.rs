@@ -125,8 +125,12 @@ fn corrupt_or_stale_store_degrades_to_cold_with_identical_output() {
     CacheStore::save(&path, &warm).expect("save");
     let good = std::fs::read_to_string(&path).expect("store written");
 
+    let version = CacheStore::FORMAT_VERSION;
     let mutations = [
-        good.replace("\"format_version\":3", "\"format_version\":4"),
+        good.replace(
+            &format!("\"format_version\":{version}"),
+            &format!("\"format_version\":{}", version + 1),
+        ),
         good.replace("\"magic\":\"c2m-cache\"", "\"magic\":\"c2m-other\""),
         good[..good.len() / 2].to_string(),
         "{]".to_string(),

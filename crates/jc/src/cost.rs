@@ -11,11 +11,12 @@
 //!   non-zero input digit plus the ripple chain through the remaining
 //!   higher digits (§4.5.1, the capacity-dependent curves of Fig. 8b);
 //! * IARM is input-dependent only (§4.5.2) — its expected cost is
-//!   measured by running the planner, not by a closed form.
+//!   measured by counting the planner's actions on the inputs
+//!   ([`count_actions`]), not by a closed form.
 
 use crate::codec::JohnsonCode;
 use crate::digits::Digits;
-use crate::iarm::{ActionCount, IarmPlanner};
+use crate::iarm::count_actions;
 
 /// AAP/AP commands of one masked k-ary increment with overflow check on
 /// an n-bit digit (the `7n + 7` anchor).
@@ -87,20 +88,14 @@ pub fn kary_oblivious_chain_ops(value: u128, radix: usize, digits: usize) -> u64
         .sum()
 }
 
-/// Measured IARM cost of accumulating an input stream: runs the planner
-/// (plus the final flush) and charges one increment per emitted action.
-/// Capacity-invariant in expectation, per §4.5.2.
+/// Measured IARM cost of accumulating an input stream: the actions the
+/// planner emits for it from the pessimistic start (the additions, then
+/// the final flush), counted column by column ([`count_actions`]), at
+/// one increment each. Capacity-invariant in expectation, per §4.5.2.
 #[must_use]
-pub fn iarm_stream_ops(inputs: &[u128], radix: usize, digits: usize) -> u64 {
+pub fn iarm_stream_ops(inputs: &[u64], radix: usize, digits: usize) -> u64 {
     let n = JohnsonCode::for_radix(radix).bits();
-    let per = increment_ops(n);
-    let mut planner = IarmPlanner::new(radix, digits);
-    let mut actions = ActionCount::default();
-    for &x in inputs {
-        planner.plan_add_into(x, &mut actions);
-    }
-    planner.flush_into(&mut actions);
-    actions.0 * per
+    count_actions(radix, digits, false, &[inputs], &[]) * increment_ops(n)
 }
 
 /// MAJ-based bit-serial ripple-carry addition cost on Ambit: adding one
@@ -159,16 +154,16 @@ mod tests {
         // Fig. 8b: IARM provides the fewest operations, against both the
         // paper's 2-sequences-per-digit accounting and the data-oblivious
         // worst-case chain.
-        let inputs: Vec<u128> = (0..256).collect();
+        let inputs: Vec<u64> = (0..256).collect();
         for radix in [4usize, 6, 8, 10] {
             let digits = digits_for_capacity(radix, 32);
             let kary: u64 = inputs
                 .iter()
-                .map(|&v| kary_full_ripple_ops(v, radix, digits))
+                .map(|&v| kary_full_ripple_ops(u128::from(v), radix, digits))
                 .sum();
             let chain: u64 = inputs
                 .iter()
-                .map(|&v| kary_oblivious_chain_ops(v, radix, digits))
+                .map(|&v| kary_oblivious_chain_ops(u128::from(v), radix, digits))
                 .sum();
             let iarm = iarm_stream_ops(&inputs, radix, digits);
             assert!(
@@ -185,7 +180,7 @@ mod tests {
     #[test]
     fn iarm_is_capacity_invariant() {
         // §4.5.2: the single IARM curve of Fig. 8b.
-        let inputs: Vec<u128> = (1..256).collect();
+        let inputs: Vec<u64> = (1..256).collect();
         let d16 = digits_for_capacity(10, 16);
         let d64 = digits_for_capacity(10, 64);
         let a = iarm_stream_ops(&inputs, 10, d16);
@@ -200,7 +195,7 @@ mod tests {
     #[test]
     fn iarm_beats_rca_at_mid_radices() {
         // Fig. 8b: IARM wins over RCA particularly for radices 4-8.
-        let inputs: Vec<u128> = (0..256).collect();
+        let inputs: Vec<u64> = (0..256).collect();
         for radix in [4usize, 6, 8] {
             let digits = digits_for_capacity(radix, 32);
             let iarm = iarm_stream_ops(&inputs, radix, digits) as f64 / 256.0;

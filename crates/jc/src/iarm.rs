@@ -13,13 +13,41 @@
 //! from a pending borrow, all pending flags are flushed when the input
 //! stream switches direction (§4.4 "Decrements").
 //!
-//! The planner runs once per input value, so it sets the host cost of
-//! every request with a new input. It walks a value's digits only up to
-//! the most significant non-zero one ([`Digits`]), and it hands each
-//! action to an [`ActionSink`]: a `Vec` keeps the plan for execution,
-//! an [`ActionCount`] only counts it for pricing. Both run the same
-//! state machine, so a priced count is always the length of the plan
-//! that would execute.
+//! [`IarmPlanner`] builds the plan a counter bank executes
+//! ([`apply_plan`]). Pricing needs only the plan's length, once per
+//! input value of every request with a new input, and [`count_actions`]
+//! computes that length one digit column at a time, without building the
+//! plan or walking it value by value.
+//!
+//! # Why a column pass is exact
+//!
+//! Write r = 2n for the radix and h for a column's *headroom*: its
+//! virtual digit in an add pass, and `(r − 1) − virt` in a sub pass, so
+//! both passes run the same update (the planner's sub rules are its add
+//! rules on h). A column resolves when h would pass 2r − 1; a resolve
+//! leaves h = r − 1 and sends one carry to the column above.
+//!
+//! * **At most one carry per value.** Within one pass, a column receives
+//!   at most one carry per value, before its own digit of that value:
+//!   digits are planned low to high, and resolves cascade only upward. A
+//!   carry that finds the column full (h = 2r − 1) resolves it first,
+//!   leaving h = r, and a digit k ≤ r − 1 then ends at ≤ 2r − 1. So each
+//!   column resolves at most once per value, and a column's evolution
+//!   depends only on its own (carry, digit) pairs in stream order.
+//! * **The per-value update.** With carry bit c and digit k, let
+//!   s = h + c + k. If s ≤ 2r − 1, then h′ = s. Otherwise the column
+//!   resolves once, h′ = r − 1 + k + [h + c = 2r], and the column above
+//!   gets the carry. The count grows by the resolves plus [k ≠ 0].
+//! * **Columns above the top digit.** Above the stream's highest digit
+//!   column a column sees only carries, so only their number matters.
+//!   From headroom h₀ the first forced resolve comes at carry 2r − h₀,
+//!   then one every r carries, so each such column costs O(1).
+//! * **Flushes.** Each pass ends with the planner's own flush on the
+//!   final headrooms: ascending, every column at h ≥ r resolves, and a
+//!   resolve whose carry finds the column above full resolves that one
+//!   first. The flush that ends the add pass is the one the switch to
+//!   the sub pass forces, after which every sub-mode bound restarts at
+//!   h = r − 1.
 
 use crate::digits::Digits;
 use serde::{Deserialize, Serialize};
@@ -53,40 +81,14 @@ pub enum CounterAction {
     },
 }
 
-/// Where an [`IarmPlanner`] sends the actions it plans.
-pub trait ActionSink {
-    /// Receives the next action, in execution order.
-    fn push(&mut self, action: CounterAction);
-}
-
-/// Keeps the plan, for [`apply_plan`].
-impl ActionSink for Vec<CounterAction> {
-    fn push(&mut self, action: CounterAction) {
-        Vec::push(self, action);
-    }
-}
-
-/// Counts the actions of a plan without storing them: the broadcast
-/// command sequences a stream costs.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct ActionCount(pub u64);
-
-impl ActionSink for ActionCount {
-    #[inline]
-    fn push(&mut self, _: CounterAction) {
-        self.0 += 1;
-    }
-}
-
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Direction {
     Add,
     Sub,
 }
 
-/// Host-side IARM planner: one state machine behind both the
-/// `Vec`-returning [`Self::plan_add`]/[`Self::plan_sub`]/[`Self::flush`]
-/// and their `_into` forms, which feed any [`ActionSink`].
+/// Host-side IARM planner: the state machine whose plans a counter bank
+/// executes, and the reference [`count_actions`] is tested against.
 #[derive(Debug, Clone)]
 pub struct IarmPlanner {
     radix: usize,
@@ -147,17 +149,49 @@ impl IarmPlanner {
     }
 
     /// Plans the accumulation of `value`, emitting resolutions only where
-    /// a digit could otherwise need a second pending overflow.
+    /// a digit could otherwise need a second pending overflow. Digits of
+    /// `value` at or above the counter's digit count are dropped (a debug
+    /// build asserts there are none).
     pub fn plan_add(&mut self, value: u128) -> Vec<CounterAction> {
         let mut out = Vec::new();
-        self.plan_add_into(value, &mut out);
+        self.enter(Direction::Add, &mut out);
+        let extended = 2 * self.radix as i64 - 1; // 4n − 1
+        let mut digits = Digits::new(value, self.radix);
+        for (d, k) in digits.by_ref().take(self.digits).enumerate() {
+            if k == 0 {
+                continue;
+            }
+            // Make room: resolving may cascade upward first.
+            if self.virt[d] + k as i64 > extended {
+                self.resolve_add(d, &mut out);
+            }
+            out.push(CounterAction::Increment { digit: d, k });
+            self.virt[d] += k as i64;
+            self.maybe_pending[d] |= self.virt[d] >= self.radix as i64;
+        }
+        debug_assert!(digits.next().is_none(), "value exceeds counter capacity");
         out
     }
 
-    /// Plans the subtraction of `value` (negative inputs, §4.4).
+    /// Plans the subtraction of `value` (negative inputs, §4.4), dropping
+    /// digits past the counter's digit count like [`Self::plan_add`].
     pub fn plan_sub(&mut self, value: u128) -> Vec<CounterAction> {
         let mut out = Vec::new();
-        self.plan_sub_into(value, &mut out);
+        self.enter(Direction::Sub, &mut out);
+        let floor = -(self.radix as i64); // −2n
+        let mut digits = Digits::new(value, self.radix);
+        for (d, k) in digits.by_ref().take(self.digits).enumerate() {
+            if k == 0 {
+                continue;
+            }
+            if self.virt[d] - (k as i64) < floor {
+                self.resolve_sub(d, &mut out);
+            }
+            out.push(CounterAction::Decrement { digit: d, k });
+            self.virt[d] -= k as i64;
+            self.maybe_pending[d] |= self.virt[d] < 0;
+        }
+        debug_assert!(digits.next().is_none(), "value exceeds counter capacity");
         out
     }
 
@@ -169,55 +203,12 @@ impl IarmPlanner {
         out
     }
 
-    /// [`Self::plan_add`] into `sink`. Digits of `value` at or above the
-    /// counter's digit count are dropped (a debug build asserts there
-    /// are none).
-    pub fn plan_add_into(&mut self, value: u128, sink: &mut impl ActionSink) {
-        self.enter(Direction::Add, sink);
-        let extended = 2 * self.radix as i64 - 1; // 4n − 1
-        let mut digits = Digits::new(value, self.radix);
-        for (d, k) in digits.by_ref().take(self.digits).enumerate() {
-            if k == 0 {
-                continue;
-            }
-            // Make room: resolving may cascade upward first.
-            if self.virt[d] + k as i64 > extended {
-                self.resolve_add(d, sink);
-            }
-            sink.push(CounterAction::Increment { digit: d, k });
-            self.virt[d] += k as i64;
-            self.maybe_pending[d] |= self.virt[d] >= self.radix as i64;
-        }
-        debug_assert!(digits.next().is_none(), "value exceeds counter capacity");
-    }
-
-    /// [`Self::plan_sub`] into `sink`, dropping digits past the
-    /// counter's digit count like [`Self::plan_add_into`].
-    pub fn plan_sub_into(&mut self, value: u128, sink: &mut impl ActionSink) {
-        self.enter(Direction::Sub, sink);
-        let floor = -(self.radix as i64); // −2n
-        let mut digits = Digits::new(value, self.radix);
-        for (d, k) in digits.by_ref().take(self.digits).enumerate() {
-            if k == 0 {
-                continue;
-            }
-            if self.virt[d] - (k as i64) < floor {
-                self.resolve_sub(d, sink);
-            }
-            sink.push(CounterAction::Decrement { digit: d, k });
-            self.virt[d] -= k as i64;
-            self.maybe_pending[d] |= self.virt[d] < 0;
-        }
-        debug_assert!(digits.next().is_none(), "value exceeds counter capacity");
-    }
-
-    /// [`Self::flush`] into `sink`.
-    pub fn flush_into(&mut self, sink: &mut impl ActionSink) {
+    fn flush_into(&mut self, out: &mut Vec<CounterAction>) {
         for d in 0..self.digits {
             if self.maybe_pending[d] {
                 match self.direction {
-                    Direction::Add => self.resolve_add(d, sink),
-                    Direction::Sub => self.resolve_sub(d, sink),
+                    Direction::Add => self.resolve_add(d, out),
+                    Direction::Sub => self.resolve_sub(d, out),
                 }
             }
         }
@@ -230,9 +221,9 @@ impl IarmPlanner {
     /// Switches the stream to `direction`, first flushing the flags the
     /// other direction left pending (a flag row cannot tell a carry
     /// from a borrow).
-    fn enter(&mut self, direction: Direction, sink: &mut impl ActionSink) {
+    fn enter(&mut self, direction: Direction, out: &mut Vec<CounterAction>) {
         if self.direction != direction {
-            self.flush_into(sink);
+            self.flush_into(out);
             self.direction = direction;
             self.reset_bounds();
         }
@@ -249,37 +240,204 @@ impl IarmPlanner {
         self.virt.iter_mut().for_each(|v| *v = fill);
     }
 
-    fn resolve_add(&mut self, d: usize, sink: &mut impl ActionSink) {
+    fn resolve_add(&mut self, d: usize, out: &mut Vec<CounterAction>) {
         if d + 1 < self.digits {
             // The +1 into d+1 must itself fit below 4n−1.
             if self.virt[d + 1] + 1 > 2 * self.radix as i64 - 1 {
-                self.resolve_add(d + 1, sink);
+                self.resolve_add(d + 1, out);
             }
             self.virt[d + 1] += i64::from(self.virt[d] >= self.radix as i64);
             if self.virt[d + 1] >= self.radix as i64 {
                 self.maybe_pending[d + 1] = true;
             }
         }
-        sink.push(CounterAction::ResolveCarry { digit: d });
+        out.push(CounterAction::ResolveCarry { digit: d });
         // Flags cleared; the worst-case digit is back below the radix.
         self.virt[d] = self.virt[d].min(self.radix as i64 - 1);
         self.maybe_pending[d] = false;
     }
 
-    fn resolve_sub(&mut self, d: usize, sink: &mut impl ActionSink) {
+    fn resolve_sub(&mut self, d: usize, out: &mut Vec<CounterAction>) {
         if d + 1 < self.digits {
             if self.virt[d + 1] - 1 < -(self.radix as i64) {
-                self.resolve_sub(d + 1, sink);
+                self.resolve_sub(d + 1, out);
             }
             self.virt[d + 1] -= i64::from(self.virt[d] < 0);
             if self.virt[d + 1] < 0 {
                 self.maybe_pending[d + 1] = true;
             }
         }
-        sink.push(CounterAction::ResolveBorrow { digit: d });
+        out.push(CounterAction::ResolveBorrow { digit: d });
         self.virt[d] = self.virt[d].max(0);
         self.maybe_pending[d] = false;
     }
+}
+
+/// The number of actions an [`IarmPlanner`] emits for a stream the host
+/// has reordered into an add pass and a sub pass: after
+/// [`IarmPlanner::assume_zero`] when `zeroed` (else from the pessimistic
+/// start of [`IarmPlanner::new`]), [`IarmPlanner::plan_add`] on every
+/// value of `adds`, [`IarmPlanner::plan_sub`] on every value of `subs`,
+/// then [`IarmPlanner::flush`]. Each pass is given as runs of values taken
+/// in order, so a pass `x ++ y` needs no concatenated copy. Digits at or
+/// above `digits` are dropped, as the planner drops them.
+///
+/// It counts one digit column at a time (see the [module docs](self)),
+/// without building the plan.
+///
+/// ```
+/// use c2m_jc::iarm::{count_actions, IarmPlanner};
+///
+/// let mut planner = IarmPlanner::new(10, 3);
+/// planner.assume_zero();
+/// let planned = planner.plan_add(999).len()
+///     + planner.plan_add(5).len()
+///     + planner.plan_sub(7).len()
+///     + planner.flush().len();
+/// assert_eq!(count_actions(10, 3, true, &[&[999], &[5]], &[&[7]]), planned as u64);
+/// ```
+///
+/// # Panics
+///
+/// Panics if `radix` is odd or zero, or `digits` is zero.
+#[must_use]
+pub fn count_actions(
+    radix: usize,
+    digits: usize,
+    zeroed: bool,
+    adds: &[&[u64]],
+    subs: &[&[u64]],
+) -> u64 {
+    assert!(radix >= 2 && radix.is_multiple_of(2), "radix must be even");
+    assert!(digits > 0, "need at least one digit");
+    let len = |runs: &[&[u64]]| runs.iter().map(|run| run.len()).sum::<usize>();
+    let mut carries = vec![0; len(adds).max(len(subs))];
+    let mut headroom = vec![0; digits];
+    // A pass with no values leaves every column below the radix, so its
+    // flush is empty too: a stream without subtractions never switches.
+    let start = if zeroed { 0 } else { radix - 1 };
+    [(adds, start), (subs, radix - 1)]
+        .into_iter()
+        .map(|(runs, start)| {
+            headroom.fill(start);
+            count_pass(radix, &mut headroom, runs, &mut carries[..len(runs)])
+                + count_flush(radix, &mut headroom)
+        })
+        .sum()
+}
+
+/// The actions of one pass over `runs`, from the headrooms in
+/// `headroom`: a dense pass per digit column up to the highest digit any
+/// value has, then the carry-only columns above it in closed form.
+fn count_pass(radix: usize, headroom: &mut [usize], runs: &[&[u64]], carries: &mut [u8]) -> u64 {
+    carries.fill(0);
+    // No value has more digits than the OR of all of them, which is at
+    // least their maximum.
+    let any = runs
+        .iter()
+        .flat_map(|run| run.iter())
+        .fold(0, |acc, &v| acc | v);
+    let top = Digits::new(u128::from(any), radix)
+        .count()
+        .min(headroom.len());
+    let (dense, above) = headroom.split_at_mut(top);
+    let r = radix as u64;
+    let mut count = 0;
+    for (j, h) in dense.iter_mut().enumerate() {
+        // r^j ≤ any, so neither the shift nor the power overflows.
+        count += if r.is_power_of_two() {
+            let shift = r.trailing_zeros() * j as u32;
+            count_column(radix, h, runs, carries, |v| (v >> shift & (r - 1)) as usize)
+        } else {
+            let place = r.pow(j as u32);
+            count_column(radix, h, runs, carries, |v| (v / place % r) as usize)
+        };
+    }
+    let mut carried = carries.iter().map(|&c| u64::from(c)).sum();
+    for h in above {
+        if carried == 0 {
+            break;
+        }
+        carried = count_carries(radix, h, carried);
+        count += carried;
+    }
+    count
+}
+
+/// One digit column over every value of a pass, in stream order.
+/// `carries[i]` holds the carry value `i` brings from the column below,
+/// and is left holding the carry it sends to the column above.
+fn count_column(
+    radix: usize,
+    headroom: &mut usize,
+    runs: &[&[u64]],
+    carries: &mut [u8],
+    digit: impl Fn(u64) -> usize,
+) -> u64 {
+    let full = 2 * radix - 1;
+    let mut h = *headroom;
+    let mut count = 0;
+    let mut rest = carries;
+    for run in runs {
+        let (here, tail) = std::mem::take(&mut rest).split_at_mut(run.len());
+        rest = tail;
+        for (&v, carry) in run.iter().zip(here) {
+            let k = digit(v);
+            let t = h + usize::from(*carry);
+            let over = t + k > full;
+            h = if over {
+                radix - 1 + k + usize::from(t > full)
+            } else {
+                t + k
+            };
+            *carry = u8::from(over);
+            count += u64::from(over) + u64::from(k != 0);
+        }
+    }
+    *headroom = h;
+    count
+}
+
+/// `carried` carries into a column above the stream's highest digit,
+/// where no value brings a digit: from headroom h the first carry to find
+/// the column full is carry 2r − h, and then every r-th one, and each of
+/// those resolves the column to r − 1 before taking its carry. Returns
+/// the resolves, which are the carries the column sends up.
+fn count_carries(radix: usize, headroom: &mut usize, carried: u64) -> u64 {
+    let r = radix as u64;
+    let first = 2 * r - *headroom as u64;
+    if carried < first {
+        *headroom += carried as usize;
+        return 0;
+    }
+    let after = carried - first;
+    *headroom = (r + after % r) as usize;
+    1 + after / r
+}
+
+/// The planner's flush on the final headrooms, ascending: every column
+/// at or above the radix resolves, and when its carry would find the
+/// column above full, that one resolves first (and so on up), each then
+/// taking the carry from below.
+fn count_flush(radix: usize, headroom: &mut [usize]) -> u64 {
+    let full = 2 * radix - 1;
+    let mut count = 0;
+    for d in 0..headroom.len() {
+        if headroom[d] < radix {
+            continue;
+        }
+        let mut top = d;
+        while headroom.get(top + 1) == Some(&full) {
+            top += 1;
+        }
+        count += (top - d + 1) as u64;
+        headroom[d] = radix - 1;
+        headroom[d + 1..=top].fill(radix);
+        if let Some(next) = headroom.get_mut(top + 1) {
+            *next += 1;
+        }
+    }
+    count
 }
 
 /// Executes a plan on a [`crate::bank::CounterBank`] with the given mask.
@@ -402,42 +560,106 @@ mod tests {
         }
     }
 
+    /// The planner's plan length for the same stream: `assume_zero`
+    /// when `zeroed`, every add, every sub, then the flush.
+    fn planned(radix: usize, digits: usize, zeroed: bool, adds: &[u64], subs: &[u64]) -> u64 {
+        let mut planner = IarmPlanner::new(radix, digits);
+        if zeroed {
+            planner.assume_zero();
+        }
+        let mut len = 0;
+        for &v in adds {
+            len += planner.plan_add(u128::from(v)).len();
+        }
+        for &v in subs {
+            len += planner.plan_sub(u128::from(v)).len();
+        }
+        (len + planner.flush().len()) as u64
+    }
+
+    /// A value the counter holds, from a random `seed`, shaped by `kind`:
+    /// 0 any digits; 1 only the lowest one to three digits, so many
+    /// carries reach the columns above the stream's top digit; 2 every
+    /// digit r − 1 up to a random column, so carries run past the top
+    /// column and the flush cascades through full columns; 3 one of these
+    /// three, per value.
+    fn value(radix: usize, digits: usize, kind: usize, seed: u64) -> u64 {
+        // The counter's capacity as a number of digits that fits a u64.
+        let fits = (1..=digits as u32)
+            .take_while(|&m| (radix as u64).checked_pow(m).is_some())
+            .last()
+            .unwrap_or(0);
+        let below = |m: u32| (radix as u64).pow(m.min(fits));
+        let any = if digits as u32 > fits {
+            u64::MAX
+        } else {
+            below(fits) - 1
+        };
+        match kind {
+            0 => any.checked_add(1).map_or(seed, |capacity| seed % capacity),
+            1 => seed % below(1 + (seed % 3) as u32),
+            2 => below(1 + (seed % u64::from(fits.max(1))) as u32) - 1,
+            _ => value(radix, digits, (seed % 3) as usize, seed / 3),
+        }
+    }
+
+    /// The counter on a stream whose passes are each split into two runs
+    /// at `cut`, against the planner on the whole stream.
+    fn check(radix: usize, digits: usize, zeroed: bool, adds: &[u64], subs: &[u64], cut: usize) {
+        let (a0, a1) = adds.split_at(cut % (adds.len() + 1));
+        let (s0, s1) = subs.split_at(cut % (subs.len() + 1));
+        assert_eq!(
+            count_actions(radix, digits, zeroed, &[a0, a1], &[s0, s1]),
+            planned(radix, digits, zeroed, adds, subs),
+            "radix={radix} digits={digits} zeroed={zeroed} adds={adds:?} subs={subs:?}"
+        );
+    }
+
+    #[test]
+    fn column_count_matches_the_planner_on_every_shape() {
+        // Every even radix to 32 with the engine's 4 × 32 among them,
+        // both start states, empty and non-empty passes, and each shape
+        // of value.
+        for half in 1..=16 {
+            let radix = 2 * half;
+            for digits in [1, 2, 3, 5, 8, 13, 32] {
+                for zeroed in [false, true] {
+                    for kind in 0..4 {
+                        let stream = |n: usize, salt: u64| -> Vec<u64> {
+                            (0..n as u64)
+                                .map(|i| {
+                                    let seed = (i + salt).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+                                    value(radix, digits, kind, seed ^ (seed >> 29))
+                                })
+                                .collect()
+                        };
+                        let (adds, subs) = (stream(150, 1), stream(150, 7));
+                        check(radix, digits, zeroed, &adds, &subs, 40);
+                        check(radix, digits, zeroed, &adds, &[], 0);
+                        check(radix, digits, zeroed, &[], &subs, 150);
+                        check(radix, digits, zeroed, &[], &[], 0);
+                    }
+                }
+            }
+        }
+    }
+
     proptest! {
-        #![proptest_config(ProptestConfig::with_cases(256))]
+        #![proptest_config(ProptestConfig::with_cases(512))]
         #[test]
-        fn counting_sink_totals_the_plan_length(
-            half in 1usize..=16,
-            digits in 1usize..=12,
+        fn column_count_matches_the_planner(
+            (half, digits) in (1usize..=16, 1usize..=32),
             zeroed in any::<bool>(),
-            stream in prop::collection::vec(-5000i64..5000, 0..48),
+            kind in 0usize..4,
+            adds in prop::collection::vec(any::<u64>(), 0..200),
+            subs in prop::collection::vec(any::<u64>(), 0..200),
+            cut in any::<usize>(),
         ) {
             let radix = 2 * half;
-            let capacity = (radix as u128).pow(digits as u32);
-            let mut listed = IarmPlanner::new(radix, digits);
-            if zeroed {
-                listed.assume_zero();
-            }
-            let mut counted = listed.clone();
-            let mut count = ActionCount::default();
-            let mut len = 0;
-            // Random signs switch direction often, and every switch
-            // flushes into the sink before the next value.
-            for &x in &stream {
-                let v = u128::from(x.unsigned_abs()) % capacity;
-                let plan = if x >= 0 {
-                    counted.plan_add_into(v, &mut count);
-                    listed.plan_add(v)
-                } else {
-                    counted.plan_sub_into(v, &mut count);
-                    listed.plan_sub(v)
-                };
-                len += plan.len() as u64;
-                prop_assert_eq!(count.0, len, "after {}", x);
-                prop_assert_eq!(counted.virtual_digits(), listed.virtual_digits());
-            }
-            len += listed.flush().len() as u64;
-            counted.flush_into(&mut count);
-            prop_assert_eq!(count.0, len, "after the flush");
+            let shape = |seeds: &[u64]| -> Vec<u64> {
+                seeds.iter().map(|&s| value(radix, digits, kind, s)).collect()
+            };
+            check(radix, digits, zeroed, &shape(&adds), &shape(&subs), cut);
         }
     }
 
