@@ -10,35 +10,51 @@
 use std::path::Path;
 use std::process::Command;
 
-/// Runs `exe --json` single-threaded and panics with the first line
-/// that differs from `golden/<bin>.json`.
-fn assert_matches_golden(bin: &str, exe: &str) {
+/// Runs `exe --json` single-threaded and describes how its stdout
+/// differs from `golden/<bin>.json`: the first differing line (index
+/// from 0, got, golden) and both line counts. `None` when they match.
+fn golden_mismatch(bin: &str, exe: &str) -> Option<String> {
     let golden = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../golden");
     let out = Command::new(exe)
         .arg("--json")
         .env("RAYON_NUM_THREADS", "1")
         .output()
         .expect("binary runs");
-    assert!(
-        out.status.success(),
-        "{bin}: {}",
-        String::from_utf8_lossy(&out.stderr)
-    );
+    if !out.status.success() {
+        return Some(format!(
+            "{bin} failed: {}",
+            String::from_utf8_lossy(&out.stderr)
+        ));
+    }
     let want = std::fs::read(golden.join(format!("{bin}.json"))).expect("golden file");
-    let differs = (out.stdout != want).then(|| {
+    (out.stdout != want).then(|| {
         let got = String::from_utf8_lossy(&out.stdout);
         let want = String::from_utf8_lossy(&want);
         let first = got
             .lines()
             .zip(want.lines())
             .enumerate()
-            .find(|(_, (g, w))| g != w)
-            .map(|(i, (g, w))| (i, g.to_string(), w.to_string()));
-        (first, got.lines().count(), want.lines().count())
-    });
+            .find(|(_, (g, w))| g != w);
+        format!(
+            "{bin} --json differs from golden/{bin}.json: first differing line {first:?}, {} lines got, {} lines golden",
+            got.lines().count(),
+            want.lines().count()
+        )
+    })
+}
+
+/// Diffs every binary and names each one that moved in one failure.
+fn assert_match_golden(bins: &[(&str, &str)]) {
+    let moved: Vec<String> = bins
+        .iter()
+        .filter_map(|&(bin, exe)| golden_mismatch(bin, exe))
+        .collect();
     assert!(
-        differs.is_none(),
-        "{bin} --json differs from golden/{bin}.json; (first differing line as (index from 0, got, golden), lines got, lines golden): {differs:?}"
+        moved.is_empty(),
+        "{} of {} figures moved:\n{}",
+        moved.len(),
+        bins.len(),
+        moved.join("\n")
     );
 }
 
@@ -47,7 +63,7 @@ fn figures_match_their_golden_files() {
     // The 13 figures that are cheap in a debug build (about 7 s
     // together, fig_serve the most); every one that prices through the
     // engine is here, so a count that moves shows up as a diff.
-    for (bin, exe) in [
+    assert_match_golden(&[
         ("backends", env!("CARGO_BIN_EXE_backends")),
         ("fig3", env!("CARGO_BIN_EXE_fig3")),
         ("fig8", env!("CARGO_BIN_EXE_fig8")),
@@ -61,18 +77,14 @@ fn figures_match_their_golden_files() {
         ("hostpath", env!("CARGO_BIN_EXE_hostpath")),
         ("mig", env!("CARGO_BIN_EXE_mig")),
         ("table1", env!("CARGO_BIN_EXE_table1")),
-    ] {
-        assert_matches_golden(bin, exe);
-    }
+    ]);
 }
 
 #[test]
 #[ignore = "nightly tier: fig4 and fig17 take ~28 s in a debug build; tests/fault_digests.rs pins them in tier-1"]
 fn fault_studies_match_their_golden_files() {
-    for (bin, exe) in [
+    assert_match_golden(&[
         ("fig4", env!("CARGO_BIN_EXE_fig4")),
         ("fig17", env!("CARGO_BIN_EXE_fig17")),
-    ] {
-        assert_matches_golden(bin, exe);
-    }
+    ]);
 }

@@ -2,14 +2,17 @@
 //!
 //! Open-loop traffic draws Poisson arrivals
 //! ([`c2m_workloads::distributions::exp_interarrivals`]) and assigns
-//! each request a tenant and an input vector drawn from the Fig. 3b
-//! int8 embedding distribution; closed-loop traffic is generated
-//! interactively by [`crate::runtime::ServeRuntime::run_closed_loop`],
-//! which needs completion feedback, and is configured here.
+//! each request a tenant and an input vector; closed-loop traffic is
+//! generated interactively by
+//! [`crate::runtime::ServeRuntime::run_closed_loop`], which needs
+//! completion feedback, and is configured here. Both draw inputs through
+//! [`request_input`]: the Fig. 3b int8 embedding law, one ChaCha12 word
+//! per value mapped through its exact inverse CDF
+//! ([`c2m_workloads::distributions::int8_embedding_of`]).
 
 use crate::request::{ServeRequest, ServiceClass};
-use c2m_workloads::distributions::{int8_embeddings, poisson_arrivals};
-use rand::{Rng, SeedableRng};
+use c2m_workloads::distributions::{int8_embedding_of, poisson_arrivals};
+use rand::{Rng, RngCore, SeedableRng};
 use rand_chacha::ChaCha12Rng;
 use serde::{Deserialize, Serialize};
 
@@ -105,11 +108,14 @@ pub fn open_loop(cfg: &OpenLoopConfig) -> Vec<ServeRequest> {
         .collect()
 }
 
-/// The input vector of request `id`: int8 embeddings, deterministically
-/// seeded so traces reproduce across runs and runtimes.
+/// The input vector of request `id`: `k` values of the Fig. 3b int8
+/// embedding law, each one ChaCha12 word through
+/// [`int8_embedding_of`], from a generator seeded by `seed` and `id` so
+/// traces reproduce across runs and runtimes.
 #[must_use]
 pub fn request_input(k: usize, seed: u64, id: u64) -> Vec<i64> {
-    int8_embeddings(k, seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ id)
+    let mut rng = ChaCha12Rng::seed_from_u64(seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ id);
+    (0..k).map(|_| int8_embedding_of(rng.next_u64())).collect()
 }
 
 #[cfg(test)]
@@ -141,6 +147,33 @@ mod tests {
             assert_eq!(r.n, spec.n);
             assert_eq!(r.class, spec.class, "requests inherit the tenant class");
         }
+    }
+
+    #[test]
+    fn request_inputs_follow_the_int8_embedding_law() {
+        use c2m_workloads::distributions::int8_embeddings;
+        // Two-sample χ² between 10⁶ values of each generator, with the
+        // values beyond ±55 (about 21 per sample) pooled into the end
+        // bins: 111 bins, 110 degrees of freedom.
+        let bins = |values: &[i64]| {
+            let mut counts = [0u64; 111];
+            for &v in values {
+                counts[(v.clamp(-55, 55) + 55) as usize] += 1;
+            }
+            counts
+        };
+        let served: Vec<i64> = (0..1000)
+            .flat_map(|id| request_input(1000, 3, id))
+            .collect();
+        let figures = int8_embeddings(1_000_000, 3);
+        let chi2: f64 = bins(&served)
+            .iter()
+            .zip(bins(&figures))
+            .filter(|&(&r, s)| r + s > 0)
+            .map(|(&r, s)| (r as f64 - s as f64).powi(2) / (r + s) as f64)
+            .sum();
+        // The 0.999 quantile of χ² on 110 degrees of freedom.
+        assert!(chi2 < 161.6, "χ² {chi2} on 110 degrees of freedom");
     }
 
     #[test]

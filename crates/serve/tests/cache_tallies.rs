@@ -101,12 +101,12 @@ fn serving_twice_reports_the_recorded_tallies() {
         // The repeat is all batch-tier hits; the engine is not reached.
         [0, 0, 0, 0, 0, 0, 17, 0],
         // Capped: governor trials re-price compositions.
-        [56, 4, 233, 61, 0, 60, 231, 60],
-        [0, 0, 0, 0, 0, 0, 291, 0],
+        [56, 4, 233, 61, 0, 60, 228, 60],
+        [0, 0, 0, 0, 0, 0, 288, 0],
         // Capped with no batch tier: trials hit the report tier, which
         // clears every 8 inserts.
-        [59, 4, 822, 61, 228, 63, 0, 0],
-        [64, 0, 822, 64, 227, 64, 0, 0],
+        [59, 4, 816, 61, 225, 63, 0, 0],
+        [64, 0, 816, 64, 224, 64, 0, 0],
     ];
     assert_eq!(got, expect);
 }

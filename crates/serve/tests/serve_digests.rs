@@ -121,18 +121,18 @@ fn sweep_grid_reports_are_pinned() {
     assert_digests(
         &got,
         &[
-            ("fifo-b1-uncapped", 0xb986_74de_6510_80c2),
-            ("fifo-b1-capped", 0xc77a_a6ec_192a_3136),
-            ("fifo-b8-uncapped", 0x60ac_9daa_2872_e9d1),
-            ("fifo-b8-capped", 0xfe36_99a0_358d_0431),
-            ("edf-b1-uncapped", 0xdfd8_558a_c314_f96f),
-            ("edf-b1-capped", 0x58b5_8667_78c7_2794),
-            ("edf-b8-uncapped", 0x0830_19af_5095_0183),
-            ("edf-b8-capped", 0xa0ad_eeb0_c573_fe31),
-            ("prio-b1-uncapped", 0x7956_1dca_d8be_361d),
-            ("prio-b1-capped", 0xe23d_9ff8_0a7a_da06),
-            ("prio-b8-uncapped", 0x0830_19af_5095_0183),
-            ("prio-b8-capped", 0xcc74_6fcf_2ead_c117),
+            ("fifo-b1-uncapped", 0x4cb3_967a_4e2d_d13d),
+            ("fifo-b1-capped", 0x51e1_196c_ff05_1ccc),
+            ("fifo-b8-uncapped", 0xfc65_4a30_c443_8a43),
+            ("fifo-b8-capped", 0x479b_e070_34b7_d6ad),
+            ("edf-b1-uncapped", 0x9bfc_7c84_5fd7_ce0c),
+            ("edf-b1-capped", 0xbd56_a62b_ff20_99e5),
+            ("edf-b8-uncapped", 0xd555_ab19_a6dc_ac55),
+            ("edf-b8-capped", 0x5e6a_22a5_137b_a696),
+            ("prio-b1-uncapped", 0x32aa_8792_afe3_ab27),
+            ("prio-b1-capped", 0x6bb3_5d5e_bc0c_bb5c),
+            ("prio-b8-uncapped", 0xd555_ab19_a6dc_ac55),
+            ("prio-b8-capped", 0x04bf_17f6_5b6f_e362),
         ],
     );
 }
@@ -161,8 +161,8 @@ fn unique_input_reports_are_pinned() {
             ("closed-loop".to_string(), digest(&closed)),
         ],
         &[
-            ("open-loop", 0xfff7_840d_8955_04f6),
-            ("closed-loop", 0xe8d7_0211_2fed_161b),
+            ("open-loop", 0xd314_3217_6830_475e),
+            ("closed-loop", 0xeba7_09be_f429_a939),
         ],
     );
 }

@@ -85,19 +85,83 @@ pub fn token_repetitions(samples: usize, seed: u64) -> Vec<i64> {
         .collect()
 }
 
-/// Samples Fig. 3b-style 8-bit embedding values: discretised
-/// zero-centred Gaussian mixture clipped to i8 range.
+/// Samples Fig. 3b-style 8-bit embedding values, the law V = round(14·S)
+/// with S the sum of 12 independent uniforms on [−½, ½): a zero-centred
+/// bell, the Irwin–Hall law of 12 terms shifted to mean 0 (its variance
+/// is 1), scaled to a standard deviation of 14 and rounded half away
+/// from zero. |S| < 6, so |V| ≤ 84 and every value fits an `i8` with
+/// room to spare.
+///
+/// Each value is built from 12 `f64` draws, and the figures' committed
+/// inputs are this stream. Serving draws the same law from one 64-bit
+/// word per value through its exact inverse CDF, [`int8_embedding_of`].
 #[must_use]
 pub fn int8_embeddings(samples: usize, seed: u64) -> Vec<i64> {
     let mut rng = ChaCha12Rng::seed_from_u64(seed);
     (0..samples)
         .map(|_| {
-            // Box-Muller-free approximate normal: sum of uniforms (CLT).
             let s: f64 = (0..12).map(|_| rng.gen_range(-0.5..0.5)).sum();
-            let v = (s * 14.0).round() as i64;
-            v.clamp(-128, 127)
+            (s * 14.0).round() as i64
         })
         .collect()
+}
+
+/// The inverse CDF of the Fig. 3b law in 64-bit fixed point: entry `i`
+/// is ⌊2⁶⁴ · P(V ≤ i − 84)⌋, where V = round(14·S) and S is the sum of
+/// 12 independent uniforms on [−½, ½) (the law [`int8_embeddings`]
+/// samples). V ranges over −84..=84, and P(V ≤ 84) = 1 needs no entry.
+///
+/// V ≤ v exactly when T = S + 6, an Irwin–Hall variable of 12 terms,
+/// lies below a/28 with a = 2v + 169 (ties have probability 0). So
+/// 12!·28¹²·P(V ≤ v) = Σ_{k ≤ a/28} (−1)^k·C(12,k)·(a − 28k)¹², which
+/// [`int8_cdf`] sums in exact `i128` arithmetic at compile time.
+const INT8_CDF: [u64; 168] = int8_cdf();
+
+/// Builds [`INT8_CDF`]. Every term of the sum is below 2¹¹¹ and the
+/// denominator 12!·28¹² is below 2⁸⁷, so the quotient ⌊2⁶⁴·N/D⌋ takes
+/// two 32-bit long-division steps without overflow: ⌊(N≪32)/D⌋ gives
+/// the high half, and the same step on its remainder the low half.
+const fn int8_cdf() -> [u64; 168] {
+    let mut den: i128 = 1;
+    let mut j = 1;
+    while j <= 12 {
+        den *= 28 * j;
+        j += 1;
+    }
+    let mut table = [0u64; 168];
+    let mut i = 0;
+    while i < 168 {
+        let v = i as i128 - 84;
+        let a = 2 * v + 169;
+        let mut num: i128 = 0;
+        // C(12, k), stepped along with k.
+        let mut binom: i128 = 1;
+        let mut k: i128 = 0;
+        while 28 * k <= a {
+            let term = binom * (a - 28 * k).pow(12);
+            num += if k % 2 == 0 { term } else { -term };
+            binom = binom * (12 - k) / (k + 1);
+            k += 1;
+        }
+        let hi = (num << 32) / den;
+        let lo = (((num << 32) % den) << 32) / den;
+        table[i] = ((hi << 32) | lo) as u64;
+        i += 1;
+    }
+    table
+}
+
+/// One value of the Fig. 3b law from one uniform 64-bit word, by
+/// inverse transform through [`INT8_CDF`]: the number of thresholds at
+/// or below `word`, less 84.
+///
+/// A uniform word draws each value v with probability within 2⁻⁶⁴ of
+/// P(V = v). The values whose true mass is below 2⁻⁶⁴ (|v| ≥ 83) are
+/// drawn with probability at most 2⁻⁶⁴: −84, −83 and 83 own no word, and
+/// 84 owns `u64::MAX` alone.
+#[must_use]
+pub fn int8_embedding_of(word: u64) -> i64 {
+    INT8_CDF.partition_point(|&t| t <= word) as i64 - 84
 }
 
 /// Uniform unsigned 8-bit inputs (the Fig. 8 sweep distribution).
@@ -172,6 +236,79 @@ mod tests {
         // Fig. 3b / §3: circa 4-8 bit values.
         assert!(h.mass_within_bits(8) >= 1.0 - 1e-9);
         assert!(h.mass_within_bits(6) > 0.95);
+    }
+
+    /// P(T ≤ x) for T the sum of `n` uniforms on [0, 1), in `f64`, by
+    /// the recurrence F_n(x) = (x·F_{n−1}(x) + (n − x)·F_{n−1}(x − 1)) / n
+    /// (no alternating sum, so no cancellation).
+    fn irwin_hall_cdf(n: u32, x: f64) -> f64 {
+        if x <= 0.0 {
+            0.0
+        } else if x >= f64::from(n) {
+            1.0
+        } else {
+            (x * irwin_hall_cdf(n - 1, x) + (f64::from(n) - x) * irwin_hall_cdf(n - 1, x - 1.0))
+                / f64::from(n)
+        }
+    }
+
+    #[test]
+    fn the_inverse_cdf_table_matches_irwin_hall() {
+        let two64 = 2f64.powi(64);
+        for (i, &t) in INT8_CDF.iter().enumerate() {
+            // V ≤ v exactly when 14·S < v + ½, i.e. S + 6 < 6 + (v + ½)/14.
+            let v = i as f64 - 84.0;
+            let want = irwin_hall_cdf(12, 6.0 + (v + 0.5) / 14.0);
+            let got = t as f64 / two64;
+            assert!((got - want).abs() < 1e-9, "entry {i}: {got} vs {want}");
+        }
+    }
+
+    #[test]
+    fn the_inverse_cdf_table_is_monotone_and_symmetric() {
+        assert!(INT8_CDF.windows(2).all(|w| w[0] <= w[1]));
+        // Exact quotients, from an independent rational evaluation.
+        assert_eq!(INT8_CDF[..4], [0, 0, 40, 2295]);
+        assert_eq!(INT8_CDF[84], 9_482_842_593_842_234_004);
+        assert_eq!(
+            [164, 165, 166, 167].map(|i| u64::MAX - INT8_CDF[i]),
+            [2295, 40, 0, 0]
+        );
+        // P(V ≤ v) + P(V ≤ −v − 1) = 1, and each entry is floored.
+        for i in 0..168 {
+            let sum = u128::from(INT8_CDF[i]) + u128::from(INT8_CDF[167 - i]);
+            assert!((1u128 << 64) - sum <= 2, "entries {i} and {}", 167 - i);
+        }
+    }
+
+    #[test]
+    fn each_cell_starts_at_its_threshold() {
+        // Value v = i − 84 owns the words [INT8_CDF[i − 1], INT8_CDF[i]),
+        // counting from 0 below the first entry and to 2⁶⁴ above the last.
+        let lower = |i: usize| if i == 0 { 0 } else { INT8_CDF[i - 1] };
+        let upper = |i: usize| INT8_CDF.get(i).map_or(1u128 << 64, |&t| u128::from(t));
+        let mut beneath = None;
+        for i in 0..=168 {
+            let v = i as i64 - 84;
+            let size = upper(i) - u128::from(lower(i));
+            if v.abs() >= 83 {
+                assert!(size <= 1, "{v} owns {size} words");
+            }
+            if size == 0 {
+                continue;
+            }
+            assert_eq!(int8_embedding_of(lower(i)), v);
+            assert_eq!(int8_embedding_of((upper(i) - 1) as u64), v);
+            match beneath {
+                Some(b) => assert_eq!(int8_embedding_of(lower(i) - 1), b, "below {v}"),
+                None => assert_eq!(lower(i), 0, "{v} is the lowest drawable value"),
+            }
+            beneath = Some(v);
+        }
+        assert_eq!(beneath, Some(84), "u64::MAX alone draws 84");
+        // −84 and −83 own no word, so the lowest drawable value is −82.
+        assert_eq!(int8_embedding_of(0), -82);
+        assert_eq!(int8_embedding_of(u64::MAX), 84);
     }
 
     #[test]
