@@ -5,7 +5,7 @@
 use c2m_baselines::SimdramEngine;
 use c2m_bench::{eng, header, maybe_json};
 use c2m_core::engine::{C2mEngine, EngineConfig};
-use c2m_dram::{EnergyBreakdown, ExecutionReport};
+use c2m_dram::ExecutionReport;
 use c2m_workloads::bertproxy::bert_attention_gemms;
 use c2m_workloads::distributions::{int8_embeddings, token_repetitions};
 use c2m_workloads::gcn::pubmed;
@@ -106,14 +106,10 @@ fn input_row(kind: &InputKind, k: usize, seed: u64) -> Vec<i64> {
     }
 }
 
-/// Accumulates one launch's report into the workload total via the
-/// energy ledger: the scalar total and the per-shard/busy-vs-idle
-/// breakdown both ride along (`energy_nj` stays the breakdown's exact
-/// `total_nj`, so the summed figure is bit-for-bit what the old
-/// post-hoc per-launch scalars summed to).
+/// Accumulates one launch's report into the workload total: times,
+/// energies, operations and commands add launch after launch.
 fn accumulate(total: &mut ExecutionReport, r: &ExecutionReport) {
     total.elapsed_ns += r.elapsed_ns;
-    total.energy.merge(&r.energy);
     total.energy_nj += r.energy_nj;
     total.useful_ops += r.useful_ops;
     total.area_mm2 = r.area_mm2;
@@ -127,7 +123,6 @@ fn empty_total() -> ExecutionReport {
         energy_nj: 0.0,
         useful_ops: 0,
         area_mm2: 0.0,
-        energy: EnergyBreakdown::default(),
         cache: c2m_dram::CacheCounters::default(),
     }
 }

@@ -24,7 +24,7 @@
 //!   modelled at a two-tenant mask budget: tenant switches now pay a
 //!   mask-plane reload, so policy choice trades deadline chasing
 //!   against tenant affinity (visible as reload counts).
-//! * **energy** — the energy-ledger sweep over batch window × policy ×
+//! * **energy** — the energy sweep over batch window × policy ×
 //!   power cap on the mixed-priority overload: J/request (overall and
 //!   per class) drops under batching, and a rolling-window power cap
 //!   ([`ServeConfig::power_budget_w`], set at two fractions of the
@@ -91,7 +91,7 @@ struct ServeRow {
     miss_rate: f64,
     reloads: usize,
     reload_us: f64,
-    // Energy-ledger metrics: joules per request (overall and for the
+    // Energy metrics: joules per request (overall and for the
     // highest/lowest class), average and worst rolling-window power,
     // and the power cap in force (0 = uncapped).
     j_per_req: f64,
@@ -472,7 +472,7 @@ fn main() {
         );
     }
 
-    // Sweep 6: the energy ledger — batch window x policy x power cap on
+    // Sweep 6: energy — batch window x policy x power cap on
     // the same overload trace. The caps sit at fixed fractions of the
     // uncapped batched FIFO run's rolling-window excursion above the
     // module's static idle floor, so "tight" demonstrably binds while

@@ -6,6 +6,11 @@
 //! the same diff: `RAYON_NUM_THREADS=1 cargo run --release -p c2m_bench
 //! --bin fig8 -- --json > golden/fig8.json`, and likewise for the
 //! others.
+//!
+//! `golden/traces/` holds the `fig_serve --trace` and `fig_scaling
+//! --trace` exports, recorded the same way (`RAYON_NUM_THREADS=1 cargo
+//! run --release -p c2m_bench --bin fig_serve -- --trace
+//! golden/traces/fig_serve.json`).
 
 use std::path::Path;
 use std::process::Command;
@@ -87,4 +92,66 @@ fn fault_studies_match_their_golden_files() {
         ("fig4", env!("CARGO_BIN_EXE_fig4")),
         ("fig17", env!("CARGO_BIN_EXE_fig17")),
     ]);
+}
+
+/// Where `got` first differs from `want`: the byte offset and a window
+/// of each around it. `None` when they match.
+fn first_difference(got: &[u8], want: &[u8]) -> Option<String> {
+    if got == want {
+        return None;
+    }
+    let at = got
+        .iter()
+        .zip(want)
+        .position(|(g, w)| g != w)
+        .unwrap_or(got.len().min(want.len()));
+    let window = |b: &[u8]| {
+        String::from_utf8_lossy(&b[at.saturating_sub(60)..(at + 60).min(b.len())]).into_owned()
+    };
+    Some(format!(
+        "first differing byte at offset {at} ({} bytes got, {} golden)\n  got:    {}\n  golden: {}",
+        got.len(),
+        want.len(),
+        window(got),
+        window(want)
+    ))
+}
+
+#[test]
+fn trace_exports_match_their_golden_files() {
+    let golden = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../golden/traces");
+    let dir = std::env::temp_dir().join(format!("c2m_golden_traces_{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("temp dir is writable");
+    let moved: Vec<String> = [
+        ("fig_serve", env!("CARGO_BIN_EXE_fig_serve")),
+        ("fig_scaling", env!("CARGO_BIN_EXE_fig_scaling")),
+    ]
+    .into_iter()
+    .filter_map(|(bin, exe)| {
+        let path = dir.join(format!("{bin}.json"));
+        let out = Command::new(exe)
+            .arg("--trace")
+            .arg(&path)
+            .env("RAYON_NUM_THREADS", "1")
+            .output()
+            .expect("binary runs");
+        if !out.status.success() {
+            return Some(format!(
+                "{bin} --trace failed: {}",
+                String::from_utf8_lossy(&out.stderr)
+            ));
+        }
+        let got = std::fs::read(&path).expect("trace written");
+        let want = std::fs::read(golden.join(format!("{bin}.json"))).expect("golden trace");
+        first_difference(&got, &want)
+            .map(|d| format!("{bin} --trace differs from golden/traces/{bin}.json: {d}"))
+    })
+    .collect();
+    std::fs::remove_dir_all(&dir).expect("temp dir is removable");
+    assert!(
+        moved.is_empty(),
+        "{} of 2 trace exports moved:\n{}",
+        moved.len(),
+        moved.join("\n")
+    );
 }

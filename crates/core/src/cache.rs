@@ -610,7 +610,6 @@ mod tests {
             energy_nj: 2.0 * elapsed_ns,
             useful_ops: 7,
             area_mm2: 1.0,
-            energy: c2m_dram::EnergyBreakdown::default(),
             cache: CacheCounters::default(),
         }
     }

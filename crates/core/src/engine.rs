@@ -33,8 +33,8 @@ use crate::store::CacheStore;
 use c2m_cim::Backend;
 use c2m_dram::scheduler::{salp_stream_cap, steady_state_aap_interval};
 use c2m_dram::{
-    AreaModel, CacheCounters, CommandKind, CommandStats, DramConfig, EnergyLedger, EnergyModel,
-    ExecutionReport, TimingParams, Topology,
+    AreaModel, CacheCounters, CommandKind, CommandStats, DramConfig, EnergyModel, ExecutionReport,
+    TimingParams, Topology,
 };
 use c2m_ecc::protect::{ProtectionAnalysis, ProtectionKind};
 use c2m_jc::codec::JohnsonCode;
@@ -181,18 +181,14 @@ pub enum EngineBuildError {
     InvalidGeometry(String),
     /// The backend dispatch policy is unusable (empty per-channel list).
     InvalidBackends(String),
-    /// The shard sizing weights are unusable (empty, non-positive, or
-    /// non-finite).
-    InvalidSizing(String),
 }
 
 impl fmt::Display for EngineBuildError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            Self::InvalidRadix(m)
-            | Self::InvalidGeometry(m)
-            | Self::InvalidBackends(m)
-            | Self::InvalidSizing(m) => f.write_str(m),
+            Self::InvalidRadix(m) | Self::InvalidGeometry(m) | Self::InvalidBackends(m) => {
+                f.write_str(m)
+            }
         }
     }
 }
@@ -233,7 +229,6 @@ enum CacheChoice {
 pub struct EngineBuilder {
     cfg: EngineConfig,
     backends: BackendPolicy,
-    sizing: ShardSizing,
     balanced: bool,
     cache: CacheChoice,
     cache_path: Option<PathBuf>,
@@ -248,21 +243,11 @@ impl EngineBuilder {
         self
     }
 
-    /// Sets the shard-length sizing policy (see [`ShardSizing`]).
+    /// Derives the sizing from the backend policy at build time
+    /// ([`C2mEngine::heterogeneity_weights`]): each channel receives
+    /// work inversely proportional to its backend's per-increment cost,
+    /// equalising per-channel makespan on mixed-backend modules.
     /// Default: [`ShardSizing::Even`], the seed behaviour.
-    #[must_use]
-    pub fn sizing(mut self, sizing: ShardSizing) -> Self {
-        self.sizing = sizing;
-        self.balanced = false;
-        self
-    }
-
-    /// Derives the sizing from the backend policy at build time:
-    /// each channel receives work inversely proportional to its
-    /// backend's per-increment cost, equalising per-channel makespan on
-    /// mixed-backend modules (equivalent to feeding
-    /// [`C2mEngine::heterogeneity_weights`] back into
-    /// [`Self::sizing`]).
     #[must_use]
     pub fn balanced_sizing(mut self) -> Self {
         self.balanced = true;
@@ -313,9 +298,8 @@ impl EngineBuilder {
     ///
     /// Returns an [`EngineBuildError`] on a radix that is odd or outside
     /// `2..=`[`JohnsonCode::MAX_RADIX`], degenerate DRAM geometry (zero
-    /// channels/ranks/banks or more compute banks than the rank has), an
-    /// empty per-channel backend list, or empty/non-positive/non-finite
-    /// sizing weights.
+    /// channels/ranks/banks or more compute banks than the rank has), or
+    /// an empty per-channel backend list.
     pub fn try_build(self) -> Result<C2mEngine, EngineBuildError> {
         let cfg = self.cfg;
         if !(2..=JohnsonCode::MAX_RADIX).contains(&cfg.radix) || !cfg.radix.is_multiple_of(2) {
@@ -360,18 +344,6 @@ impl EngineBuilder {
                 ));
             }
         }
-        if let ShardSizing::Weighted(w) = &self.sizing {
-            if w.is_empty() {
-                return Err(EngineBuildError::InvalidSizing(
-                    "shard sizing weights must be non-empty".into(),
-                ));
-            }
-            if !w.iter().all(|&x| x.is_finite() && x > 0.0) {
-                return Err(EngineBuildError::InvalidSizing(format!(
-                    "shard sizing weights must be positive and finite, got {w:?}"
-                )));
-            }
-        }
         let code = JohnsonCode::for_radix(cfg.radix);
         let digits = digits_for_capacity(cfg.radix, cfg.capacity_bits);
         let cache = match self.cache {
@@ -390,7 +362,7 @@ impl EngineBuilder {
             code,
             digits,
             backends: self.backends,
-            sizing: self.sizing,
+            sizing: ShardSizing::Even,
             cache,
             cache_path: self.cache_path,
             trace: None,
@@ -460,7 +432,6 @@ impl C2mEngine {
         EngineBuilder {
             cfg,
             backends: BackendPolicy::default(),
-            sizing: ShardSizing::default(),
             balanced: false,
             cache: CacheChoice::Private(CacheConfig::default()),
             cache_path: None,
@@ -483,9 +454,9 @@ impl C2mEngine {
     /// channel `c` weighs `1 / backend_factor(backend_for(c))`, so a
     /// channel whose increments cost `f×` Ambit's receives `1/f` of the
     /// work and every channel finishes its shard at the same time.
-    /// Feeding this to [`EngineBuilder::sizing`] (or building with
-    /// [`EngineBuilder::balanced_sizing`]) rebalances mixed-backend
-    /// topologies; on a uniform policy it reduces to the even split.
+    /// Building with [`EngineBuilder::balanced_sizing`] shards by these
+    /// weights, which rebalances mixed-backend topologies; on a uniform
+    /// policy it reduces to the even split.
     #[must_use]
     pub fn heterogeneity_weights(&self) -> ShardSizing {
         let weights: Vec<f64> = (0..self.cfg.dram.channels)
@@ -782,7 +753,8 @@ impl C2mEngine {
         }
         match sizing {
             ShardSizing::Even => w.push(0),
-            // Weights are validated non-empty at build, so the length
+            // Weights come from `heterogeneity_weights`, one per channel,
+            // and a built engine has at least one channel, so the length
             // prefix (≥ 1) never collides with the `Even` tag.
             ShardSizing::Weighted(ws) => {
                 w.push(ws.len() as u64);
@@ -1286,10 +1258,9 @@ impl C2mEngine {
     /// single-channel pricing.
     ///
     /// `shard_ops` holds one effective-AAP count per plan shard, in
-    /// plan order; besides driving the timing it feeds the
-    /// [`EnergyLedger`]'s per-unit dynamic attribution, and each busy
-    /// rank's compute window (vs the idle remainder of the makespan) is
-    /// booked as a per-rank background interval.
+    /// plan order. Energy is [`EnergyModel::system_energy_nj`] over the
+    /// aggregate commands and the makespan (see
+    /// [`ExecutionReport::from_run`]).
     fn sharded_report(
         &self,
         plan: &ShardPlan,
@@ -1335,9 +1306,6 @@ impl C2mEngine {
             .collect();
         let compute_ns = chan_ns.iter().copied().fold(0.0, f64::max);
         let mut total_ops: f64 = chan_ops.iter().sum();
-        let mut merge_ops_total = 0.0f64;
-        let mut host_rd = 0u64;
-        let mut host_wr = 0u64;
         let mut stats = CommandStats::default();
         let mut transfer_ns = 0.0;
         // Per-round merge durations, collected only when tracing (an
@@ -1380,56 +1348,25 @@ impl C2mEngine {
                     merge_rounds.push(round_ns);
                 }
                 total_ops += pairs as f64 * merge_ops;
-                merge_ops_total += pairs as f64 * merge_ops;
                 stats.record_n(CommandKind::Rd, pairs as u64 * bursts);
                 stats.record_n(CommandKind::Wr, pairs as u64 * bursts);
-                host_rd += pairs as u64 * bursts;
-                host_wr += pairs as u64 * bursts;
                 active -= pairs;
             }
         }
         if gather_bursts > 0 {
             transfer_ns += gather_bursts as f64 * self.cfg.timing.t_burst;
             stats.record_n(CommandKind::Rd, gather_bursts);
-            host_rd += gather_bursts;
         }
 
         stats.record_n(CommandKind::Aap, total_ops.round() as u64);
-        let elapsed_ns = compute_ns + transfer_ns;
-
-        // Stream the run into the energy ledger: per-shard dynamic AAP
-        // work (scaled so the attribution sums to the aggregate integer
-        // command count exactly), host-mediated merge work and bus
-        // transfers, and each busy rank's compute window.
-        let mut ledger = EnergyLedger::new(self.cfg.energy, self.cfg.dram.clone());
-        let scale = if total_ops > 0.0 {
-            total_ops.round() / total_ops
-        } else {
-            0.0
-        };
-        for (shard, &ops) in plan.shards.iter().zip(shard_ops) {
-            ledger.record_unit(shard.channel, shard.rank, CommandKind::Aap, ops * scale);
-        }
-        ledger.record_host(CommandKind::Aap, merge_ops_total * scale);
-        ledger.record_host(CommandKind::Rd, host_rd as f64);
-        ledger.record_host(CommandKind::Wr, host_wr as f64);
-        // One busy window per distinct (channel, rank): the ledger sums
-        // windows per rank, so a unit's SALP shards must not each book
-        // the whole channel makespan.
-        let mut busy_units: Vec<(usize, usize)> = plan
-            .shards
-            .iter()
-            .filter(|s| s.len > 0)
-            .map(|s| (s.channel, s.rank))
-            .collect();
-        busy_units.sort_unstable();
-        busy_units.dedup();
-        let busy: Vec<(usize, usize, f64)> = busy_units
-            .into_iter()
-            .map(|(c, r)| (c, r, chan_ns[c]))
-            .collect();
-        ledger.close(elapsed_ns, stats, &busy);
-        let mut report = ExecutionReport::from_ledger(&ledger, useful, &self.cfg.area);
+        let mut report = ExecutionReport::from_run(
+            compute_ns + transfer_ns,
+            stats,
+            useful,
+            &self.cfg.energy,
+            &self.cfg.area,
+            &self.cfg.dram,
+        );
         // Observational only: a snapshot of the engine's cumulative
         // cache tallies at report time. Never feeds back into pricing.
         report.cache = self.cache_stats();
@@ -1807,6 +1744,13 @@ mod tests {
             .build()
             .ternary_gemv(&xs, 8192);
         assert!(fcdram.elapsed_ns > ambit.elapsed_ns);
+        // More commands over a longer makespan cost more energy too.
+        assert!(
+            fcdram.energy_nj > ambit.energy_nj,
+            "fcdram {} vs ambit {}",
+            fcdram.energy_nj,
+            ambit.energy_nj
+        );
 
         // A mixed module prices between the two uniform extremes.
         let mixed = C2mEngine::builder(cfg)
@@ -1910,7 +1854,7 @@ mod tests {
         // And a uniform weighted engine plans identically to the seed.
         let xs = int8_stream(4096, 50);
         let sized = C2mEngine::builder(cfg_with_channels(4, 1))
-            .sizing(ShardSizing::Weighted(w))
+            .balanced_sizing()
             .build();
         assert_eq!(
             sized.ternary_gemv(&xs, 8192).elapsed_ns,
@@ -1982,16 +1926,43 @@ mod tests {
         assert!((eight.area_mm2 - 8.0 * one.area_mm2).abs() < 1e-9);
     }
 
-    // ---- the energy ledger threaded through launches ----
+    // ---- launch energy ----
 
-    /// Conservation: the per-shard dynamic + per-rank background
-    /// attribution sums to the exact `system_energy_nj` total, across
-    /// kernels and topologies.
     #[test]
-    fn ledger_attribution_is_conserved_across_kernels_and_topologies() {
+    fn ledger_attributes_more_dynamic_energy_to_slower_backends() {
+        // The FCDRAM channel burns more commands per increment, so a mixed
+        // module's dynamic energy (priced from the launch's aggregate
+        // commands) lies strictly between the two uniform extremes.
+        let xs: Vec<Vec<i64>> = (0..8).map(|s| int8_stream(1024, 95 + s)).collect();
+        let cfg = cfg_with_channels(2, 1);
+        let dynamic_nj = |policy: BackendPolicy| {
+            let r = C2mEngine::builder(cfg.clone())
+                .backends(policy)
+                .build()
+                .ternary_gemv_batch(&xs, 2048);
+            cfg.energy.dynamic_energy_nj(&r.stats)
+        };
+        let ambit = dynamic_nj(BackendPolicy::Uniform(Backend::Ambit));
+        let fcdram = dynamic_nj(BackendPolicy::Uniform(Backend::Fcdram));
+        let mixed = dynamic_nj(BackendPolicy::PerChannel(vec![
+            Backend::Ambit,
+            Backend::Fcdram,
+        ]));
+        assert!(
+            ambit < mixed && mixed < fcdram,
+            "ambit {ambit} mixed {mixed} fcdram {fcdram}"
+        );
+    }
+
+    /// Every launch's energy is the system formula over its own
+    /// aggregate commands and makespan, bit for bit, across kernels and
+    /// topologies.
+    #[test]
+    fn launch_energy_is_the_system_formula_across_kernels_and_topologies() {
         let planes: Vec<(u32, bool)> = (0..5u32).flat_map(|e| [(e, false), (e, true)]).collect();
         for &(channels, ranks) in &[(1usize, 1usize), (4, 1), (2, 2), (4, 2)] {
-            let e = C2mEngine::builder(cfg_with_channels(channels, ranks)).build();
+            let cfg = cfg_with_channels(channels, ranks);
+            let e = C2mEngine::builder(cfg.clone()).build();
             let xs = int8_stream(2048, 70 + channels as u64 * 8 + ranks as u64);
             let batch: Vec<Vec<i64>> = (0..6).map(|s| int8_stream(512, 80 + s)).collect();
             let reports = [
@@ -2002,64 +1973,16 @@ mod tests {
                 e.ternary_gemv_batch(&batch, 1024),
             ];
             for r in &reports {
-                assert_eq!(r.energy.total_nj, r.energy_nj, "{channels}x{ranks}");
-                let rel = ((r.energy.attributed_nj() - r.energy_nj) / r.energy_nj).abs();
-                assert!(
-                    rel < 1e-9,
-                    "{channels}x{ranks}: attributed {} vs total {} (rel {rel})",
-                    r.energy.attributed_nj(),
-                    r.energy_nj
+                assert!(r.energy_nj > 0.0, "{channels}x{ranks}");
+                assert_eq!(
+                    r.energy_nj.to_bits(),
+                    cfg.energy
+                        .system_energy_nj(&r.stats, r.elapsed_ns, &cfg.dram)
+                        .to_bits(),
+                    "{channels}x{ranks}"
                 );
-                // One attribution entry per rank of the topology.
-                assert_eq!(r.energy.shards.len(), channels * ranks);
             }
         }
-    }
-
-    #[test]
-    fn ledger_splits_background_busy_vs_idle_on_stragglers() {
-        // 1x1: the single rank is busy for the whole compute phase, so
-        // idle background only accrues over the transfer phase (none
-        // for a single-unit GEMV).
-        let xs = int8_stream(2048, 90);
-        let one = C2mEngine::builder(cfg_with_channels(1, 1))
-            .build()
-            .ternary_gemv(&xs, 4096);
-        assert_eq!(one.energy.background_idle_nj, 0.0);
-        assert!(one.energy.background_busy_nj > 0.0);
-        // Multi-channel: the merge tree serialises after the parallel
-        // phase, so every rank idles through it and idle energy shows.
-        let four = C2mEngine::builder(cfg_with_channels(4, 1))
-            .build()
-            .ternary_gemv(&xs, 4096);
-        assert!(four.energy.background_idle_nj > 0.0);
-        assert!(four.energy.host_nj > 0.0, "merge traffic is host energy");
-        // Dynamic attribution lands on the units that computed.
-        for s in &four.energy.shards {
-            assert!(s.dynamic_nj > 0.0, "unit ({},{})", s.channel, s.rank);
-        }
-    }
-
-    #[test]
-    fn ledger_attributes_more_dynamic_energy_to_slower_backends() {
-        // On a mixed module the FCDRAM channel burns more commands per
-        // increment, and the per-shard attribution shows it.
-        let xs: Vec<Vec<i64>> = (0..8).map(|s| int8_stream(1024, 95 + s)).collect();
-        let e = C2mEngine::builder(cfg_with_channels(2, 1))
-            .backends(BackendPolicy::PerChannel(vec![
-                Backend::Ambit,
-                Backend::Fcdram,
-            ]))
-            .build();
-        let r = e.ternary_gemv_batch(&xs, 2048);
-        let ambit = r.energy.shards.iter().find(|s| s.channel == 0).unwrap();
-        let fcdram = r.energy.shards.iter().find(|s| s.channel == 1).unwrap();
-        assert!(
-            fcdram.dynamic_nj > ambit.dynamic_nj,
-            "fcdram {} vs ambit {}",
-            fcdram.dynamic_nj,
-            ambit.dynamic_nj
-        );
     }
 
     // ---- builder validation and caching ----
@@ -2087,18 +2010,6 @@ mod tests {
                 .backends(BackendPolicy::PerChannel(vec![]))
                 .try_build(),
             Err(EngineBuildError::InvalidBackends(_))
-        ));
-        assert!(matches!(
-            C2mEngine::builder(EngineConfig::c2m(16))
-                .sizing(ShardSizing::Weighted(vec![1.0, -2.0]))
-                .try_build(),
-            Err(EngineBuildError::InvalidSizing(_))
-        ));
-        assert!(matches!(
-            C2mEngine::builder(EngineConfig::c2m(16))
-                .sizing(ShardSizing::Weighted(vec![]))
-                .try_build(),
-            Err(EngineBuildError::InvalidSizing(_))
         ));
     }
 

@@ -177,7 +177,8 @@ impl PlacementPlan {
 /// # Errors
 ///
 /// Returns `Err` with the row deficit if the masks + counters exceed
-/// the subarray's D-group (the kernel must then be split along K).
+/// the subarray's D-group (the kernel must then be split along K). A
+/// row count past `usize::MAX` saturates there, so the deficit does too.
 pub fn plan(
     cfg: &DramConfig,
     spec: &CounterSpec,
@@ -185,8 +186,8 @@ pub fn plan(
 ) -> Result<PlacementPlan, usize> {
     // Fig. 1b: 8 B-group + 2 C-group rows are reserved per subarray.
     let rows_available = cfg.rows_per_subarray.saturating_sub(10);
-    let mask_rows = shape.k * shape.encoding.rows_per_index();
-    let rows_used = spec.counter_rows() + spec.scratch_rows() + mask_rows;
+    let mask_rows = shape.k.saturating_mul(shape.encoding.rows_per_index());
+    let rows_used = (spec.counter_rows() + spec.scratch_rows()).saturating_add(mask_rows);
     if rows_used > rows_available {
         return Err(rows_used - rows_available);
     }
@@ -423,6 +424,32 @@ mod tests {
             encoding: MaskEncoding::Binary,
         };
         assert!(plan(&cfg(), &spec, &ok).is_ok());
+    }
+
+    #[test]
+    fn a_mask_row_count_past_usize_max_is_a_deficit() {
+        // `k · rows_per_index` overflows for every encoding at
+        // `k = usize::MAX` (binary only once the counter rows are added);
+        // the rows saturate, so the plan is a deficit, never a wrapped
+        // fit.
+        let spec = CounterSpec::paper_default();
+        for encoding in [
+            MaskEncoding::Binary,
+            MaskEncoding::Ternary,
+            MaskEncoding::csd_for_precision(8),
+        ] {
+            let shape = KernelShape {
+                k: usize::MAX,
+                n_out: 64,
+                encoding,
+            };
+            let rows_available = cfg().rows_per_subarray - 10;
+            assert_eq!(
+                plan(&cfg(), &spec, &shape),
+                Err(usize::MAX - rows_available),
+                "{encoding:?}"
+            );
+        }
     }
 
     #[test]

@@ -15,7 +15,7 @@
 //! # Format
 //!
 //! A store file is one line of JSON text in a fixed layout:
-//! `{"magic":"c2m-cache","format_version":4,"words":[`, then each word
+//! `{"magic":"c2m-cache","format_version":5,"words":[`, then each word
 //! in decimal, separated by commas, then `]}`. These are the bytes a JSON
 //! writer gives the object with these three keys, so any JSON reader
 //! reads a store, but [`CacheStore`] reads and writes the text directly,
@@ -31,8 +31,9 @@
 //!   digits of `u64::MAX`). The stream tier comes first, then the report
 //!   tier. Each tier is an entry count followed by its entries in key
 //!   order, and each entry is its key length, its key words, then its
-//!   value — the sequence count for a stream, the report's fields
-//!   (floats as IEEE-754 bit patterns) for a report.
+//!   value — the sequence count for a stream, and for a report its 11
+//!   fields: elapsed time, energy, useful operations and area (floats as
+//!   IEEE-754 bit patterns), then one count per command kind.
 //!
 //! **Stale or mismatched files are ignored, never trusted**: any guard
 //! failure makes [`CacheStore::load_into`] return `false` and leave the
@@ -53,9 +54,7 @@
 //! later launch panic.
 
 use crate::cache::PlanCache;
-use c2m_dram::{
-    CacheCounters, CommandKind, CommandStats, EnergyBreakdown, ExecutionReport, ShardEnergy,
-};
+use c2m_dram::{CacheCounters, CommandKind, CommandStats, ExecutionReport};
 use std::collections::BTreeMap;
 use std::fs::File;
 use std::io::{BufWriter, Write};
@@ -83,9 +82,10 @@ const MAGIC: &str = "c2m-cache";
 impl CacheStore {
     /// Version of the word layout and its text. Readers reject any other
     /// value. Version 3 stored every entry as its opaque key words plus
-    /// its value, each word in unsigned decimal; version 4 writes the
-    /// same words as signed decimal.
-    pub const FORMAT_VERSION: u64 = 4;
+    /// its value, each word in unsigned decimal; version 4 wrote the
+    /// same words as signed decimal; version 5 drops the per-shard energy
+    /// breakdown that followed each report's command counts.
+    pub const FORMAT_VERSION: u64 = 5;
 
     /// Writes `cache`'s entries to `path` (creating parent directories),
     /// replacing any existing file. Tallies are not persisted — they
@@ -270,25 +270,6 @@ fn encode_report(w: &mut Vec<u64>, report: &ExecutionReport) {
     for kind in COMMAND_KINDS {
         w.push(report.stats.count(kind));
     }
-    let e = &report.energy;
-    w.extend([
-        e.dynamic_nj.to_bits(),
-        e.host_nj.to_bits(),
-        e.background_busy_nj.to_bits(),
-        e.background_idle_nj.to_bits(),
-        e.total_nj.to_bits(),
-    ]);
-    w.push(e.shards.len() as u64);
-    for s in &e.shards {
-        w.extend([
-            s.channel as u64,
-            s.rank as u64,
-            s.dynamic_nj.to_bits(),
-            s.busy_ns.to_bits(),
-            s.background_busy_nj.to_bits(),
-            s.background_idle_nj.to_bits(),
-        ]);
-    }
     // `report.cache` is deliberately not persisted: counter snapshots
     // belong to the producing run, and a report-cache hit re-stamps
     // them from the consuming engine anyway.
@@ -311,10 +292,6 @@ impl<'a> Reader<'a> {
         Some(v)
     }
 
-    fn n(&mut self) -> Option<usize> {
-        usize::try_from(self.u()?).ok()
-    }
-
     /// A report float, rejected when NaN or infinite: a report hit would
     /// serve it as output.
     fn f(&mut self) -> Option<f64> {
@@ -325,7 +302,7 @@ impl<'a> Reader<'a> {
     /// (each element takes at least one word), so corrupt lengths can
     /// never drive a huge allocation.
     fn len(&mut self) -> Option<usize> {
-        let len = self.n()?;
+        let len = usize::try_from(self.u()?).ok()?;
         (len <= self.words.len() - self.pos).then_some(len)
     }
 
@@ -351,38 +328,12 @@ fn decode_report(r: &mut Reader<'_>) -> Option<ExecutionReport> {
     for kind in COMMAND_KINDS {
         stats.record_n(kind, r.u()?);
     }
-    let dynamic_nj = r.f()?;
-    let host_nj = r.f()?;
-    let background_busy_nj = r.f()?;
-    let background_idle_nj = r.f()?;
-    let total_nj = r.f()?;
-    let len = r.len()?;
-    let shards = (0..len)
-        .map(|_| {
-            Some(ShardEnergy {
-                channel: r.n()?,
-                rank: r.n()?,
-                dynamic_nj: r.f()?,
-                busy_ns: r.f()?,
-                background_busy_nj: r.f()?,
-                background_idle_nj: r.f()?,
-            })
-        })
-        .collect::<Option<_>>()?;
     Some(ExecutionReport {
         elapsed_ns,
         stats,
         energy_nj,
         useful_ops,
         area_mm2,
-        energy: EnergyBreakdown {
-            dynamic_nj,
-            host_nj,
-            background_busy_nj,
-            background_idle_nj,
-            total_nj,
-            shards,
-        },
         cache: CacheCounters::default(),
     })
 }
@@ -504,7 +455,9 @@ mod tests {
 
         // A real store under a newer or an older (version 2, with typed
         // kernel keys) format version must also be cold, and so must
-        // its words under version 3, which wrote them unsigned.
+        // its words under version 3, which wrote them unsigned. (A
+        // version 4 store, whose reports carried an energy breakdown, is
+        // `crates/bench/tests/stores.rs`'s case.)
         let path = temp_store("stale");
         let cache = warm_cache();
         CacheStore::save(&path, &cache).expect("save");
@@ -727,9 +680,9 @@ mod tests {
         let words = encode(&cache);
         // Word positions: the stream tier's count (word 0), each stream
         // entry as its key length, key words and sequence count; then
-        // the report tier's count, and the first report after its key,
-        // whose shard count follows 16 words of scalars, command counts
-        // and energies.
+        // the report tier's count, and the first report after its key:
+        // elapsed time, energy, useful operations and area, then seven
+        // command counts.
         let mut reports = 1;
         for _ in 0..words[0] {
             reports += 2 + words[reports] as usize;
@@ -755,7 +708,8 @@ mod tests {
         };
         let head_of_text = text.strip_suffix('}').expect("store is one object");
         let mut cases = vec![
-            // Rejected by the guards in `decode_tier` and `Reader::f`, or
+            // Rejected by the guards in `decode_tier` and `Reader::f` (one
+            // case on each report float: elapsed time, energy, area), or
             // (the repeated field) by the head and tail `parse_text`
             // expects.
             ("NaN report float", set(first_report, f64::NAN.to_bits())),
@@ -767,6 +721,7 @@ mod tests {
                 "-inf report float",
                 set(first_report + 1, f64::NEG_INFINITY.to_bits()),
             ),
+            ("NaN report area", set(first_report + 3, f64::NAN.to_bits())),
             ("duplicate stream key", duplicate_key),
             (
                 "repeated header field",
@@ -775,7 +730,8 @@ mod tests {
             // Huge length prefixes, rejected by the words-left check.
             ("u64::MAX stream count", set(0, u64::MAX)),
             ("u64::MAX key length", set(1, u64::MAX)),
-            ("u64::MAX shard count", set(first_report + 16, u64::MAX)),
+            ("u64::MAX report count", set(reports, u64::MAX)),
+            ("u64::MAX report key length", set(reports + 1, u64::MAX)),
             // Text that is not the layout `save` writes, rejected by
             // `parse_text` and `parse_word`. (`-1` spells u64::MAX, so the
             // u64::MAX key length above covers it.)

@@ -1,4 +1,4 @@
-//! Per-command DRAM energy model and the streaming energy ledger.
+//! Per-command DRAM energy model.
 //!
 //! The reproduction does not have access to the authors' power traces, so
 //! this module provides a transparent constant-per-command model in the
@@ -10,20 +10,11 @@
 //! to the absolute constants; they are nonetheless chosen to be plausible
 //! for a DDR5 x8 rank.
 //!
-//! On top of the constant model, [`EnergyLedger`] replaces the old
-//! "compute energy once, post-hoc, from aggregate [`CommandStats`]"
-//! pattern with streaming *attribution*: dynamic energy is recorded per
-//! execution site ([`EnergySite`]: a (channel, rank) compute unit or the
-//! shared host bus) and per command kind as the run is priced, and
-//! background power is split per rank into a **busy** interval (the
-//! rank's own compute window) and an **idle** remainder (a straggling
-//! channel keeps every other rank burning static power). Closing the
-//! ledger yields an [`EnergyBreakdown`]; the exact total
-//! ([`EnergyLedger::total_nj`]) is computed with the same arithmetic as
-//! [`EnergyModel::system_energy_nj`] on the aggregate stats — bit-for-bit
-//! identical to the pre-ledger scalar — while the per-entry attribution
-//! sums to it within floating-point slack (the conservation invariant
-//! the property tests pin).
+//! A launch's energy is one formula,
+//! [`EnergyModel::system_energy_nj`]: the dynamic energy of its
+//! aggregate command counts plus static power on every rank of the
+//! topology for the whole makespan. [`crate::ExecutionReport::from_run`]
+//! stores that number as `energy_nj`.
 
 use crate::command::CommandKind;
 use crate::config::DramConfig;
@@ -85,12 +76,6 @@ impl EnergyModel {
             .sum()
     }
 
-    /// Total energy (nJ) including background power over `elapsed_ns`.
-    #[must_use]
-    pub fn total_energy_nj(&self, stats: &CommandStats, elapsed_ns: f64) -> f64 {
-        self.dynamic_energy_nj(stats) + self.p_static_w * elapsed_ns
-    }
-
     /// Total energy (nJ) for the whole system described by `cfg`:
     /// dynamic command energy plus background power for *every* rank on
     /// *every* channel — idle ranks still burn static power while one
@@ -99,38 +84,6 @@ impl EnergyModel {
     pub fn system_energy_nj(&self, stats: &CommandStats, elapsed_ns: f64, cfg: &DramConfig) -> f64 {
         let ranks_total = (cfg.channels * cfg.ranks) as f64;
         self.dynamic_energy_nj(stats) + self.p_static_w * ranks_total * elapsed_ns
-    }
-
-    /// Average power (W) of **one rank** over `elapsed_ns`: dynamic
-    /// commands plus a single rank's background power.
-    ///
-    /// Returns 0 for a zero-length interval.
-    #[must_use]
-    pub fn rank_average_power_w(&self, stats: &CommandStats, elapsed_ns: f64) -> f64 {
-        if elapsed_ns <= 0.0 {
-            return 0.0;
-        }
-        self.total_energy_nj(stats, elapsed_ns) / elapsed_ns
-    }
-
-    /// Average power (W) of the **whole system** described by `cfg` over
-    /// `elapsed_ns`: dynamic commands plus background power on every
-    /// rank of every channel — the counterpart of
-    /// [`Self::system_energy_nj`], and the number to quote next to a
-    /// topology-wide [`crate::ExecutionReport`].
-    ///
-    /// Returns 0 for a zero-length interval.
-    #[must_use]
-    pub fn system_average_power_w(
-        &self,
-        stats: &CommandStats,
-        elapsed_ns: f64,
-        cfg: &DramConfig,
-    ) -> f64 {
-        if elapsed_ns <= 0.0 {
-            return 0.0;
-        }
-        self.system_energy_nj(stats, elapsed_ns, cfg) / elapsed_ns
     }
 
     /// Static background power (W) of the whole system described by
@@ -146,353 +99,6 @@ impl EnergyModel {
 impl Default for EnergyModel {
     fn default() -> Self {
         Self::ddr5_4400()
-    }
-}
-
-/// Where a ledger entry's commands executed.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub enum EnergySite {
-    /// One (channel, rank) compute unit of the sharded topology.
-    Unit {
-        /// Channel index.
-        channel: usize,
-        /// Rank index within the channel.
-        rank: usize,
-    },
-    /// The shared host bus and host-mediated work (cross-unit
-    /// partial-sum merges, output gathers).
-    Host,
-}
-
-/// One dynamic-energy accounting entry: `ops` commands of `kind`
-/// attributed to `site`.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct DynamicEntry {
-    /// Execution site the commands ran on.
-    pub site: EnergySite,
-    /// Command kind priced.
-    pub kind: CommandKind,
-    /// Command count — fractional, because backend-weighted shard ops
-    /// are real-valued before the aggregate integer rounding.
-    pub ops: f64,
-    /// Energy attributed to the entry, nJ.
-    pub energy_nj: f64,
-}
-
-/// Background (static power) accounting for one rank over one run: the
-/// rank's own compute window is **busy**, the rest of the makespan —
-/// waiting on a straggling channel, the merge tree or the host gather —
-/// is **idle**, but both burn [`EnergyModel::p_static_w`].
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct BackgroundEntry {
-    /// Channel index.
-    pub channel: usize,
-    /// Rank index within the channel.
-    pub rank: usize,
-    /// The rank's own compute window, ns.
-    pub busy_ns: f64,
-    /// Makespan remainder the rank sat idle, ns.
-    pub idle_ns: f64,
-    /// Background energy over the busy window, nJ.
-    pub busy_nj: f64,
-    /// Background energy over the idle remainder, nJ.
-    pub idle_nj: f64,
-}
-
-/// Per-unit rollup of an [`EnergyLedger`]: the shard's dynamic energy
-/// plus its rank's busy/idle background split.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct ShardEnergy {
-    /// Channel index.
-    pub channel: usize,
-    /// Rank index within the channel.
-    pub rank: usize,
-    /// Dynamic command energy attributed to the unit, nJ.
-    pub dynamic_nj: f64,
-    /// The unit's compute window, ns.
-    pub busy_ns: f64,
-    /// Background energy over the busy window, nJ.
-    pub background_busy_nj: f64,
-    /// Background energy over the idle remainder, nJ.
-    pub background_idle_nj: f64,
-}
-
-/// Summary of one run's energy, produced by [`EnergyLedger::breakdown`]
-/// and carried on every [`crate::ExecutionReport`].
-///
-/// `total_nj` is exact (same arithmetic as
-/// [`EnergyModel::system_energy_nj`] on the aggregate stats); the
-/// attribution fields sum to it within floating-point slack.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
-pub struct EnergyBreakdown {
-    /// Dynamic command energy over the aggregate stats (exact), nJ.
-    pub dynamic_nj: f64,
-    /// Share of the dynamic energy spent on the host bus (merge and
-    /// gather transfers, cross-unit merge work), nJ.
-    pub host_nj: f64,
-    /// Background energy over the ranks' busy windows, nJ.
-    pub background_busy_nj: f64,
-    /// Background energy over the ranks' idle remainders, nJ.
-    pub background_idle_nj: f64,
-    /// Total energy (dynamic + background, exact), nJ.
-    pub total_nj: f64,
-    /// Per-(channel, rank) attribution, one entry per unit that
-    /// computed or idled.
-    pub shards: Vec<ShardEnergy>,
-}
-
-impl EnergyBreakdown {
-    /// Accumulates another run's breakdown into this one (summing
-    /// launch after launch, the way a workload report totals its
-    /// layers). Scalars add; per-unit entries merge by (channel, rank).
-    pub fn merge(&mut self, other: &EnergyBreakdown) {
-        self.dynamic_nj += other.dynamic_nj;
-        self.host_nj += other.host_nj;
-        self.background_busy_nj += other.background_busy_nj;
-        self.background_idle_nj += other.background_idle_nj;
-        self.total_nj += other.total_nj;
-        for s in &other.shards {
-            match self
-                .shards
-                .iter_mut()
-                .find(|m| m.channel == s.channel && m.rank == s.rank)
-            {
-                Some(m) => {
-                    m.dynamic_nj += s.dynamic_nj;
-                    m.busy_ns += s.busy_ns;
-                    m.background_busy_nj += s.background_busy_nj;
-                    m.background_idle_nj += s.background_idle_nj;
-                }
-                None => self.shards.push(*s),
-            }
-        }
-    }
-
-    /// Sum of every attribution field (per-unit dynamic, host dynamic,
-    /// busy/idle background), nJ — equals `total_nj` within
-    /// floating-point slack (the conservation invariant).
-    #[must_use]
-    pub fn attributed_nj(&self) -> f64 {
-        self.shards.iter().map(|s| s.dynamic_nj).sum::<f64>()
-            + self.host_nj
-            + self.background_busy_nj
-            + self.background_idle_nj
-    }
-}
-
-/// Streaming per-shard/per-interval energy accounting for one run.
-///
-/// The pricing engine records dynamic work as it walks the shard plan
-/// ([`Self::record_unit`] / [`Self::record_host`]), then closes the
-/// ledger with the final makespan, the aggregate command stats and the
-/// per-unit busy windows ([`Self::close`]). A closed ledger yields the
-/// exact total ([`Self::total_nj`], bit-for-bit equal to
-/// [`EnergyModel::system_energy_nj`] on the same inputs) and the
-/// [`EnergyBreakdown`] attribution.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct EnergyLedger {
-    model: EnergyModel,
-    cfg: DramConfig,
-    dynamic: Vec<DynamicEntry>,
-    background: Vec<BackgroundEntry>,
-    stats: CommandStats,
-    elapsed_ns: f64,
-}
-
-impl EnergyLedger {
-    /// An open ledger for a run on the topology described by `cfg`.
-    #[must_use]
-    pub fn new(model: EnergyModel, cfg: DramConfig) -> Self {
-        Self {
-            model,
-            cfg,
-            dynamic: Vec::new(),
-            background: Vec::new(),
-            stats: CommandStats::default(),
-            elapsed_ns: 0.0,
-        }
-    }
-
-    /// Records `ops` commands of `kind` executed on unit
-    /// `(channel, rank)`. Entries for the same site and kind merge.
-    pub fn record_unit(&mut self, channel: usize, rank: usize, kind: CommandKind, ops: f64) {
-        self.record_site(EnergySite::Unit { channel, rank }, kind, ops);
-    }
-
-    /// Records `ops` commands of `kind` executed on the host side
-    /// (bus transfers, cross-unit merge work).
-    pub fn record_host(&mut self, kind: CommandKind, ops: f64) {
-        self.record_site(EnergySite::Host, kind, ops);
-    }
-
-    fn record_site(&mut self, site: EnergySite, kind: CommandKind, ops: f64) {
-        if ops <= 0.0 {
-            return;
-        }
-        let energy_nj = self.model.command_energy_nj(kind) * ops;
-        match self
-            .dynamic
-            .iter_mut()
-            .find(|e| e.site == site && e.kind == kind)
-        {
-            Some(e) => {
-                e.ops += ops;
-                e.energy_nj += energy_nj;
-            }
-            None => self.dynamic.push(DynamicEntry {
-                site,
-                kind,
-                ops,
-                energy_nj,
-            }),
-        }
-    }
-
-    /// Closes the ledger: fixes the makespan and the aggregate command
-    /// stats (the exact-total inputs) and books one background entry
-    /// per rank of the topology. `busy` lists `(channel, rank,
-    /// busy_ns)` compute windows; unlisted ranks idled the whole run.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a busy window exceeds the makespan or names a rank
-    /// outside the topology.
-    pub fn close(&mut self, elapsed_ns: f64, stats: CommandStats, busy: &[(usize, usize, f64)]) {
-        self.elapsed_ns = elapsed_ns;
-        self.stats = stats;
-        self.background.clear();
-        for channel in 0..self.cfg.channels {
-            for rank in 0..self.cfg.ranks {
-                let busy_ns = busy
-                    .iter()
-                    .filter(|&&(c, r, _)| c == channel && r == rank)
-                    .map(|&(_, _, ns)| ns)
-                    .sum::<f64>();
-                assert!(
-                    busy_ns <= elapsed_ns + 1e-9,
-                    "rank ({channel},{rank}) busy {busy_ns} ns exceeds makespan {elapsed_ns} ns"
-                );
-                let idle_ns = (elapsed_ns - busy_ns).max(0.0);
-                self.background.push(BackgroundEntry {
-                    channel,
-                    rank,
-                    busy_ns,
-                    idle_ns,
-                    busy_nj: self.model.p_static_w * busy_ns,
-                    idle_nj: self.model.p_static_w * idle_ns,
-                });
-            }
-        }
-        for &(c, r, _) in busy {
-            assert!(
-                c < self.cfg.channels && r < self.cfg.ranks,
-                "busy window names rank ({c},{r}) outside the {}x{} topology",
-                self.cfg.channels,
-                self.cfg.ranks
-            );
-        }
-    }
-
-    /// The energy model pricing the ledger.
-    #[must_use]
-    pub fn model(&self) -> &EnergyModel {
-        &self.model
-    }
-
-    /// The topology the ledger accounts over.
-    #[must_use]
-    pub fn config(&self) -> &DramConfig {
-        &self.cfg
-    }
-
-    /// The dynamic attribution entries recorded so far.
-    #[must_use]
-    pub fn dynamic_entries(&self) -> &[DynamicEntry] {
-        &self.dynamic
-    }
-
-    /// The per-rank background entries (empty until [`Self::close`]).
-    #[must_use]
-    pub fn background_entries(&self) -> &[BackgroundEntry] {
-        &self.background
-    }
-
-    /// The aggregate command stats fixed at close.
-    #[must_use]
-    pub fn stats(&self) -> &CommandStats {
-        &self.stats
-    }
-
-    /// The makespan fixed at close, ns.
-    #[must_use]
-    pub fn elapsed_ns(&self) -> f64 {
-        self.elapsed_ns
-    }
-
-    /// Exact total energy, nJ: the same arithmetic as
-    /// [`EnergyModel::system_energy_nj`] over the aggregate stats and
-    /// makespan — bit-for-bit what the pre-ledger post-hoc call
-    /// computed.
-    #[must_use]
-    pub fn total_nj(&self) -> f64 {
-        self.model
-            .system_energy_nj(&self.stats, self.elapsed_ns, &self.cfg)
-    }
-
-    /// Sum of every accounting entry (per-site dynamic + per-rank
-    /// background), nJ. Conservation: equals [`Self::total_nj`] within
-    /// floating-point slack on a closed ledger.
-    #[must_use]
-    pub fn attributed_nj(&self) -> f64 {
-        self.dynamic.iter().map(|e| e.energy_nj).sum::<f64>()
-            + self
-                .background
-                .iter()
-                .map(|b| b.busy_nj + b.idle_nj)
-                .sum::<f64>()
-    }
-
-    /// Rolls the ledger up into the [`EnergyBreakdown`] summary carried
-    /// on execution reports.
-    #[must_use]
-    pub fn breakdown(&self) -> EnergyBreakdown {
-        let host_nj = self
-            .dynamic
-            .iter()
-            .filter(|e| e.site == EnergySite::Host)
-            .map(|e| e.energy_nj)
-            .sum::<f64>();
-        let shards = self
-            .background
-            .iter()
-            .map(|b| ShardEnergy {
-                channel: b.channel,
-                rank: b.rank,
-                dynamic_nj: self
-                    .dynamic
-                    .iter()
-                    .filter(|e| {
-                        e.site
-                            == EnergySite::Unit {
-                                channel: b.channel,
-                                rank: b.rank,
-                            }
-                    })
-                    .map(|e| e.energy_nj)
-                    .sum(),
-                busy_ns: b.busy_ns,
-                background_busy_nj: b.busy_nj,
-                background_idle_nj: b.idle_nj,
-            })
-            .collect();
-        EnergyBreakdown {
-            dynamic_nj: self.model.dynamic_energy_nj(&self.stats),
-            host_nj,
-            background_busy_nj: self.background.iter().map(|b| b.busy_nj).sum(),
-            background_idle_nj: self.background.iter().map(|b| b.idle_nj).sum(),
-            total_nj: self.total_nj(),
-            shards,
-        }
     }
 }
 
@@ -522,9 +128,10 @@ mod tests {
     fn average_power_includes_background() {
         let e = EnergyModel::ddr5_4400();
         let s = CommandStats::default();
-        // No commands: average power equals static power.
-        assert!((e.rank_average_power_w(&s, 1000.0) - e.p_static_w).abs() < 1e-9);
-        assert_eq!(e.rank_average_power_w(&s, 0.0), 0.0);
+        let cfg = DramConfig::ddr5_4400();
+        // No commands: average power over an interval equals static power.
+        assert!((e.system_energy_nj(&s, 1000.0, &cfg) / 1000.0 - e.p_static_w).abs() < 1e-9);
+        assert_eq!(e.system_energy_nj(&s, 0.0, &cfg), 0.0);
     }
 
     #[test]
@@ -532,16 +139,17 @@ mod tests {
         let e = EnergyModel::ddr5_4400();
         let s = CommandStats::default();
         let mut cfg = DramConfig::ddr5_4400();
-        // 1x1: the system average equals the rank average bit-for-bit.
-        assert_eq!(
-            e.system_average_power_w(&s, 1000.0, &cfg),
-            e.rank_average_power_w(&s, 1000.0)
-        );
+        // 1x1: the system burns one rank's static power.
+        assert_eq!(e.system_background_power_w(&cfg), e.p_static_w);
         cfg.channels = 4;
         cfg.ranks = 2;
-        assert!((e.system_average_power_w(&s, 1000.0, &cfg) - 8.0 * e.p_static_w).abs() < 1e-9);
-        assert_eq!(e.system_average_power_w(&s, 0.0, &cfg), 0.0);
         assert!((e.system_background_power_w(&cfg) - 8.0 * e.p_static_w).abs() < 1e-12);
+        // Energy over an interval is the background power times it.
+        assert_eq!(
+            e.system_energy_nj(&s, 1000.0, &cfg),
+            e.system_background_power_w(&cfg) * 1000.0
+        );
+        assert_eq!(e.system_energy_nj(&s, 0.0, &cfg), 0.0);
     }
 
     #[test]
@@ -550,10 +158,10 @@ mod tests {
         let mut s = CommandStats::default();
         s.record(CommandKind::Aap);
         let mut cfg = DramConfig::ddr5_4400();
-        // 1x1 system energy equals the rank-level total (bit-for-bit).
+        // 1x1: dynamic energy plus one rank's static power (bit-for-bit).
         assert_eq!(
             e.system_energy_nj(&s, 1000.0, &cfg),
-            e.total_energy_nj(&s, 1000.0)
+            e.dynamic_energy_nj(&s) + e.p_static_w * 1000.0
         );
         cfg.channels = 4;
         cfg.ranks = 2;
@@ -567,114 +175,5 @@ mod tests {
         let e = EnergyModel::ddr5_4400();
         let pair = e.command_energy_nj(CommandKind::Act) + e.command_energy_nj(CommandKind::Pre);
         assert!((pair - e.e_act_pre_nj).abs() < 1e-9);
-    }
-
-    // ---- the streaming energy ledger ----
-
-    fn two_by_two() -> DramConfig {
-        let mut cfg = DramConfig::ddr5_4400();
-        cfg.channels = 2;
-        cfg.ranks = 2;
-        cfg
-    }
-
-    #[test]
-    fn ledger_total_matches_system_energy_bit_for_bit() {
-        let model = EnergyModel::ddr5_4400();
-        let cfg = two_by_two();
-        let mut stats = CommandStats::default();
-        stats.record_n(CommandKind::Aap, 1000);
-        stats.record_n(CommandKind::Rd, 64);
-        let mut ledger = EnergyLedger::new(model, cfg.clone());
-        ledger.record_unit(0, 0, CommandKind::Aap, 600.0);
-        ledger.record_unit(1, 1, CommandKind::Aap, 400.0);
-        ledger.record_host(CommandKind::Rd, 64.0);
-        ledger.close(5_000.0, stats.clone(), &[(0, 0, 4_000.0), (1, 1, 5_000.0)]);
-        // The exact total is the same arithmetic as the post-hoc call.
-        assert_eq!(
-            ledger.total_nj(),
-            model.system_energy_nj(&stats, 5_000.0, &cfg)
-        );
-        // Conservation: the attribution entries sum to the exact total.
-        let total = ledger.total_nj();
-        assert!(
-            ((ledger.attributed_nj() - total) / total).abs() < 1e-9,
-            "attributed {} vs total {}",
-            ledger.attributed_nj(),
-            total
-        );
-    }
-
-    #[test]
-    fn ledger_splits_background_into_busy_and_idle() {
-        let model = EnergyModel::ddr5_4400();
-        let mut ledger = EnergyLedger::new(model, two_by_two());
-        ledger.close(1_000.0, CommandStats::default(), &[(0, 0, 1_000.0)]);
-        let b = ledger.breakdown();
-        // One rank busy for the whole makespan, three idle.
-        assert!((b.background_busy_nj - model.p_static_w * 1_000.0).abs() < 1e-9);
-        assert!((b.background_idle_nj - model.p_static_w * 3_000.0).abs() < 1e-9);
-        assert_eq!(b.shards.len(), 4);
-        let busy_rank = b
-            .shards
-            .iter()
-            .find(|s| s.channel == 0 && s.rank == 0)
-            .expect("entry per rank");
-        assert_eq!(busy_rank.busy_ns, 1_000.0);
-        assert_eq!(busy_rank.background_idle_nj, 0.0);
-        // Busy + idle covers every rank for the whole makespan.
-        let covered: f64 = ledger
-            .background_entries()
-            .iter()
-            .map(|e| e.busy_ns + e.idle_ns)
-            .sum();
-        assert!((covered - 4_000.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn ledger_entries_merge_by_site_and_kind() {
-        let mut ledger = EnergyLedger::new(EnergyModel::ddr5_4400(), DramConfig::ddr5_4400());
-        ledger.record_unit(0, 0, CommandKind::Aap, 10.0);
-        ledger.record_unit(0, 0, CommandKind::Aap, 5.0);
-        ledger.record_unit(0, 0, CommandKind::Rd, 2.0);
-        ledger.record_host(CommandKind::Rd, 3.0);
-        ledger.record_unit(0, 0, CommandKind::Wr, 0.0); // no-op
-        assert_eq!(ledger.dynamic_entries().len(), 3);
-        let aap = ledger.dynamic_entries()[0];
-        assert_eq!(aap.ops, 15.0);
-        assert!((aap.energy_nj - 15.0 * 27.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn breakdown_merge_accumulates_runs() {
-        let model = EnergyModel::ddr5_4400();
-        let cfg = DramConfig::ddr5_4400();
-        let mut stats = CommandStats::default();
-        stats.record_n(CommandKind::Aap, 100);
-        let mut a = EnergyLedger::new(model, cfg.clone());
-        a.record_unit(0, 0, CommandKind::Aap, 100.0);
-        a.close(1_000.0, stats.clone(), &[(0, 0, 1_000.0)]);
-        let mut merged = a.breakdown();
-        let first_total = merged.total_nj;
-        merged.merge(&a.breakdown());
-        assert!((merged.total_nj - 2.0 * first_total).abs() < 1e-9);
-        assert_eq!(merged.shards.len(), 1, "same unit merges in place");
-        assert!((merged.shards[0].busy_ns - 2_000.0).abs() < 1e-9);
-        // Conservation survives merging.
-        assert!(((merged.attributed_nj() - merged.total_nj) / merged.total_nj).abs() < 1e-9);
-    }
-
-    #[test]
-    #[should_panic(expected = "exceeds makespan")]
-    fn ledger_rejects_busy_beyond_makespan() {
-        let mut ledger = EnergyLedger::new(EnergyModel::ddr5_4400(), DramConfig::ddr5_4400());
-        ledger.close(100.0, CommandStats::default(), &[(0, 0, 200.0)]);
-    }
-
-    #[test]
-    #[should_panic(expected = "outside")]
-    fn ledger_rejects_out_of_topology_rank() {
-        let mut ledger = EnergyLedger::new(EnergyModel::ddr5_4400(), DramConfig::ddr5_4400());
-        ledger.close(100.0, CommandStats::default(), &[(3, 0, 50.0)]);
     }
 }

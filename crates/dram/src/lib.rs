@@ -53,10 +53,7 @@ pub use area::AreaModel;
 pub use bank_state::{AccessKind, BankState};
 pub use command::{CommandKind, DramCommand};
 pub use config::DramConfig;
-pub use energy::{
-    BackgroundEntry, DynamicEntry, EnergyBreakdown, EnergyLedger, EnergyModel, EnergySite,
-    ShardEnergy,
-};
+pub use energy::EnergyModel;
 pub use refresh::RefreshModel;
 pub use request::{BatchWindow, MemoryRequest, RequestQueue, ScheduleReport};
 pub use scheduler::ChannelScheduler;

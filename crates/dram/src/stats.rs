@@ -3,7 +3,7 @@
 use crate::area::AreaModel;
 use crate::command::CommandKind;
 use crate::config::DramConfig;
-use crate::energy::{EnergyBreakdown, EnergyLedger, EnergyModel};
+use crate::energy::EnergyModel;
 use serde::{Deserialize, Serialize};
 
 /// Fraction `hits / total`, defined as `0.0` when `total` is zero.
@@ -184,10 +184,6 @@ pub struct ExecutionReport {
     pub useful_ops: u64,
     /// Accelerator silicon area used (mm²).
     pub area_mm2: f64,
-    /// Per-shard/per-rank energy attribution of the run (dynamic per
-    /// site, background split busy vs idle). `energy_nj` equals
-    /// `energy.total_nj` bit-for-bit.
-    pub energy: EnergyBreakdown,
     /// Cumulative engine cache hit/miss tallies at the time this report
     /// was produced (all-zero for uncached producers). Purely
     /// observational: two runs that differ only in `cache` priced the
@@ -196,25 +192,6 @@ pub struct ExecutionReport {
 }
 
 impl ExecutionReport {
-    /// Builds a report from a closed [`EnergyLedger`]: the makespan,
-    /// aggregate stats and exact energy total all come from the ledger,
-    /// and the per-shard attribution rides along as
-    /// [`Self::energy`]. This is the only construction path — the old
-    /// "price energy once at the end from aggregate stats" pattern now
-    /// lives inside the ledger.
-    #[must_use]
-    pub fn from_ledger(ledger: &EnergyLedger, useful_ops: u64, area: &AreaModel) -> Self {
-        Self {
-            elapsed_ns: ledger.elapsed_ns(),
-            stats: ledger.stats().clone(),
-            energy_nj: ledger.total_nj(),
-            useful_ops,
-            area_mm2: area.total_area_mm2(ledger.config()),
-            energy: ledger.breakdown(),
-            cache: CacheCounters::default(),
-        }
-    }
-
     /// Builds a report from scheduler outputs and model constants.
     ///
     /// Energy and area aggregate over the full `cfg` topology
@@ -223,11 +200,9 @@ impl ExecutionReport {
     /// silicon, not one rank's. For the paper's 1×1 Table 2 config both
     /// reduce to the per-rank figures bit-for-bit.
     ///
-    /// This convenience wrapper books the whole run into a one-shot
-    /// [`EnergyLedger`] — the run's commands on unit (0, 0), every rank
-    /// busy for the makespan — and delegates to [`Self::from_ledger`];
-    /// sharded engines that know their per-unit placement build the
-    /// ledger themselves.
+    /// `energy_nj` is [`EnergyModel::system_energy_nj`] over `stats`
+    /// and `elapsed_ns`: the one energy formula every launch is priced
+    /// with, sharded or not.
     #[must_use]
     pub fn from_run(
         elapsed_ns: f64,
@@ -237,15 +212,14 @@ impl ExecutionReport {
         area: &AreaModel,
         cfg: &DramConfig,
     ) -> Self {
-        let mut ledger = EnergyLedger::new(*energy, cfg.clone());
-        for (kind, n) in stats.iter().filter(|&(_, n)| n > 0) {
-            ledger.record_unit(0, 0, kind, n as f64);
+        Self {
+            elapsed_ns,
+            energy_nj: energy.system_energy_nj(&stats, elapsed_ns, cfg),
+            stats,
+            useful_ops,
+            area_mm2: area.total_area_mm2(cfg),
+            cache: CacheCounters::default(),
         }
-        let busy: Vec<(usize, usize, f64)> = (0..cfg.channels)
-            .flat_map(|c| (0..cfg.ranks).map(move |r| (c, r, elapsed_ns)))
-            .collect();
-        ledger.close(elapsed_ns, stats, &busy);
-        Self::from_ledger(&ledger, useful_ops, area)
     }
 
     /// Throughput in giga-operations per second.
@@ -324,7 +298,6 @@ mod tests {
             energy_nj: 500.0,
             useful_ops: 2000,
             area_mm2: 100.0,
-            energy: EnergyBreakdown::default(),
             cache: CacheCounters::default(),
         };
         assert!((r.gops() - 2.0).abs() < 1e-12); // 2000 ops / 1000 ns = 2 GOPS
@@ -341,7 +314,6 @@ mod tests {
             energy_nj: 0.0,
             useful_ops: 10,
             area_mm2: 0.0,
-            energy: EnergyBreakdown::default(),
             cache: CacheCounters::default(),
         };
         assert_eq!(r.gops(), 0.0);
@@ -350,8 +322,7 @@ mod tests {
     }
 
     #[test]
-    fn from_run_books_through_a_one_shot_ledger() {
-        use crate::energy::EnergyModel;
+    fn from_run_prices_energy_with_the_system_formula() {
         let mut stats = CommandStats::default();
         stats.record_n(CommandKind::Aap, 500);
         let energy = EnergyModel::ddr5_4400();
@@ -359,12 +330,13 @@ mod tests {
         let mut cfg = DramConfig::ddr5_4400();
         cfg.channels = 2;
         let r = ExecutionReport::from_run(2_000.0, stats.clone(), 10, &energy, &area, &cfg);
-        // The scalar total is the exact post-hoc value, bit-for-bit.
-        assert_eq!(r.energy_nj, energy.system_energy_nj(&stats, 2_000.0, &cfg));
-        assert_eq!(r.energy.total_nj, r.energy_nj);
-        // Attribution is conserved and every rank is booked busy.
-        assert!(((r.energy.attributed_nj() - r.energy_nj) / r.energy_nj).abs() < 1e-9);
-        assert_eq!(r.energy.shards.len(), 2);
-        assert_eq!(r.energy.background_idle_nj, 0.0);
+        assert_eq!(
+            r.energy_nj.to_bits(),
+            energy
+                .system_energy_nj(&r.stats, r.elapsed_ns, &cfg)
+                .to_bits()
+        );
+        assert_eq!(r.stats, stats);
+        assert_eq!(r.area_mm2, area.total_area_mm2(&cfg));
     }
 }

@@ -1,12 +1,12 @@
 //! Serving metrics: per-request and per-class latency percentiles,
 //! deadline-miss rates, throughput, batch shapes, residency reloads,
-//! queue-depth timelines, and — via the engine's energy ledger —
+//! queue-depth timelines, and — from each launch's `energy_nj` —
 //! per-batch/per-request energy with a rolling-window power timeline.
 //!
 //! Energy accounting covers the busy window of the trace
 //! (first arrival → last completion): each dispatched batch carries the
-//! energy of its pipeline occupancy (engine launch energy from the
-//! [`c2m_dram::EnergyBreakdown`], mask-reload energy for residency
+//! energy of its pipeline occupancy (engine launch energy,
+//! [`c2m_dram::ExecutionReport::energy_nj`], mask-reload energy for residency
 //! misses, and module background power over the reload/dispatch
 //! overhead), and the gaps between batches burn the module's idle
 //! background floor ([`ServeReport::idle_floor_w`]). J/request figures

@@ -51,7 +51,7 @@
 //! therefore faces a genuine affinity-vs-deadline trade-off.
 //!
 //! **Energy accounting** rides the engine's per-launch
-//! [`c2m_dram::EnergyBreakdown`]: every batch records the joules of its
+//! [`c2m_dram::ExecutionReport::energy_nj`]: every batch records the joules of its
 //! pipeline occupancy (launch energy, mask-reload energy for residency
 //! misses — priced in *joules* here, not just time — and background
 //! power over the dispatch overhead), gaps between batches burn the
@@ -807,7 +807,7 @@ impl ServeRuntime {
                 .iter()
                 .map(|r| self.engine.cached_sequences_for_doubled(&r.x) as f64)
                 .sum::<f64>();
-            // The launch report's ledger total carries the batch's
+            // The launch report's `energy_nj` carries the batch's
             // execution energy.
             let exec = if batch.len() == 1 {
                 self.engine.ternary_gemv(&batch[0].x, batch[0].n)

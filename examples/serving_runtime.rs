@@ -8,7 +8,7 @@
 //! and finally under a rolling-window power cap, where the scheduler
 //! shrinks and defers batches to hold the module's average power,
 //! trading latency for cap compliance (every run also reports
-//! J/request off the engine's energy ledger).
+//! J/request off the engine's per-launch energy).
 //!
 //! ```console
 //! $ cargo run --release --example serving_runtime

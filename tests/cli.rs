@@ -15,7 +15,7 @@ fn c2m(args: &[&str]) -> Output {
 
 #[test]
 fn malformed_flags_exit_with_an_error_line() {
-    let cases: [&[&str]; 10] = [
+    let cases: [&[&str]; 15] = [
         &["gemv", "--radix", "3"],
         &["gemv", "--radix", "0"],
         &["gemv", "--radix", "66"],
@@ -25,6 +25,13 @@ fn malformed_flags_exit_with_an_error_line() {
         &["plan", "--radix", "3"],
         &["plan", "--radix", "0"],
         &["plan", "--radix", "66"],
+        // 2^capacity must be a finite f64: past 1023 bits it is not, and
+        // past 2^31 it used to wrap to a 1-digit counter.
+        &["plan", "--capacity", "0"],
+        &["plan", "--capacity", "1024"],
+        &["plan", "--capacity", "1100"],
+        &["plan", "--capacity", "2147483648"],
+        &["plan", "--capacity", "4000000000"],
         &["radix-sweep", "--max-radix", "66"],
     ];
     for args in cases {
@@ -42,6 +49,29 @@ fn a_valid_call_exits_zero() {
         String::from_utf8_lossy(&out.stderr)
     );
     assert!(String::from_utf8_lossy(&out.stdout).contains("bit-exact vs reference : true"));
+}
+
+#[test]
+fn plan_reports_a_row_count_past_usize_max_as_a_deficit() {
+    // `K · rows per index` overflows `usize`: the plan must neither
+    // panic nor wrap around into a fit.
+    let k = usize::MAX.to_string();
+    for encoding in ["binary", "ternary", "csd8"] {
+        let out = c2m(&["plan", "--k", &k, "--encoding", encoding]);
+        let stdout = String::from_utf8_lossy(&out.stdout);
+        assert_eq!(
+            out.status.code(),
+            Some(0),
+            "{encoding}: {}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+        assert!(stdout.contains("DOES NOT FIT"), "{encoding}: {stdout}");
+    }
+    // The widest accepted capacity plans too (its counters alone
+    // overflow the D-group).
+    let out = c2m(&["plan", "--capacity", "1023"]);
+    assert_eq!(out.status.code(), Some(0));
+    assert!(String::from_utf8_lossy(&out.stdout).contains("DOES NOT FIT"));
 }
 
 /// Runs `c2m trace --check` on a temp file holding `contents` (no file
