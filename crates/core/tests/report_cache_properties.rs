@@ -6,8 +6,10 @@
 //! would. Counter snapshots (`report.cache`) are the one deliberately
 //! observational field and are normalised out before comparison.
 
+use c2m_cim::Backend;
 use c2m_core::cache::{CacheConfig, PlanCache};
 use c2m_core::engine::{C2mEngine, EngineConfig};
+use c2m_core::shard::BackendPolicy;
 use c2m_core::store::CacheStore;
 use c2m_dram::{CacheCounters, ExecutionReport};
 use proptest::prelude::*;
@@ -39,8 +41,61 @@ fn report_json(report: &ExecutionReport) -> String {
     serde_json::to_string(&normalised).expect("report serialises")
 }
 
+/// The report-tier tallies of `e`.
+fn report_tallies(e: &C2mEngine) -> (u64, u64) {
+    let c = e.cache_stats();
+    (c.report_hits, c.report_misses)
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// Each fold serialises byte-identically to its report-tier entry
+    /// point, on an uncached engine and on a cached one whose report
+    /// tier already holds the launch, and never moves the report
+    /// tallies: over 1–4 channels, 1–2 ranks, 1–8 subarrays, uniform
+    /// and per-channel backends, even and balanced sizing, batches of
+    /// 1–16 random int8 vectors and three output widths.
+    #[test]
+    fn folds_match_their_report_tier_entry_points(
+        (channels, ranks, subarrays) in (1usize..=4, 1usize..=2, 1usize..=8),
+        (mixed, balanced) in (0u8..2, 0u8..2),
+        batch in 1usize..=16,
+        n in proptest::sample::select(vec![64usize, 256, 1024]),
+        k in 1usize..600,
+        seed in 0u64..1_000_000,
+    ) {
+        let mut cfg = EngineConfig::c2m(16);
+        cfg.dram.channels = channels;
+        cfg.dram.ranks = ranks;
+        cfg.subarrays = subarrays;
+        let builder = |cache: bool| {
+            let mut b = C2mEngine::builder(cfg.clone());
+            if mixed == 1 {
+                b = b.backends(BackendPolicy::PerChannel(vec![Backend::Ambit, Backend::Fcdram]));
+            }
+            if balanced == 1 {
+                b = b.balanced_sizing();
+            }
+            if cache { b.build() } else { b.no_cache().build() }
+        };
+        let xs: Vec<Vec<i64>> = (0..batch).map(|i| stream(k, seed ^ ((i as u64) << 20))).collect();
+        let uncached = builder(false);
+        let lone = report_json(&uncached.ternary_gemv(&xs[0], n));
+        let batched = report_json(&uncached.ternary_gemv_batch(&xs, n));
+        prop_assert_eq!(&report_json(&uncached.fold_ternary_gemv(&xs[0], n)), &lone);
+        prop_assert_eq!(&report_json(&uncached.fold_ternary_gemv_batch(&xs, n)), &batched);
+        prop_assert_eq!(uncached.cache_stats(), CacheCounters::default());
+
+        let warm = builder(true);
+        prop_assert_eq!(&report_json(&warm.ternary_gemv(&xs[0], n)), &lone);
+        prop_assert_eq!(&report_json(&warm.ternary_gemv_batch(&xs, n)), &batched);
+        let stored = report_tallies(&warm);
+        prop_assert_eq!(stored, (0, 2));
+        prop_assert_eq!(&report_json(&warm.fold_ternary_gemv(&xs[0], n)), &lone);
+        prop_assert_eq!(&report_json(&warm.fold_ternary_gemv_batch(&xs, n)), &batched);
+        prop_assert_eq!(report_tallies(&warm), stored, "a fold touched the report tier");
+    }
 
     /// Cached ≡ uncached, bit-for-bit, for every kernel entry point: the
     /// first cached launch folds and stores, the second is a pure

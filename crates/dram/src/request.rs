@@ -19,6 +19,13 @@
 //! The serving runtime (`c2m_serve`) prices its host fetch path through
 //! this interface; [`RequestQueue::run_serial`] is the one-at-a-time
 //! baseline it is compared against.
+//!
+//! Issuing costs O(banks) per request, not O(batch): each window batch
+//! is indexed once, by bank and by (bank, row), with a cursor at each
+//! group's oldest request. Within a bank, FCFS order is arrival order,
+//! so every scheduling question — the next issue instant, the oldest
+//! ready request, the first ready row hit — is answered from one group
+//! head per bank.
 
 use crate::bank_state::{AccessKind, BankState};
 use crate::stats::hit_fraction;
@@ -316,6 +323,9 @@ impl RequestQueue {
     /// has fully issued, so a window can only reorder — it never idles
     /// the controller waiting for future arrivals.
     ///
+    /// Each issue costs O(banks), whatever the batch size (see the
+    /// module docs).
+    ///
     /// # Panics
     ///
     /// Panics if any request names a bank out of range.
@@ -331,37 +341,38 @@ impl RequestQueue {
             requests.iter().copied().enumerate().collect();
         // Stable order by arrival, then submission index (FCFS base).
         sort_fcfs(&mut pending);
-        let mut report = ScheduleReport::default();
+        let mut report = ScheduleReport {
+            completions: Vec::with_capacity(requests.len()),
+        };
+        // One allocation holds every window batch's index in turn.
+        let mut scratch = vec![0; IssueIndex::words(requests.len(), self.banks.len())];
         let mut now = 0.0f64;
+        let mut rest = pending.as_slice();
 
-        while !pending.is_empty() {
+        while let Some((_, oldest)) = rest.first() {
             // The batch opens at the oldest pending arrival and admits
             // everything arriving within the window of that instant.
-            let t_open = pending[0].1.arrival_ns;
-            let take = pending
+            let t_open = oldest.arrival_ns;
+            let take = rest
                 .iter()
                 .take_while(|(_, r)| r.arrival_ns - t_open <= window.window_ns)
                 .count()
                 .max(1);
-            let mut batch: Vec<(usize, MemoryRequest)> = pending.drain(..take).collect();
+            let (batch, tail) = rest.split_at(take);
+            rest = tail;
+            let mut index = IssueIndex::new(&mut scratch, batch, &self.banks);
 
-            while !batch.is_empty() {
+            for _ in 0..batch.len() {
                 // Advance the clock to the earliest instant *some* batch
                 // request could issue (arrived, bank free, bus free) —
                 // scheduling decisions are made when resources free up,
                 // so a row hit that arrives while a bank is busy still
                 // wins FR priority.
-                let t_min = batch
-                    .iter()
-                    .map(|(_, r)| {
-                        r.arrival_ns
-                            .max(self.bank_ready[r.bank])
-                            .max(self.bus_ready)
-                    })
-                    .fold(f64::INFINITY, f64::min);
+                let t_min = index.earliest_issue(batch, &self.bank_ready, self.bus_ready);
                 now = now.max(t_min);
-                let pick = self.pick(&batch, now, window.max_wait_ns);
-                let (_, req) = batch.remove(pick);
+                let pick = index.pick(batch, &self.bank_ready, now, window.max_wait_ns);
+                let req = batch[pick].1;
+                index.take(pick, req.bank);
 
                 let kind = self.banks[req.bank].access(req.row);
                 // Row cycle occupies the bank; the data burst occupies the bus.
@@ -383,32 +394,232 @@ impl RequestQueue {
         }
         report
     }
+}
 
-    /// The FR-FCFS issue at `now` among `batch` (in FCFS order), in
-    /// one pass: the oldest ready request if it has waited longer than
-    /// `max_wait_ns`, else the first ready row hit, else the oldest
-    /// ready request. A request is ready once it has arrived and its
-    /// bank and the bus are free. Waiting past the cap is monotone in
-    /// arrival, so when the oldest ready request is under the cap, every
-    /// later one is too.
-    fn pick(&self, batch: &[(usize, MemoryRequest)], now: f64, max_wait_ns: f64) -> usize {
-        let mut pick = None;
-        for (i, (_, r)) in batch.iter().enumerate() {
-            if r.arrival_ns > now || self.bank_ready[r.bank] > now || self.bus_ready > now {
+/// A bank whose open row no request of the batch names.
+const NO_GROUP: usize = usize::MAX;
+/// `group_of[p]` once position `p` has issued.
+const TAKEN: usize = usize::MAX;
+
+/// The FR-FCFS issue index of one window batch, whose positions are in
+/// FCFS order. Positions are grouped by bank (a counting sort) and by
+/// (bank, row) (a stable sort of each bank's run by row), so each group
+/// lists its positions in FCFS order, and each group keeps a cursor at
+/// its oldest position not yet issued. A cursor skips issued positions
+/// when it reaches them.
+///
+/// Within a bank, FCFS order is arrival order, so a bank's cursor head
+/// is its oldest request, the earliest to arrive and the first to be
+/// ready. After the clock advance the bus is free, so a request is
+/// ready exactly when it has arrived and its bank is free: the oldest
+/// ready request is the smallest head among the ready banks, and the
+/// first ready row hit is the smallest arrived head among the ready
+/// banks' open-row groups. Every query reads one or two heads per bank.
+struct IssueIndex<'a> {
+    /// Positions grouped by bank, in FCFS order within a bank.
+    by_bank: &'a mut [usize],
+    /// Per bank: its cursor into `by_bank`, and the end of its run.
+    bank_cursor: &'a mut [usize],
+    bank_end: &'a mut [usize],
+    /// Banks with positions left to issue: the first `active_len`.
+    active: &'a mut [usize],
+    active_len: usize,
+    /// Positions grouped by (bank, row), in FCFS order within a group.
+    by_row: &'a mut [usize],
+    /// Per position: its (bank, row) group, or [`TAKEN`].
+    group_of: &'a mut [usize],
+    /// Per group: its cursor into `by_row`, and the end of its run.
+    group_cursor: &'a mut [usize],
+    group_end: &'a mut [usize],
+    /// Per bank: the group of its open row, or [`NO_GROUP`].
+    open_group: &'a mut [usize],
+}
+
+impl<'a> IssueIndex<'a> {
+    /// Scratch words an index of up to `positions` requests over
+    /// `banks` banks needs.
+    fn words(positions: usize, banks: usize) -> usize {
+        5 * positions + 4 * banks
+    }
+
+    /// Indexes `batch` against the banks' open rows, in `scratch`.
+    fn new(
+        scratch: &'a mut [usize],
+        batch: &[(usize, MemoryRequest)],
+        banks: &[BankState],
+    ) -> Self {
+        let (m, nb) = (batch.len(), banks.len());
+        let (by_bank, rest) = scratch.split_at_mut(m);
+        let (by_row, rest) = rest.split_at_mut(m);
+        let (group_of, rest) = rest.split_at_mut(m);
+        let (group_cursor, rest) = rest.split_at_mut(m);
+        let (group_end, rest) = rest.split_at_mut(m);
+        let (bank_cursor, rest) = rest.split_at_mut(nb);
+        let (bank_end, rest) = rest.split_at_mut(nb);
+        let (open_group, active) = rest.split_at_mut(nb);
+
+        // Counting sort by bank, touching only the batch's banks: count
+        // into `bank_cursor` (listing each bank as it first appears),
+        // turn the counts into run ends, then place positions back to
+        // front, so each run is in FCFS order with its cursor at its
+        // start.
+        for (_, r) in batch {
+            bank_cursor[r.bank] = 0;
+        }
+        let mut active_len = 0;
+        for (_, r) in batch {
+            if bank_cursor[r.bank] == 0 {
+                active[active_len] = r.bank;
+                active_len += 1;
+            }
+            bank_cursor[r.bank] += 1;
+        }
+        let mut end = 0;
+        for &b in &active[..active_len] {
+            end += bank_cursor[b];
+            bank_end[b] = end;
+            bank_cursor[b] = end;
+            open_group[b] = NO_GROUP;
+        }
+        for (p, (_, r)) in batch.iter().enumerate().rev() {
+            bank_cursor[r.bank] -= 1;
+            by_bank[bank_cursor[r.bank]] = p;
+        }
+
+        // A stable sort of each bank's run by row groups the positions
+        // by (bank, row), in FCFS order within a group.
+        by_row.copy_from_slice(by_bank);
+        for &b in &active[..active_len] {
+            by_row[bank_cursor[b]..bank_end[b]].sort_by_key(|&p| batch[p].1.row);
+        }
+        let mut groups = 0;
+        for (i, &p) in by_row.iter().enumerate() {
+            let r = &batch[p].1;
+            let starts_group = i == 0 || {
+                let prev = &batch[by_row[i - 1]].1;
+                (prev.bank, prev.row) != (r.bank, r.row)
+            };
+            if starts_group {
+                if groups > 0 {
+                    group_end[groups - 1] = i;
+                }
+                group_cursor[groups] = i;
+                if banks[r.bank].would_hit(r.row) {
+                    open_group[r.bank] = groups;
+                }
+                groups += 1;
+            }
+            group_of[p] = groups - 1;
+        }
+        if groups > 0 {
+            group_end[groups - 1] = m;
+        }
+        Self {
+            by_bank,
+            bank_cursor,
+            bank_end,
+            active,
+            active_len,
+            by_row,
+            group_of,
+            group_cursor,
+            group_end,
+            open_group,
+        }
+    }
+
+    /// Bank `b`'s oldest position not yet issued. `b` is active, so one
+    /// is left, and its cursor never rests on an issued position.
+    fn bank_head(&self, b: usize) -> usize {
+        self.by_bank[self.bank_cursor[b]]
+    }
+
+    /// Group `g`'s oldest position not yet issued, if any.
+    fn group_head(&mut self, g: usize) -> Option<usize> {
+        let (cursor, end) = (&mut self.group_cursor[g], self.group_end[g]);
+        while *cursor < end && self.group_of[self.by_row[*cursor]] == TAKEN {
+            *cursor += 1;
+        }
+        (*cursor < end).then(|| self.by_row[*cursor])
+    }
+
+    /// The earliest instant some request could issue: the minimum over
+    /// active banks of max(head arrival, bank free, bus free).
+    fn earliest_issue(
+        &self,
+        batch: &[(usize, MemoryRequest)],
+        bank_ready: &[f64],
+        bus_ready: f64,
+    ) -> f64 {
+        self.active[..self.active_len]
+            .iter()
+            .map(|&b| {
+                batch[self.bank_head(b)]
+                    .1
+                    .arrival_ns
+                    .max(bank_ready[b])
+                    .max(bus_ready)
+            })
+            .fold(f64::INFINITY, f64::min)
+    }
+
+    /// The FR-FCFS issue at `now` (after the clock advance): the oldest
+    /// ready request if it has waited longer than `max_wait_ns`, else
+    /// the first ready row hit, else the oldest ready request. Waiting
+    /// past the cap is monotone in arrival, so when the oldest ready
+    /// request is under the cap, every later one is too.
+    fn pick(
+        &mut self,
+        batch: &[(usize, MemoryRequest)],
+        bank_ready: &[f64],
+        now: f64,
+        max_wait_ns: f64,
+    ) -> usize {
+        let arrival = |p: usize| batch[p].1.arrival_ns;
+        let (mut oldest, mut hit) = (usize::MAX, usize::MAX);
+        for i in 0..self.active_len {
+            let b = self.active[i];
+            let head = self.bank_head(b);
+            // A bank whose oldest request has not arrived has none
+            // ready, hits included.
+            if bank_ready[b] > now || arrival(head) > now {
                 continue;
             }
-            if pick.is_none() {
-                pick = Some(i);
-                if now - r.arrival_ns > max_wait_ns {
-                    break;
+            oldest = oldest.min(head);
+            let g = self.open_group[b];
+            if g != NO_GROUP {
+                if let Some(h) = self.group_head(g) {
+                    if arrival(h) <= now {
+                        hit = hit.min(h);
+                    }
                 }
             }
-            if self.banks[r.bank].would_hit(r.row) {
-                pick = Some(i);
-                break;
-            }
         }
-        pick.expect("clock advance must free a request")
+        assert!(oldest != usize::MAX, "clock advance must free a request");
+        if hit == usize::MAX || now - arrival(oldest) > max_wait_ns {
+            oldest
+        } else {
+            hit
+        }
+    }
+
+    /// Marks position `p` of bank `bank` issued: the bank's open row is
+    /// now `p`'s, and a bank with nothing left leaves the active set.
+    fn take(&mut self, p: usize, bank: usize) {
+        self.open_group[bank] = self.group_of[p];
+        self.group_of[p] = TAKEN;
+        let (cursor, end) = (&mut self.bank_cursor[bank], self.bank_end[bank]);
+        while *cursor < end && self.group_of[self.by_bank[*cursor]] == TAKEN {
+            *cursor += 1;
+        }
+        if *cursor == end {
+            let at = self.active[..self.active_len]
+                .iter()
+                .position(|&b| b == bank)
+                .expect("an issued request's bank is active");
+            self.active_len -= 1;
+            self.active.swap(at, self.active_len);
+        }
     }
 }
 
@@ -600,7 +811,8 @@ mod tests {
         assert_eq!(rep.completions.len(), trace.len());
     }
 
-    /// `run_batched` with its former issue pick: every issue lists the
+    /// `run_batched` with its first issue pick, kept as the oracle: every
+    /// issue scans the batch for the earliest issue instant, lists the
     /// ready requests, then searches that list for the oldest over-cap
     /// request, then for the first row hit, then takes its head.
     fn run_batched_ready_list(
@@ -663,13 +875,17 @@ mod tests {
     proptest::proptest! {
         #![proptest_config(proptest::ProptestConfig::with_cases(256))]
 
-        /// The one-pass pick issues exactly what the ready-list pick
+        /// The indexed pick issues exactly what the ready-list pick
         /// issued, over random banks, rows and (tied) arrivals, finite
         /// and infinite starvation caps, and queue state carried from
-        /// one call into the next.
+        /// one call into the next. Besides random banks and rows, the
+        /// requests take `hostpath`'s two layouts: a streaming read
+        /// interleaved over the banks, 16 bursts per row, and reads of
+        /// distinct rows of one bank.
         #[test]
         fn one_pass_pick_matches_the_ready_list(
-            (len, banks, rows) in (1usize..80, 1usize..5, 1usize..6),
+            (len, banks, rows) in (1usize..=300, 1usize..=16, 1usize..=64),
+            layout in 0usize..3,
             gap_ns in proptest::sample::select(vec![0.0, 0.5, 3.0, 40.0]),
             window_ns in proptest::sample::select(vec![0.0, 10.0, 100.0, f64::INFINITY]),
             max_wait_ns in proptest::sample::select(vec![0.0, 30.0, 200.0, f64::INFINITY]),
@@ -683,9 +899,14 @@ mod tests {
                 state as usize
             };
             let reqs: Vec<MemoryRequest> = (0..len)
-                .map(|_| {
+                .map(|i| {
                     let arrival = (next() % 32) as f64 * gap_ns;
-                    MemoryRequest::read(arrival, next() % banks, next() % rows)
+                    let (bank, row) = match layout {
+                        0 => (i % banks, i / (banks * 16)),
+                        1 => (0, i),
+                        _ => (next() % banks, next() % rows),
+                    };
+                    MemoryRequest::read(arrival, bank, row)
                 })
                 .collect();
             let window = BatchWindow { window_ns, max_wait_ns };

@@ -25,8 +25,20 @@ pub fn increment_ops(n: usize) -> u64 {
     7 * n as u64 + 7
 }
 
+/// The widest counter capacity [`digits_for_capacity`] prices, in bits:
+/// it compares against `2^capacity_bits` in `f64`, and 2^1023 is the
+/// largest power of two an `f64` holds.
+pub const MAX_CAPACITY_BITS: u32 = f64::MAX_EXP as u32 - 1;
+
 /// Digits needed for a counter of `capacity_bits` binary capacity at the
 /// given even `radix`.
+///
+/// The domain is `capacity_bits` in `1..=`[`MAX_CAPACITY_BITS`]. Outside
+/// it the count is wrong, not an error: past 1023 bits `2^capacity_bits`
+/// overflows to ∞ and the loop stops where the radix powers overflow
+/// too (512 digits at radix 4, for any such capacity), and past 2³¹ the
+/// exponent's cast to `i32` goes negative, so the result is 1 digit.
+/// Callers validate first, as `C2mEngine`'s builder and `c2m plan` do.
 ///
 /// # Panics
 ///

@@ -18,14 +18,17 @@
 //!   double-buffered planner overlaps IARM planning of batch *i+1* with
 //!   execution of batch *i*, tenant weight residency
 //!   ([`ServeConfig::residency_rows`]) charges mask-plane reloads on
-//!   tenant switches, and execution dispatches through
-//!   [`c2m_core::engine::C2mEngine::ternary_gemv_batch`].
-//!   The content-only part of a batch's pricing (host planning
+//!   tenant switches, and execution prices through the engine's folds,
+//!   [`c2m_core::engine::C2mEngine::fold_ternary_gemv`] for a lone
+//!   request and
+//!   [`c2m_core::engine::C2mEngine::fold_ternary_gemv_batch`] for a
+//!   batch. The content-only part of a batch's pricing (host planning
 //!   sequences + engine launch) memoises in a
 //!   [`Memo`](c2m_core::cache::Memo) keyed on the batch's exact
 //!   content — tenant, output width and member inputs — bit-for-bit
 //!   identical to uncached serving; hit/miss tallies surface in
-//!   [`ServeReport`].
+//!   [`ServeReport`]. Below the memo, the engine's plan and stream
+//!   tiers serve the folds; serving never builds a report-tier key.
 //! * [`report`] — per-request and per-class latency percentiles
 //!   (p50/p95/p99), deadline-miss rates, throughput over the busy
 //!   window, batch shapes, residency reloads and queue-depth timelines.

@@ -23,8 +23,9 @@
 //!
 //! * [`SchedPolicy::Fifo`] — oldest arrival first (seed-faithful: with
 //!   `max_batch == 1`, synchronous planning and a 1-channel/1-rank
-//!   engine, every request executes through the seed
-//!   [`C2mEngine::ternary_gemv`] path bit-for-bit).
+//!   engine, every request prices as the seed
+//!   [`C2mEngine::ternary_gemv`] path does, bit-for-bit, through
+//!   [`C2mEngine::fold_ternary_gemv`]).
 //! * [`SchedPolicy::EarliestDeadlineFirst`] — earliest absolute
 //!   deadline ([`ServeRequest::deadline_ns`]) first.
 //! * [`SchedPolicy::PriorityWeighted`] — highest
@@ -38,9 +39,19 @@
 //! Same-tenant same-shape requests that arrived by the dispatch instant
 //! coalesce with the seed (up to [`ServeConfig::max_batch`], within
 //! [`ServeConfig::window_ns`] of the seed's arrival) into one engine
-//! launch ([`C2mEngine::ternary_gemv_batch`]), amortising the
+//! launch ([`C2mEngine::fold_ternary_gemv_batch`]), amortising the
 //! per-dispatch overhead; the host fetch of the batch's input vectors
 //! is priced through [`RequestQueue::run_batched`].
+//!
+//! **Pricing pays for new work only.** A batch's content-only price —
+//! its planned sequence count and its launch — memoises in the
+//! priced-batch [`Memo`] ([`ServeConfig::batch_cache`]). A memo miss
+//! prices through the engine's folds: the plan tier returns the shard
+//! plan, the stream tier each request's sequence count, and the shards
+//! fold on the calling thread. The engine's report tier is never read
+//! or written by serving; the memo already returns repeated batches,
+//! and a report key (the whole batch plus the engine's configuration
+//! words) costs more to build than the fold it would save.
 //!
 //! **Tenant weight residency** ([`ServeConfig::residency_rows`]) makes
 //! tenant switches real: a [`ResidencyModel`] tracks which tenants'
@@ -794,15 +805,15 @@ impl ServeRuntime {
     }
 
     /// The content-only part of a batch's pricing: the host planning
-    /// sequence count and the engine launch — the seed GEMV path for a
+    /// sequence count and the engine launch — the seed GEMV fold for a
     /// lone request (bit compatible with the paper model), the
-    /// row-sharded batch entry point otherwise. Memoised under
-    /// [`batch_key`] when the priced-batch memo is enabled.
+    /// row-sharded batch fold otherwise. Memoised under [`batch_key`]
+    /// when the priced-batch memo is enabled.
     fn pure_price(&self, batch: &[ServeRequest]) -> BatchPrice {
         let compute = || {
             // Host planning: the real IARM pass over each request's
             // doubled ternary stream (through the engine's stream
-            // cache), costed per emitted sequence by the caller.
+            // tier), costed per emitted sequence by the caller.
             let plan_seqs = batch
                 .iter()
                 .map(|r| self.engine.cached_sequences_for_doubled(&r.x) as f64)
@@ -810,10 +821,10 @@ impl ServeRuntime {
             // The launch report's `energy_nj` carries the batch's
             // execution energy.
             let exec = if batch.len() == 1 {
-                self.engine.ternary_gemv(&batch[0].x, batch[0].n)
+                self.engine.fold_ternary_gemv(&batch[0].x, batch[0].n)
             } else {
                 let xs: Vec<&[i64]> = batch.iter().map(|r| r.x.as_slice()).collect();
-                self.engine.ternary_gemv_batch(&xs, batch[0].n)
+                self.engine.fold_ternary_gemv_batch(&xs, batch[0].n)
             };
             BatchPrice {
                 plan_seqs,
@@ -1841,9 +1852,54 @@ mod tests {
         );
         assert!(rep.batch_cache_hit_rate() > 0.5);
         // The engine-level caches warm too: the plan pass and the exec
-        // pass share per-request stream entries, and a repeated launch
-        // short-circuits at the whole-report tier.
-        assert!(rep.engine_cache.stream_hits + rep.engine_cache.report_hits > 0);
+        // pass share per-request stream entries.
+        assert!(rep.engine_cache.stream_hits > 0);
+    }
+
+    #[test]
+    fn serving_never_looks_up_the_report_tier() {
+        // Every launch prices through the engine's folds, whether the
+        // priced-batch memo returns repeats or not and however often
+        // the power governor re-prices a trial: the report tier counts
+        // no lookup, while the plan and stream tiers serve every fold.
+        let reqs = trace(32, 2);
+        for policy in [SchedPolicy::Fifo, SchedPolicy::EarliestDeadlineFirst] {
+            for batch_cache in [true, false] {
+                let base = ServeConfig {
+                    policy,
+                    batch_cache,
+                    ..cfg(8, 1e9)
+                };
+                let rt = ServeRuntime::new(engine(4), base.clone());
+                let uncapped = rt.run(&reqs);
+                let floor = uncapped.idle_floor_w;
+                let cap = floor + 0.4 * (uncapped.peak_window_power_w() - floor);
+                let capped = ServeRuntime::new(
+                    rt.engine().clone(),
+                    ServeConfig {
+                        power_budget_w: Some(cap),
+                        ..base
+                    },
+                )
+                .run(&reqs);
+                assert!(
+                    capped.batches.len() > uncapped.batches.len(),
+                    "{policy:?}: the cap must bind"
+                );
+                for rep in [&uncapped, &capped] {
+                    let c = rep.engine_cache;
+                    assert_eq!(
+                        (c.report_hits, c.report_misses),
+                        (0, 0),
+                        "{policy:?}, batch memo {batch_cache}"
+                    );
+                    assert!(c.plan_hits + c.plan_misses > 0);
+                    assert!(c.stream_hits + c.stream_misses > 0);
+                }
+                let lifetime = rt.engine().cache_stats();
+                assert_eq!((lifetime.report_hits, lifetime.report_misses), (0, 0));
+            }
+        }
     }
 
     #[test]

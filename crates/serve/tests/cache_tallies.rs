@@ -8,9 +8,10 @@
 //! twice on one runtime — once uncapped, once under a power cap — by an
 //! engine whose stream and report tiers are small enough to clear
 //! mid-run, and every report's tallies are compared with recorded
-//! values. The engine has one channel and one rank, so every launch
-//! prices a single shard and the tallies do not depend on thread
-//! scheduling.
+//! values. Serving prices through the engine's folds, which never read
+//! the report tier, so its columns stay 0. The engine has one channel
+//! and one rank, so every launch prices a single shard and the tallies
+//! do not depend on thread scheduling.
 
 use c2m_core::cache::CacheConfig;
 use c2m_core::engine::{C2mEngine, EngineConfig};
@@ -86,7 +87,7 @@ fn serving_twice_reports_the_recorded_tallies() {
         capped[0].batches.len() > first.batches.len(),
         "the cap must bind"
     );
-    // Without the batch tier, every trial reaches the engine's report tier.
+    // Without the batch tier, every trial reaches the engine.
     let capped_unbatched = twice(serve_config(Some(cap), false));
 
     let got: Vec<[u64; 8]> = [uncapped, capped, capped_unbatched]
@@ -97,16 +98,18 @@ fn serving_twice_reports_the_recorded_tallies() {
     let expect: [[u64; 8]; 6] = [
         // Uncapped: every batch composition is new, so each prices once
         // and the plan pass and the launch share stream entries.
-        [14, 3, 56, 64, 0, 17, 0, 17],
+        [14, 3, 56, 64, 0, 0, 0, 17],
         // The repeat is all batch-tier hits; the engine is not reached.
         [0, 0, 0, 0, 0, 0, 17, 0],
         // Capped: governor trials re-price compositions.
-        [56, 4, 233, 61, 0, 60, 228, 60],
+        [56, 4, 233, 61, 0, 0, 228, 60],
         [0, 0, 0, 0, 0, 0, 288, 0],
-        // Capped with no batch tier: trials hit the report tier, which
-        // clears every 8 inserts.
-        [59, 4, 816, 61, 225, 63, 0, 0],
-        [64, 0, 816, 64, 224, 64, 0, 0],
+        // Capped with no batch tier: every trial folds again, one plan
+        // lookup per trial and one stream lookup per request planned
+        // and per request launched; the stream tier clears every 16
+        // inserts.
+        [284, 4, 1377, 61, 0, 0, 0, 0],
+        [288, 0, 1374, 64, 0, 0, 0, 0],
     ];
     assert_eq!(got, expect);
 }

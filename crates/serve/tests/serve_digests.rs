@@ -1,10 +1,13 @@
 //! Pins the bytes the serving loop produces.
 //!
-//! Each run below is served on a fresh engine, and the FNV-1a digest of
-//! its serialized [`ServeReport`] is compared with a recorded value. A
-//! change that moves any outcome, batch, timeline sample or cache tally
-//! fails the named test here. The runs mirror the benchmark's serving
-//! workloads at a smaller size:
+//! Each run below is served on a fresh engine and pinned twice: by the
+//! FNV-1a digest of its serialized [`ServeReport`] with every cache
+//! tally zeroed (`engine_cache` and `batch_cache_*`), which covers
+//! every simulated byte, and by its eight cache tallies. Caching is
+//! observational, so a change to what a cache tier counts moves only
+//! tally pins, and a change that moves any outcome, batch or timeline
+//! sample moves a digest. Each test names every pin that moved. The
+//! runs mirror the benchmark's serving workloads at a smaller size:
 //!
 //! * the `serve_sweep` grid: {FIFO, EDF, priority} × batch cap {1, 8} ×
 //!   power cap {none, tight}, at a residency budget of two tenants'
@@ -17,6 +20,7 @@
 //! tenant 0 is in a priority-2 class with a 2 ms deadline.
 
 use c2m_core::engine::{C2mEngine, EngineConfig};
+use c2m_dram::CacheCounters;
 use c2m_serve::{
     open_loop, ClosedLoopConfig, OpenLoopConfig, SchedPolicy, ServeConfig, ServeReport,
     ServeRequest, ServeRuntime, ServiceClass, TenantSpec,
@@ -35,9 +39,48 @@ fn fnv1a(bytes: &[u8]) -> u64 {
     h
 }
 
+/// The digest of `report` with its cache tallies zeroed.
 fn digest(report: &ServeReport) -> u64 {
-    let json = serde_json::to_string(report).expect("serialisable report");
+    let report = ServeReport {
+        batch_cache_hits: 0,
+        batch_cache_misses: 0,
+        engine_cache: CacheCounters::default(),
+        ..report.clone()
+    };
+    let json = serde_json::to_string(&report).expect("serialisable report");
     fnv1a(json.as_bytes())
+}
+
+/// `[plan hits, plan misses, stream hits, stream misses, report hits,
+/// report misses, batch hits, batch misses]`.
+type Tallies = [u64; 8];
+
+fn tallies(report: &ServeReport) -> Tallies {
+    let CacheCounters {
+        plan_hits,
+        plan_misses,
+        stream_hits,
+        stream_misses,
+        report_hits,
+        report_misses,
+    } = report.engine_cache;
+    [
+        plan_hits,
+        plan_misses,
+        stream_hits,
+        stream_misses,
+        report_hits,
+        report_misses,
+        report.batch_cache_hits,
+        report.batch_cache_misses,
+    ]
+}
+
+/// One run's pins: its name, tally-free digest and tallies.
+type Pin<'a> = (&'a str, u64, Tallies);
+
+fn pin(name: &str, report: &ServeReport) -> (String, u64, Tallies) {
+    (name.to_string(), digest(report), tallies(report))
 }
 
 fn tenants() -> Vec<TenantSpec> {
@@ -68,19 +111,26 @@ fn trace(requests: usize, gap_ns: f64, seed: u64) -> Vec<ServeRequest> {
     })
 }
 
-/// Compares each run's digest with its recorded value and names every
-/// run that moved.
-fn assert_digests(got: &[(String, u64)], want: &[(&str, u64)]) {
-    let moved: Vec<String> = got
-        .iter()
-        .zip(want)
-        .filter(|(g, w)| g.0 != w.0 || g.1 != w.1)
-        .map(|(g, w)| format!("{}: {:#018x}, recorded {:#018x}", g.0, g.1, w.1))
-        .collect();
+/// Compares each run's digest and tallies with their recorded values
+/// and names every pin that moved.
+fn assert_pins(got: &[(String, u64, Tallies)], want: &[Pin]) {
     assert_eq!(got.len(), want.len());
+    let mut moved = Vec::new();
+    for (g, w) in got.iter().zip(want) {
+        assert_eq!(g.0, w.0, "runs are listed in the recorded order");
+        if g.1 != w.1 {
+            moved.push(format!(
+                "{} digest: {:#018x}, recorded {:#018x}",
+                g.0, g.1, w.1
+            ));
+        }
+        if g.2 != w.2 {
+            moved.push(format!("{} tallies: {:?}, recorded {:?}", g.0, g.2, w.2));
+        }
+    }
     assert!(
         moved.is_empty(),
-        "serving bytes moved:\n{}",
+        "serving pins moved:\n{}",
         moved.join("\n")
     );
 }
@@ -110,7 +160,7 @@ fn sweep_grid_reports_are_pinned() {
             for (cap, cap_name) in [(None, "uncapped"), (Some(tight), "capped")] {
                 let report = ServeRuntime::new(engine(), base(policy, max_batch, cap)).run(&trace);
                 assert_eq!(report.outcomes.len(), trace.len());
-                got.push((format!("{name}-b{max_batch}-{cap_name}"), digest(&report)));
+                got.push(pin(&format!("{name}-b{max_batch}-{cap_name}"), &report));
             }
         }
     }
@@ -118,21 +168,69 @@ fn sweep_grid_reports_are_pinned() {
     // policy's 10 ms starvation cap fires, which only the slower
     // batch-1 runs reach: tenant 0 holds both the one finite deadline
     // and the one raised priority.
-    assert_digests(
+    assert_pins(
         &got,
         &[
-            ("fifo-b1-uncapped", 0x4cb3_967a_4e2d_d13d),
-            ("fifo-b1-capped", 0x51e1_196c_ff05_1ccc),
-            ("fifo-b8-uncapped", 0xfc65_4a30_c443_8a43),
-            ("fifo-b8-capped", 0x479b_e070_34b7_d6ad),
-            ("edf-b1-uncapped", 0x9bfc_7c84_5fd7_ce0c),
-            ("edf-b1-capped", 0xbd56_a62b_ff20_99e5),
-            ("edf-b8-uncapped", 0xd555_ab19_a6dc_ac55),
-            ("edf-b8-capped", 0x5e6a_22a5_137b_a696),
-            ("prio-b1-uncapped", 0x32aa_8792_afe3_ab27),
-            ("prio-b1-capped", 0x6bb3_5d5e_bc0c_bb5c),
-            ("prio-b8-uncapped", 0xd555_ab19_a6dc_ac55),
-            ("prio-b8-capped", 0x04bf_17f6_5b6f_e362),
+            (
+                "fifo-b1-uncapped",
+                0x0d68_c7ff_cb7c_c4fe,
+                [199, 1, 0, 1000, 0, 0, 0, 200],
+            ),
+            (
+                "fifo-b1-capped",
+                0xe3e9_6130_6ba5_e7f5,
+                [199, 1, 0, 1000, 0, 0, 99, 200],
+            ),
+            (
+                "fifo-b8-uncapped",
+                0xe6fa_2c4c_225e_bd91,
+                [22, 5, 199, 204, 0, 0, 0, 27],
+            ),
+            (
+                "fifo-b8-capped",
+                0xf431_260c_8dc7_5ff4,
+                [745, 8, 6720, 480, 0, 0, 437, 753],
+            ),
+            (
+                "edf-b1-uncapped",
+                0xed8c_70a2_5239_f8e9,
+                [199, 1, 0, 1000, 0, 0, 0, 200],
+            ),
+            (
+                "edf-b1-capped",
+                0x5dd0_3386_06b0_b8f6,
+                [199, 1, 0, 1000, 0, 0, 152, 200],
+            ),
+            (
+                "edf-b8-uncapped",
+                0xc993_1388_c311_bac3,
+                [22, 5, 199, 204, 0, 0, 0, 27],
+            ),
+            (
+                "edf-b8-capped",
+                0x1780_ed37_6f24_e9c9,
+                [822, 8, 7171, 572, 0, 0, 618, 830],
+            ),
+            (
+                "prio-b1-uncapped",
+                0x78da_8f6c_af04_95a4,
+                [199, 1, 0, 1000, 0, 0, 0, 200],
+            ),
+            (
+                "prio-b1-capped",
+                0xe7ea_c517_ddd4_3a85,
+                [199, 1, 0, 1000, 0, 0, 123, 200],
+            ),
+            (
+                "prio-b8-uncapped",
+                0xc993_1388_c311_bac3,
+                [22, 5, 199, 204, 0, 0, 0, 27],
+            ),
+            (
+                "prio-b8-capped",
+                0xf3e5_fe7f_6009_7ae6,
+                [790, 8, 7076, 496, 0, 0, 508, 798],
+            ),
         ],
     );
 }
@@ -155,14 +253,19 @@ fn unique_input_reports_are_pinned() {
     });
     assert_eq!(open.outcomes.len(), 200);
     assert_eq!(closed.outcomes.len(), 200);
-    assert_digests(
+    assert_pins(
+        &[pin("open-loop", &open), pin("closed-loop", &closed)],
         &[
-            ("open-loop".to_string(), digest(&open)),
-            ("closed-loop".to_string(), digest(&closed)),
-        ],
-        &[
-            ("open-loop", 0xd314_3217_6830_475e),
-            ("closed-loop", 0xeba7_09be_f429_a939),
+            (
+                "open-loop",
+                0x55ef_121b_e448_bb19,
+                [30, 7, 196, 216, 0, 0, 0, 37],
+            ),
+            (
+                "closed-loop",
+                0xeb79_616a_8aa2_93f6,
+                [38, 2, 200, 200, 0, 0, 0, 40],
+            ),
         ],
     );
 }

@@ -82,17 +82,13 @@ fn get_dim(flags: &BTreeMap<String, String>, key: &str, default: usize) -> Resul
     Ok(dim)
 }
 
-/// The widest counter capacity `plan` accepts, in bits:
-/// `digits_for_capacity` compares against 2^capacity in `f64`, and
-/// 2^1023 is the largest power of two an `f64` holds.
-const MAX_CAPACITY_BITS: u32 = f64::MAX_EXP as u32 - 1;
-
 fn cmd_plan(flags: &BTreeMap<String, String>) -> Result<(), String> {
     let radix = get_radix(flags, "radix", 4)?;
     let capacity: u32 = get(flags, "capacity", 64)?;
-    if !(1..=MAX_CAPACITY_BITS).contains(&capacity) {
+    if !(1..=cost::MAX_CAPACITY_BITS).contains(&capacity) {
         return Err(format!(
-            "--capacity must be in 1..={MAX_CAPACITY_BITS} bits, got {capacity}"
+            "--capacity must be in 1..={} bits, got {capacity}",
+            cost::MAX_CAPACITY_BITS
         ));
     }
     let k = get_dim(flags, "k", 512)?;
