@@ -69,9 +69,10 @@ impl AdderLayout {
     }
 }
 
-/// Macro-command count of one `width`-bit ripple-carry addition.
-#[must_use]
-pub fn add_command_count(width_bits: usize) -> usize {
+/// Macro-command count of one `width`-bit ripple-carry addition: the
+/// closed form the tests hold [`add_program`]'s length to.
+#[cfg(test)]
+fn add_command_count(width_bits: usize) -> usize {
     15 * width_bits + 1
 }
 
@@ -252,8 +253,8 @@ impl AmbitRca {
     }
 
     /// Final carry-out of the last addition, per lane.
-    #[must_use]
-    pub fn carry_out(&self, l: usize) -> bool {
+    #[cfg(test)]
+    fn carry_out(&self, l: usize) -> bool {
         self.sub.read_data(self.layout.carry()).get(l)
     }
 }

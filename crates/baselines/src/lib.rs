@@ -16,12 +16,12 @@
 
 pub mod ambit_rca;
 pub mod gpu;
-pub mod multiplier;
+#[cfg(test)]
+mod multiplier;
 pub mod rca;
 pub mod simdram;
 
 pub use ambit_rca::AmbitRca;
 pub use gpu::GpuModel;
-pub use multiplier::BitSerialMultiplier;
 pub use rca::RcaAccumulator;
 pub use simdram::SimdramEngine;

@@ -6,7 +6,8 @@
 //! shift-and-add network: for every set bit `j` of the multiplier, add
 //! `multiplicand << j` into the product through a full-width ripple-carry
 //! pass — `W` additions of `2W`-bit operands in the worst case, which is
-//! the quadratic cost the paper's counting approach side-steps.
+//! the quadratic cost the paper's counting approach side-steps. No
+//! figure runs it, so the module compiles only with its tests.
 
 use crate::rca::RcaAccumulator;
 use c2m_cim::{FaultModel, Row};
@@ -14,7 +15,7 @@ use c2m_cim::{FaultModel, Row};
 /// Row-parallel bit-serial multiplier: multiplies every lane's operand by
 /// a broadcast constant via shift-and-add over an [`RcaAccumulator`].
 #[derive(Debug, Clone)]
-pub struct BitSerialMultiplier {
+struct BitSerialMultiplier {
     product: RcaAccumulator,
     operand_bits: usize,
 }
@@ -27,13 +28,13 @@ impl BitSerialMultiplier {
     ///
     /// Panics if `operand_bits` is 0 or > 63.
     #[must_use]
-    pub fn new(operand_bits: usize, lanes: usize) -> Self {
+    fn new(operand_bits: usize, lanes: usize) -> Self {
         Self::with_faults(operand_bits, lanes, FaultModel::fault_free())
     }
 
     /// Creates a multiplier with fault injection on its MAJ operations.
     #[must_use]
-    pub fn with_faults(operand_bits: usize, lanes: usize, faults: FaultModel) -> Self {
+    fn with_faults(operand_bits: usize, lanes: usize, faults: FaultModel) -> Self {
         assert!((1..=63).contains(&operand_bits), "operand width 1..=63");
         Self {
             product: RcaAccumulator::with_faults(2 * operand_bits, lanes, faults),
@@ -41,15 +42,9 @@ impl BitSerialMultiplier {
         }
     }
 
-    /// Operand width in bits.
-    #[must_use]
-    pub fn operand_bits(&self) -> usize {
-        self.operand_bits
-    }
-
     /// Device operations charged so far.
     #[must_use]
-    pub fn ops(&self) -> u64 {
+    fn ops(&self) -> u64 {
         self.product.ops()
     }
 
@@ -61,7 +56,7 @@ impl BitSerialMultiplier {
     /// # Panics
     ///
     /// Panics if either operand exceeds the configured width.
-    pub fn mac_masked(&mut self, value: u64, multiplier: u64, mask: &Row) {
+    fn mac_masked(&mut self, value: u64, multiplier: u64, mask: &Row) {
         assert!(value < (1 << self.operand_bits), "value too wide");
         assert!(multiplier < (1 << self.operand_bits), "multiplier too wide");
         for j in 0..self.operand_bits {
@@ -73,7 +68,7 @@ impl BitSerialMultiplier {
 
     /// Reads lane `l`'s accumulated product.
     #[must_use]
-    pub fn get(&self, l: usize) -> u128 {
+    fn get(&self, l: usize) -> u128 {
         self.product.get(l)
     }
 }
@@ -81,7 +76,7 @@ impl BitSerialMultiplier {
 /// Worst-case device-op cost of one W×W bit-serial multiply: W additions
 /// of 2W-bit words.
 #[must_use]
-pub fn multiply_ops(operand_bits: usize) -> u64 {
+fn multiply_ops(operand_bits: usize) -> u64 {
     operand_bits as u64 * crate::rca::rca_add_ops(2 * operand_bits)
 }
 

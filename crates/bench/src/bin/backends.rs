@@ -4,7 +4,7 @@
 //! [`c2m_cim::LogicMachine`] (see [`Backend::increment_ops`] — the same
 //! cost model heterogeneous shard dispatch prices with).
 
-use c2m_bench::{header, maybe_json};
+use c2m_bench::{fail, header, json_only, maybe_json};
 use c2m_cim::Backend;
 use serde::Serialize;
 
@@ -17,6 +17,7 @@ struct BackendRow {
 }
 
 fn main() {
+    json_only("backends").unwrap_or_else(|e| fail(&e));
     header(
         "backends",
         "§4.6 ablation: counting cost per CIM technology",

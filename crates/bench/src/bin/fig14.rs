@@ -2,7 +2,7 @@
 //! throughput/mm² for SIMDRAM:16 and C2M:16, normalised to the GPU.
 
 use c2m_baselines::{GpuModel, SimdramEngine};
-use c2m_bench::{eng, geomean, header, maybe_json};
+use c2m_bench::{eng, fail, geomean, header, json_only, maybe_json};
 use c2m_core::engine::{C2mEngine, EngineConfig};
 use c2m_workloads::distributions::int8_embeddings;
 use c2m_workloads::llama::all_shapes;
@@ -23,6 +23,7 @@ struct Fig14Row {
 }
 
 fn main() {
+    json_only("fig14").unwrap_or_else(|e| fail(&e));
     header(
         "fig14",
         "Ternary GEMM/GEMV vs GPU (normalised throughput metrics)",

@@ -2,7 +2,7 @@
 //! latency of SIMDRAM:X and throughput of C2M:X on the Table 3 shapes.
 
 use c2m_baselines::SimdramEngine;
-use c2m_bench::{eng, geomean, header, maybe_json};
+use c2m_bench::{eng, fail, geomean, header, json_only, maybe_json};
 use c2m_core::engine::{C2mEngine, EngineConfig};
 use c2m_workloads::distributions::int8_embeddings;
 use c2m_workloads::llama::all_shapes;
@@ -18,6 +18,7 @@ struct Fig15Row {
 }
 
 fn main() {
+    json_only("fig15").unwrap_or_else(|e| fail(&e));
     header(
         "fig15",
         "DRAM bank scaling: SIMDRAM:X latency, C2M:X throughput",

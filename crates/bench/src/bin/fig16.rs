@@ -8,7 +8,7 @@
 //! ~99.1 % (GEMM).
 
 use c2m_baselines::{GpuModel, SimdramEngine};
-use c2m_bench::{eng, header, maybe_json};
+use c2m_bench::{eng, fail, header, json_only, maybe_json};
 use c2m_core::engine::{C2mEngine, EngineConfig};
 use c2m_workloads::llama::{GEMM_SHAPES, GEMV_SHAPES};
 use c2m_workloads::sparsity::{fig16_sweep, sparse_int8_stream};
@@ -81,6 +81,7 @@ fn print_rows(label: &str, rows: &[SweepRow]) {
 }
 
 fn main() {
+    json_only("fig16").unwrap_or_else(|e| fail(&e));
     header("fig16", "Sparsity sweep: V0 (GEMV) and M0 (GEMM)");
     let v = sweep(GEMV_SHAPES[0]);
     let m = sweep(GEMM_SHAPES[0]);

@@ -5,7 +5,7 @@
 //! across fault rates 10⁻⁶…10⁻¹ (Monte Carlo on the bit-accurate
 //! kernels).
 
-use c2m_bench::{header, maybe_json};
+use c2m_bench::{fail, header, json_only, maybe_json};
 use c2m_core::kernels::KernelConfig;
 use c2m_ecc::protect::ProtectionKind;
 use c2m_workloads::bertproxy::TernaryMlp;
@@ -46,6 +46,7 @@ struct Series {
 }
 
 fn main() {
+    json_only("fig17").unwrap_or_else(|e| fail(&e));
     header(
         "fig17",
         "Accuracy under CIM faults: DNA filter F1, BERT-proxy accuracy",

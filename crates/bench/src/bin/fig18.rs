@@ -3,7 +3,7 @@
 //! C2M:16, C2M protected (detection) and C2M protected + correction.
 
 use c2m_baselines::SimdramEngine;
-use c2m_bench::{eng, header, maybe_json};
+use c2m_bench::{eng, fail, header, json_only, maybe_json};
 use c2m_core::engine::{C2mEngine, EngineConfig};
 use c2m_dram::ExecutionReport;
 use c2m_workloads::bertproxy::bert_attention_gemms;
@@ -167,6 +167,7 @@ struct Fig18Row {
 }
 
 fn main() {
+    json_only("fig18").unwrap_or_else(|e| fail(&e));
     header("fig18", "Full workloads incl. protection scheme overhead");
     let c2m = C2mEngine::builder(EngineConfig::c2m(16)).build();
     let protected = C2mEngine::builder(EngineConfig::c2m_protected(16)).build();

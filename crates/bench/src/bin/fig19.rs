@@ -1,7 +1,7 @@
 //! Fig. 19 — bits required per counter vs capacity, across radices,
 //! with the paper's real-task requirement lines.
 
-use c2m_bench::{header, maybe_json};
+use c2m_bench::{fail, header, json_only, maybe_json};
 use c2m_jc::capacity::{binary_bits_required, bits_required, requirements, rows_required};
 use serde::Serialize;
 
@@ -16,6 +16,7 @@ struct Fig19Row {
 }
 
 fn main() {
+    json_only("fig19").unwrap_or_else(|e| fail(&e));
     header("fig19", "JC storage: bits required vs counter capacity");
     println!(
         "\n{:>10} | {:>7} {:>7} {:>7} {:>7} {:>7}",

@@ -4,7 +4,7 @@
 //!     reads through the GRIM-style tokeniser, plus the parametric
 //!     generator); (b) 8-bit BERT-style embedding values.
 
-use c2m_bench::{header, maybe_json};
+use c2m_bench::{fail, header, json_only, maybe_json};
 use c2m_workloads::distributions::{int8_embeddings, token_repetitions, Histogram};
 use c2m_workloads::dna::{DnaFilter, FilterConfig};
 use rand::SeedableRng;
@@ -20,6 +20,7 @@ struct Fig3 {
 }
 
 fn main() {
+    json_only("fig3").unwrap_or_else(|e| fail(&e));
     header(
         "fig3",
         "Input distributions (DNA token repetition, BERT embeddings)",

@@ -5,7 +5,7 @@
 //! (b) DNA pre-alignment filter F1 for the JC- and RCA-based filters.
 
 use c2m_baselines::rca::RcaAccumulator;
-use c2m_bench::{eng, header, maybe_json};
+use c2m_bench::{eng, fail, header, json_only, maybe_json};
 use c2m_cim::{FaultModel, Row};
 use c2m_ecc::protect::ProtectionKind;
 use c2m_jc::bank::CounterBank;
@@ -59,6 +59,7 @@ struct Fig4Row {
 }
 
 fn main() {
+    json_only("fig4").unwrap_or_else(|e| fail(&e));
     header("fig4", "Fault impact: accumulation RMSE and DNA filter F1");
     let ecc = ProtectionKind::ecc_default();
 

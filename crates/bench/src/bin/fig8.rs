@@ -5,7 +5,7 @@
 //! (b) k-ary (full rippling, incl. the capacity-dependent oblivious
 //!     chain) vs IARM.
 
-use c2m_bench::{header, maybe_json};
+use c2m_bench::{fail, header, json_only, maybe_json};
 use c2m_jc::cost::{
     average_over_uniform_u8, digits_for_capacity, iarm_stream_ops, kary_full_ripple_ops,
     kary_oblivious_chain_ops, rca_add_ops, unit_counting_ops,
@@ -28,6 +28,7 @@ struct RadixRow {
 }
 
 fn main() {
+    json_only("fig8").unwrap_or_else(|e| fail(&e));
     header("fig8", "Masked addition: unit vs k-ary vs IARM vs RCA");
     let radices: Vec<usize> = (1..=10).map(|n| 2 * n).collect();
     let inputs: Vec<u64> = (0..256).collect();

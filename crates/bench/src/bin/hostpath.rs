@@ -8,7 +8,7 @@
 //! read bandwidth (elements/µs) vs the CIM AAP issue rate for 1/4/16
 //! banks, with and without refresh overhead.
 
-use c2m_bench::{header, maybe_json};
+use c2m_bench::{fail, header, json_only, maybe_json};
 use c2m_dram::scheduler::steady_state_aap_interval;
 use c2m_dram::{MemoryRequest, RefreshModel, RequestQueue, TimingParams};
 use serde::Serialize;
@@ -44,6 +44,7 @@ fn host_pattern(name: &str, reqs: &[MemoryRequest], banks: usize) -> HostRow {
 }
 
 fn main() {
+    json_only("hostpath").unwrap_or_else(|e| fail(&e));
     header("hostpath", "§5.1 host read path vs CIM issue rate");
     let banks = 16;
     let n = 4096;

@@ -8,7 +8,7 @@
 //! lowering; for whole counter steps we compare against the
 //! `c2m_jc::ambit_lower` hand schedule.
 
-use c2m_bench::{header, maybe_json};
+use c2m_bench::{fail, header, json_only, maybe_json};
 use c2m_jc::ambit_lower::{lower_step, CounterLayout};
 use c2m_jc::kary::TransitionPattern;
 use c2m_mig::counting;
@@ -47,6 +47,7 @@ fn circuit_row(name: &str, c: &counting::Circuit) -> CircuitRow {
 }
 
 fn main() {
+    json_only("mig").unwrap_or_else(|e| fail(&e));
     header(
         "mig",
         "§4.2 MIG synthesis: circuit sizes and lowering costs",

@@ -1,6 +1,6 @@
 //! Table 1 — FR-check count vs undetected-error and detect rates.
 
-use c2m_bench::{header, maybe_json};
+use c2m_bench::{fail, header, json_only, maybe_json};
 use c2m_ecc::protect::{ProtectionAnalysis, ProtectionKind};
 use serde::Serialize;
 
@@ -13,6 +13,7 @@ struct Cell {
 }
 
 fn main() {
+    json_only("table1").unwrap_or_else(|e| fail(&e));
     header(
         "table1",
         "Protection scheme: FR checks vs error/detect rates",

@@ -48,6 +48,39 @@ fn flag_value(name: &str) -> Result<Option<String>, String> {
     }
 }
 
+/// Rejects every argument that binary `name` does not read: each binary
+/// reads `--json`, and the `valued` flags (with the value after each,
+/// which [`flag_value`] checks). A misspelt flag is then an error
+/// instead of a run without it.
+///
+/// # Errors
+///
+/// Names the first argument the binary does not read.
+fn reads_only(name: &str, valued: &[&str]) -> Result<(), String> {
+    let mut args = std::env::args().skip(1);
+    while let Some(arg) = args.next() {
+        if valued.contains(&arg.as_str()) {
+            args.next();
+        } else if arg != "--json" {
+            let reads: String = valued.iter().map(|f| format!(", {f} <value>")).collect();
+            return Err(format!(
+                "{name} does not read `{arg}` (it reads --json{reads})"
+            ));
+        }
+    }
+    Ok(())
+}
+
+/// Checks, before a sweep, that the command line holds nothing but
+/// `--json`: the whole command line of a binary without [`Outputs`].
+///
+/// # Errors
+///
+/// Names the first argument that is not `--json`.
+pub fn json_only(name: &str) -> Result<(), String> {
+    reads_only(name, &[])
+}
+
 /// The files a binary writes for `--trace` and `--cache-dir`, opened
 /// before its sweep runs, so that a bad flag costs no sweep.
 #[derive(Debug)]
@@ -68,13 +101,16 @@ pub struct Outputs {
 }
 
 impl Outputs {
-    /// Reads both flags for binary `name`, creates the cache directory,
-    /// then the trace file.
+    /// Checks that the command line holds only `--json`, `--trace` and
+    /// `--cache-dir`, reads both flags for binary `name`, creates the
+    /// cache directory, then the trace file.
     ///
     /// # Errors
     ///
-    /// A flag has no value, or its path cannot be created.
+    /// An argument the binary does not read, a flag without a value, or
+    /// a path that cannot be created.
     pub fn open(name: &str) -> Result<Self, String> {
+        reads_only(name, &["--trace", "--cache-dir"])?;
         let store = match flag_value("--cache-dir")? {
             Some(dir) => {
                 let dir = std::path::PathBuf::from(dir);

@@ -408,3 +408,78 @@ fn fig17_jc_ecc_keeps_bert_proxy_accuracy_at_100pct_up_to_1e_2() {
         }
     }
 }
+
+/// fig14's rows keyed by shape id, which must be exactly V0–V4 and
+/// M0–M4.
+#[track_caller]
+fn fig14_shapes(doc: &Value) -> BTreeMap<&str, &Value> {
+    let shapes = by(rows(doc), |r| text(r, "id"));
+    assert_eq!(
+        shapes.keys().copied().collect::<Vec<_>>(),
+        ["M0", "M1", "M2", "M3", "M4", "V0", "V1", "V2", "V3", "V4"]
+    );
+    shapes
+}
+
+#[test]
+fn fig14_c2m_beats_simdram_in_gops_gops_per_watt_and_gops_per_mm2() {
+    let doc = golden("fig14");
+    for (id, r) in fig14_shapes(&doc) {
+        // The `*_rel` metrics share each shape's GPU denominator.
+        for (c2m, simdram) in [
+            ("c2m_gops", "simdram_gops"),
+            ("c2m_gpw_rel", "simdram_gpw_rel"),
+            ("c2m_gpa_rel", "simdram_gpa_rel"),
+        ] {
+            assert!(
+                num(r, c2m) > num(r, simdram),
+                "fig14 {id}: {c2m} {} not above {simdram} {}",
+                num(r, c2m),
+                num(r, simdram)
+            );
+        }
+    }
+}
+
+#[test]
+fn fig14_gpu_beats_c2m_in_gops_on_every_dense_gemm() {
+    let doc = golden("fig14");
+    for (id, r) in fig14_shapes(&doc) {
+        if id.starts_with('M') {
+            assert!(
+                num(r, "gpu_gops") > num(r, "c2m_gops"),
+                "fig14 {id}: GPU {} GOPS not above C2M {}",
+                num(r, "gpu_gops"),
+                num(r, "c2m_gops")
+            );
+        }
+    }
+}
+
+#[test]
+fn fig8_iarm_stays_below_the_32_bit_rca_at_radices_4_to_8() {
+    let doc = golden("fig8");
+    let radices = by(rows(&doc), |r| int(r, "radix"));
+    let rca_i32 = c2m_jc::cost::rca_add_ops(32) as f64;
+    for radix in [4, 6, 8] {
+        let iarm = num(radices[&radix], "iarm");
+        assert!(
+            iarm < rca_i32,
+            "fig8 radix {radix}: IARM {iarm} AAPs not below RCA_i32 {rca_i32}"
+        );
+    }
+}
+
+#[test]
+fn fig19_radix_4_needs_exactly_the_binary_bit_count() {
+    let doc = golden("fig19");
+    assert_eq!(rows(&doc).len(), 8, "capacities 2^4 … 2^32");
+    for r in rows(&doc) {
+        assert_eq!(
+            int(r, "radix4"),
+            int(r, "binary"),
+            "fig19 at 2^{}",
+            int(r, "capacity_bits")
+        );
+    }
+}

@@ -1,7 +1,19 @@
-//! The output flags of the figure binaries fail with an `error:` line
-//! and exit status 1, never a panic, and before any sweep runs.
+//! A bad command line makes a figure binary exit with status 1 and an
+//! `error:` line, never a panic, and before any sweep runs: an output
+//! flag without a usable value, or an argument the binary does not read.
 
 use std::process::Command;
+
+/// Runs `exe` with `args` and checks it was turned away before the sweep.
+fn assert_rejected(what: &str, exe: &str, args: &[&str]) {
+    let out = Command::new(exe).args(args).output().expect("binary runs");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    let what = format!("{what}: {stderr}");
+    assert_eq!(out.status.code(), Some(1), "{what}");
+    assert!(stderr.lines().any(|l| l.starts_with("error: ")), "{what}");
+    assert!(!stderr.contains("panicked"), "{what}");
+    assert!(out.stdout.is_empty(), "{what}: the sweep ran");
+}
 
 #[test]
 fn bad_output_flags_exit_with_an_error_line() {
@@ -26,13 +38,7 @@ fn bad_output_flags_exit_with_an_error_line() {
         ("fig_scaling", env!("CARGO_BIN_EXE_fig_scaling")),
     ] {
         for (case, args) in &cases {
-            let out = Command::new(exe).args(args).output().expect("binary runs");
-            let stderr = String::from_utf8_lossy(&out.stderr);
-            let what = format!("{bin}, {case}: {stderr}");
-            assert_eq!(out.status.code(), Some(1), "{what}");
-            assert!(stderr.lines().any(|l| l.starts_with("error: ")), "{what}");
-            assert!(!stderr.contains("panicked"), "{what}");
-            assert!(out.stdout.is_empty(), "{what}: the sweep ran");
+            assert_rejected(&format!("{bin}, {case}"), exe, args);
         }
     }
     assert!(
@@ -40,4 +46,35 @@ fn bad_output_flags_exit_with_an_error_line() {
         "a flag became a file"
     );
     std::fs::remove_file(&file).expect("temp file is removable");
+}
+
+/// Every figure binary, as `(name, path)`.
+const BINARIES: [(&str, &str); 15] = [
+    ("backends", env!("CARGO_BIN_EXE_backends")),
+    ("fig3", env!("CARGO_BIN_EXE_fig3")),
+    ("fig4", env!("CARGO_BIN_EXE_fig4")),
+    ("fig8", env!("CARGO_BIN_EXE_fig8")),
+    ("fig14", env!("CARGO_BIN_EXE_fig14")),
+    ("fig15", env!("CARGO_BIN_EXE_fig15")),
+    ("fig16", env!("CARGO_BIN_EXE_fig16")),
+    ("fig17", env!("CARGO_BIN_EXE_fig17")),
+    ("fig18", env!("CARGO_BIN_EXE_fig18")),
+    ("fig19", env!("CARGO_BIN_EXE_fig19")),
+    ("fig_scaling", env!("CARGO_BIN_EXE_fig_scaling")),
+    ("fig_serve", env!("CARGO_BIN_EXE_fig_serve")),
+    ("hostpath", env!("CARGO_BIN_EXE_hostpath")),
+    ("mig", env!("CARGO_BIN_EXE_mig")),
+    ("table1", env!("CARGO_BIN_EXE_table1")),
+];
+
+#[test]
+fn unread_arguments_exit_with_an_error_line() {
+    // A misspelt `--json` and a stray positional argument, alone and
+    // after a flag the binary does read.
+    let cases: [&[&str]; 3] = [&["--jsn"], &["stray"], &["--json", "stray"]];
+    for (bin, exe) in BINARIES {
+        for args in cases {
+            assert_rejected(&format!("{bin} {args:?}"), exe, args);
+        }
+    }
 }

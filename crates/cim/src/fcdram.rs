@@ -14,6 +14,10 @@
 //! the inverted result *back* to the original subarray (§2.2), which this
 //! model charges explicitly. Like all COTS multi-row operations, the
 //! activated operand rows are destroyed (overwritten with the result).
+//!
+//! No figure runs this bit-level model (FCDRAM dispatch is priced by
+//! [`Backend::Fcdram`](crate::backend::Backend::Fcdram)'s gate costs), so
+//! it compiles only with the tests, which check its command semantics.
 
 use crate::fault::FaultModel;
 use crate::row::Row;
@@ -22,7 +26,7 @@ use serde::{Deserialize, Serialize};
 
 /// Reference-row charge configuration for an APA operation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub enum RefConfig {
+enum RefConfig {
     /// `Vdd` + `Vdd/2`: the sense amplifier latches AND.
     And,
     /// `Gnd` + `Vdd/2`: the sense amplifier latches OR.
@@ -32,7 +36,7 @@ pub enum RefConfig {
 /// A pair of neighbouring subarrays sharing sense amplifiers, with the
 /// FCDRAM command repertoire.
 #[derive(Debug, Clone)]
-pub struct FcdramPair {
+struct FcdramPair {
     width: usize,
     /// "Compute" subarray rows (holds operands A/B during APA).
     upper: Vec<Row>,
@@ -45,7 +49,7 @@ pub struct FcdramPair {
 impl FcdramPair {
     /// Creates a subarray pair with `rows` zeroed rows each.
     #[must_use]
-    pub fn new(width: usize, rows: usize) -> Self {
+    fn new(width: usize, rows: usize) -> Self {
         Self::with_faults(width, rows, FaultModel::fault_free())
     }
 
@@ -53,7 +57,7 @@ impl FcdramPair {
     /// multi-row activation is the least reliable CIM primitive, with
     /// experimentally observed error rates up to 10⁻¹).
     #[must_use]
-    pub fn with_faults(width: usize, rows: usize, fault: FaultModel) -> Self {
+    fn with_faults(width: usize, rows: usize, fault: FaultModel) -> Self {
         Self {
             width,
             upper: vec![Row::zeros(width); rows],
@@ -63,15 +67,9 @@ impl FcdramPair {
         }
     }
 
-    /// Column count.
-    #[must_use]
-    pub fn width(&self) -> usize {
-        self.width
-    }
-
     /// Commands issued so far.
     #[must_use]
-    pub fn stats(&self) -> &CommandStats {
+    fn stats(&self) -> &CommandStats {
         &self.stats
     }
 
@@ -80,21 +78,21 @@ impl FcdramPair {
     /// # Panics
     ///
     /// Panics on row/width mismatch.
-    pub fn write_upper(&mut self, row: usize, v: &Row) {
+    fn write_upper(&mut self, row: usize, v: &Row) {
         assert_eq!(v.width(), self.width, "row width mismatch");
         self.upper[row] = v.clone();
     }
 
     /// Reads a compute-subarray row.
     #[must_use]
-    pub fn read_upper(&self, row: usize) -> &Row {
+    fn read_upper(&self, row: usize) -> &Row {
         &self.upper[row]
     }
 
     /// APA two-input logic: computes `a ⊙ b` (per `cfg`) between compute
     /// rows `a` and `b`, leaving the result in both operand rows
     /// (destructive) and returning a copy. One APA macro command.
-    pub fn apa_logic(&mut self, cfg: RefConfig, a: usize, b: usize) -> Row {
+    fn apa_logic(&mut self, cfg: RefConfig, a: usize, b: usize) -> Row {
         let mut r = match cfg {
             RefConfig::And => self.upper[a].and(&self.upper[b]),
             RefConfig::Or => self.upper[a].or(&self.upper[b]),
@@ -109,7 +107,7 @@ impl FcdramPair {
     /// NOT across subarrays: writes `!src` (a compute row) into neighbour
     /// row `dst`. One APA command. Only DRAMs built from true cells
     /// support this (paper footnote 1); we model such a device.
-    pub fn not_across(&mut self, src: usize, dst: usize) {
+    fn not_across(&mut self, src: usize, dst: usize) {
         // The cross-subarray negation rides on the sense-amp inversion of
         // a normal access path, so it is access-reliable (no faults).
         self.lower[dst] = self.upper[src].not();
@@ -118,20 +116,20 @@ impl FcdramPair {
 
     /// Copies a neighbour row back into the compute subarray (the extra
     /// step Count2Multiply needs after a NOT, §2.2). One AAP command.
-    pub fn copy_back(&mut self, src: usize, dst: usize) {
+    fn copy_back(&mut self, src: usize, dst: usize) {
         self.upper[dst] = self.lower[src].clone();
         self.stats.record(CommandKind::Aap);
     }
 
     /// In-subarray RowClone copy. One AAP command.
-    pub fn copy_upper(&mut self, src: usize, dst: usize) {
+    fn copy_upper(&mut self, src: usize, dst: usize) {
         self.upper[dst] = self.upper[src].clone();
         self.stats.record(CommandKind::Aap);
     }
 
     /// Full NOT with copy-back: `dst ← !src`, both in the compute
     /// subarray, costing 2 commands (APA + AAP).
-    pub fn not_full(&mut self, src: usize, dst: usize) {
+    fn not_full(&mut self, src: usize, dst: usize) {
         self.not_across(src, 0);
         self.copy_back(0, dst);
     }
@@ -141,7 +139,7 @@ impl FcdramPair {
     /// compute rows and scratch rows `s0`/`s1`. Returns the command count
     /// consumed (6: one NOT+copy-back, two ANDs, one OR, plus an operand
     /// re-copy since APA destroys its inputs).
-    pub fn masked_update(
+    fn masked_update(
         &mut self,
         keep: usize,
         take: usize,

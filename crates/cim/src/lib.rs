@@ -26,14 +26,15 @@
 pub mod ambit;
 pub mod backend;
 pub mod fault;
-pub mod fcdram;
+#[cfg(test)]
+mod fcdram;
 pub mod machine;
-pub mod programs;
+#[cfg(test)]
+mod programs;
 pub mod row;
 
 pub use ambit::{AmbitAddr, AmbitSubarray, MicroOp, MicroProgram};
 pub use backend::{Backend, CostModel};
 pub use fault::FaultModel;
-pub use fcdram::FcdramPair;
 pub use machine::{LogicMachine, LogicOp, RowId};
 pub use row::Row;

@@ -105,7 +105,8 @@ impl LogicMachine {
     }
 
     /// Resets op/gate counters (row contents are preserved).
-    pub fn reset_counters(&mut self) {
+    #[cfg(test)]
+    fn reset_counters(&mut self) {
         self.ops_charged = 0;
         self.gate_count = 0;
     }

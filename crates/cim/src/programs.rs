@@ -2,33 +2,37 @@
 //!
 //! The paper shows the masked unit-increment + overflow-check μPrograms
 //! for Pinatubo-class non-stateful logic (Fig. 10a) and MAGIC's NOR-only
-//! logic (Fig. 10b). This module provides both as reusable, bit-accurate
-//! routines over a [`LogicMachine`], with the op counts the paper quotes:
-//! `3n + 4` (+3 overflow) for Pinatubo-style and `6n + 4` for the
-//! specialised MAGIC schedule.
+//! logic (Fig. 10b). This module holds both as bit-accurate routines over
+//! a [`LogicMachine`], and its tests hold them to the op counts the paper
+//! quotes: `3n + 4` (+3 overflow) for Pinatubo-style and `6n + 4` for the
+//! specialised MAGIC schedule. No figure runs them (the §4.6 ablation
+//! prices backends with [`Backend::increment_ops`]), so the module
+//! compiles only with the tests.
+//!
+//! [`Backend::increment_ops`]: crate::backend::Backend::increment_ops
 
 use crate::machine::{LogicMachine, RowId};
 
 /// Row-register layout shared by the counting programs.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct CountingLayout {
+struct CountingLayout {
     /// Counter bit rows, LSB first (length n).
-    pub bits: Vec<RowId>,
+    bits: Vec<RowId>,
     /// Mask row m.
-    pub mask: RowId,
+    mask: RowId,
     /// Pre-computed complement row `!m` (staged once per mask load, not
     /// charged to the per-increment cost — Fig. 10a's `!m` operand).
-    pub not_mask: RowId,
+    not_mask: RowId,
     /// Pending-overflow row `O_next`.
-    pub onext: RowId,
+    onext: RowId,
     /// Scratch rows (need at least 4).
-    pub scratch: Vec<RowId>,
+    scratch: Vec<RowId>,
 }
 
 impl CountingLayout {
     /// Dense layout starting at row `base` for an n-bit counter.
     #[must_use]
-    pub fn dense(n: usize, base: usize) -> Self {
+    fn dense(n: usize, base: usize) -> Self {
         Self {
             bits: (base..base + n).collect(),
             mask: base + n,
@@ -40,7 +44,7 @@ impl CountingLayout {
 
     /// Rows needed beyond `base`.
     #[must_use]
-    pub fn rows_needed(n: usize) -> usize {
+    fn rows_needed(n: usize) -> usize {
         n + 7
     }
 }
@@ -59,7 +63,7 @@ impl CountingLayout {
 /// (use [`crate::backend::Backend::Pinatubo`]) only when op-count
 /// assertions are enabled by the caller; the routine itself runs on any
 /// backend.
-pub fn pinatubo_unit_increment(m: &mut LogicMachine, lay: &CountingLayout) {
+fn pinatubo_unit_increment(m: &mut LogicMachine, lay: &CountingLayout) {
     let n = lay.bits.len();
     let [t0, t1, o1, o2] = [
         lay.scratch[0],
@@ -94,7 +98,7 @@ pub fn pinatubo_unit_increment(m: &mut LogicMachine, lay: &CountingLayout) {
 /// `x OR y = !NOR(x, y)`. The specialised schedule reuses complement
 /// rows so the whole increment needs ~`6n + 4` NOR pulses (the generic
 /// gate network would take ~10n).
-pub fn magic_unit_increment(m: &mut LogicMachine, lay: &CountingLayout) {
+fn magic_unit_increment(m: &mut LogicMachine, lay: &CountingLayout) {
     let n = lay.bits.len();
     let [t0, t1, o1, o2] = [
         lay.scratch[0],

@@ -247,8 +247,8 @@ impl Row {
     /// # Panics
     ///
     /// Panics if widths differ.
-    #[must_use]
-    pub fn hamming_distance(&self, other: &Row) -> usize {
+    #[cfg(test)]
+    fn hamming_distance(&self, other: &Row) -> usize {
         self.xor(other).count_ones()
     }
 

@@ -63,8 +63,8 @@ pub fn decode(terms: &[CsdTerm]) -> i64 {
 /// Number of mask planes a `p`-bit signed weight matrix needs in the
 /// worst case: `2(p − 1)` (§5.2.3) — one positive and one negative plane
 /// per usable power of two.
-#[must_use]
-pub fn planes_for_precision(p: u32) -> u32 {
+#[cfg(test)]
+fn planes_for_precision(p: u32) -> u32 {
     2 * (p - 1)
 }
 

@@ -621,12 +621,6 @@ impl C2mEngine {
         }
     }
 
-    /// Effective AAP count for accumulating `xs` into one counter slice.
-    #[must_use]
-    pub fn ops_for_stream(&self, xs: &[i64]) -> f64 {
-        self.sequences_for_stream(xs) as f64 * self.ops_per_sequence()
-    }
-
     /// The engine's plan/pricing cache handle, if caching is enabled.
     /// Hand this to [`EngineBuilder::shared_cache`] to warm another
     /// engine from this one's entries.
@@ -1739,7 +1733,8 @@ mod tests {
         let xs = int8_stream(4096, 21);
         let e = C2mEngine::builder(EngineConfig::c2m(16)).build();
         let doubled: Vec<i64> = xs.iter().copied().chain(xs.iter().map(|&v| -v)).collect();
-        let expect_ops = e.ops_for_stream(&doubled) + e.reduction_ops();
+        let stream_ops = e.sequences_for_stream(&doubled) as f64 * e.ops_per_sequence();
+        let expect_ops = stream_ops + e.reduction_ops();
         let interval = steady_state_aap_interval(&TimingParams::ddr5_4400(), 16, 1, 1);
 
         let gemv = e.ternary_gemv(&xs, 8192);
@@ -1751,7 +1746,7 @@ mod tests {
         assert_eq!(gemv.stats.count(CommandKind::Rd), 0);
         assert_eq!(gemv.stats.count(CommandKind::Wr), 0);
 
-        let per_row = e.ops_for_stream(&doubled) + e.copy_out_ops(8192);
+        let per_row = stream_ops + e.copy_out_ops(8192);
         let gemm = e.ternary_gemm(64, 8192, &xs);
         assert_eq!(gemm.elapsed_ns, per_row * 64.0 * interval);
         assert_eq!(gemm.stats.count(CommandKind::Rd), 0);

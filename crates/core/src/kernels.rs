@@ -239,8 +239,8 @@ pub fn int_int_gemv(cfg: &KernelConfig, x: &[i64], weights: &[Vec<i64>]) -> Gemv
 
 /// Integer-matrix × binary-matrix GEMM (§5.2.2): rows of Y computed
 /// sequentially, reusing the mask matrix Z.
-#[must_use]
-pub fn int_binary_gemm(
+#[cfg(test)]
+fn int_binary_gemm(
     cfg: &KernelConfig,
     x: &[Vec<i64>],
     z: &BinaryMatrix,

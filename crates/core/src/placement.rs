@@ -216,7 +216,8 @@ pub fn plan(
 ///
 /// Returns the worst row deficit if any non-empty shard still exceeds
 /// its subarray's D-group.
-pub fn plan_sharded(
+#[cfg(test)]
+fn plan_sharded(
     cfg: &DramConfig,
     spec: &CounterSpec,
     shape: &KernelShape,
@@ -338,8 +339,8 @@ impl SubarrayMap {
     /// # Panics
     ///
     /// Panics if either field is out of range.
-    #[must_use]
-    pub fn compose(&self, subarray: usize, local_row: usize) -> usize {
+    #[cfg(test)]
+    fn compose(&self, subarray: usize, local_row: usize) -> usize {
         assert!(
             subarray < self.subarrays_per_bank,
             "subarray {subarray} outside the {}-subarray bank",

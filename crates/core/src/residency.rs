@@ -123,12 +123,6 @@ impl ResidencyModel {
         self.resident.iter().any(|&(t, _)| t == tenant)
     }
 
-    /// Resident tenants, coldest first.
-    #[must_use]
-    pub fn resident_tenants(&self) -> Vec<usize> {
-        self.resident.iter().map(|&(t, _)| t).collect()
-    }
-
     /// Dispatches `tenant` needing `rows` mask rows, rounded up to
     /// `⌈rows/slots⌉` rows in every slot: a resident tenant with an
     /// unchanged footprint is refreshed to most-recently-used and hits;
@@ -273,7 +267,8 @@ mod tests {
                     model.used_rows(),
                     per_slot.iter().map(SlotLru::used_rows).sum::<usize>()
                 );
-                prop_assert_eq!(model.resident_tenants(), oracle_tenants(&per_slot));
+                let tenants: Vec<usize> = model.resident.iter().map(|&(t, _)| t).collect();
+                prop_assert_eq!(tenants, oracle_tenants(&per_slot));
             }
             prop_assert_eq!(model.capacity_rows(), slots * rows_per_slot);
         }

@@ -2,7 +2,7 @@
 //!
 //! The paper executes every kernel on one channel of one rank (§7.2);
 //! this module partitions work over the full
-//! [`Topology`](c2m_dram::Topology) so the engine can drive every
+//! [`Topology`] so the engine can drive every
 //! channel's scheduler concurrently:
 //!
 //! * **GEMM output rows (M)** — rows are independent, so they split
@@ -125,28 +125,12 @@ impl ShardPlan {
         units.len()
     }
 
-    /// Number of distinct channels holding work.
-    #[must_use]
-    pub fn channels_used(&self) -> usize {
-        let mut chans: Vec<usize> = self
-            .shards
-            .iter()
-            .filter(|s| s.len > 0)
-            .map(|s| s.channel)
-            .collect();
-        // Shards are all-pub, so don't rely on the planner's
-        // channel-major ordering.
-        chans.sort_unstable();
-        chans.dedup();
-        chans.len()
-    }
-
     /// Depth of the partial-sum merge tree after the parallel phase:
     /// `⌈log₂(units)⌉` pairwise rounds (the *latency* of the merge;
     /// the tree performs `units − 1` merges in total), zero for axes
     /// without reduction or single-unit plans.
-    #[must_use]
-    pub fn reduction_rounds(&self) -> u32 {
+    #[cfg(test)]
+    fn reduction_rounds(&self) -> u32 {
         if !self.axis.needs_reduction() {
             return 0;
         }
@@ -432,7 +416,6 @@ mod tests {
     fn small_axis_leaves_trailing_units_empty() {
         let plan = ShardPlanner::new(topo(8, 1)).plan_planes(3);
         assert_eq!(plan.units_used(), 3);
-        assert_eq!(plan.channels_used(), 3);
         assert_eq!(plan.reduction_rounds(), 2); // ceil(log2(3))
     }
 

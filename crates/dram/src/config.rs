@@ -71,15 +71,15 @@ impl DramConfig {
     }
 
     /// Total DRAM capacity of the rank in bytes (data chips only).
-    #[must_use]
-    pub fn rank_capacity_bytes(&self) -> usize {
+    #[cfg(test)]
+    fn rank_capacity_bytes(&self) -> usize {
         self.chips * self.chip_gbit * (1 << 30) / 8
     }
 
     /// Total DRAM capacity of the whole system in bytes: the per-rank
     /// capacity aggregated over `channels × ranks` (data chips only).
-    #[must_use]
-    pub fn total_capacity_bytes(&self) -> usize {
+    #[cfg(test)]
+    fn total_capacity_bytes(&self) -> usize {
         self.rank_capacity_bytes() * self.channels * self.ranks
     }
 

@@ -10,9 +10,10 @@
 //!
 //! Count2Multiply has one extra wrinkle: a REF arriving mid-μProgram is
 //! harmless (counter rows are plain DRAM rows and are refreshed like
-//! any other), but the in-flight AAP must complete first, so the model
-//! exposes both the bandwidth-loss fraction and a discrete
-//! [`RefreshModel::refreshes_during`] count for energy accounting.
+//! any other), but the in-flight AAP must complete first. The figures
+//! read only the bandwidth-loss fraction
+//! ([`RefreshModel::overhead_fraction`]); the REF count and refresh
+//! energy over an interval are test-only.
 
 use serde::{Deserialize, Serialize};
 
@@ -51,8 +52,8 @@ impl RefreshModel {
 
     /// Fine-granularity (2×) refresh: half the interval, ~60 % of the
     /// cycle time — the standard trade for lower worst-case blocking.
-    #[must_use]
-    pub fn fine_granularity(self) -> Self {
+    #[cfg(test)]
+    fn fine_granularity(self) -> Self {
         Self {
             t_refi: self.t_refi / 2.0,
             t_rfc: self.t_rfc * 0.6,
@@ -81,14 +82,14 @@ impl RefreshModel {
 
     /// Number of REF commands issued during `elapsed_ns` of wall-clock
     /// time.
-    #[must_use]
-    pub fn refreshes_during(&self, elapsed_ns: f64) -> u64 {
+    #[cfg(test)]
+    fn refreshes_during(&self, elapsed_ns: f64) -> u64 {
         (elapsed_ns / self.t_refi).floor() as u64
     }
 
     /// Refresh energy spent during `elapsed_ns` of wall-clock time, nJ.
-    #[must_use]
-    pub fn refresh_energy_during_nj(&self, elapsed_ns: f64) -> f64 {
+    #[cfg(test)]
+    fn refresh_energy_during_nj(&self, elapsed_ns: f64) -> f64 {
         self.refreshes_during(elapsed_ns) as f64 * self.refresh_energy_nj
     }
 }

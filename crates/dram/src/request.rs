@@ -113,15 +113,6 @@ impl ScheduleReport {
             / self.completions.len() as f64
     }
 
-    /// Worst-case request latency, ns.
-    #[must_use]
-    pub fn max_latency_ns(&self) -> f64 {
-        self.completions
-            .iter()
-            .map(Completion::latency_ns)
-            .fold(0.0, f64::max)
-    }
-
     /// Fraction of requests that hit an open row.
     #[must_use]
     pub fn hit_rate(&self) -> f64 {
@@ -687,7 +678,12 @@ mod tests {
         // A burst of conflicting requests must queue behind each other.
         let reqs: Vec<MemoryRequest> = (0..4).map(|i| MemoryRequest::read(0.0, 0, i)).collect();
         let rep = q.run(&reqs);
-        assert!(rep.max_latency_ns() > rep.completions[0].latency_ns());
+        let worst = rep
+            .completions
+            .iter()
+            .map(Completion::latency_ns)
+            .fold(0.0, f64::max);
+        assert!(worst > rep.completions[0].latency_ns());
     }
 
     #[test]

@@ -70,12 +70,6 @@ impl Bch {
         }
     }
 
-    /// The classic BCH(15, 7, t=2) code (shortened to `data_bits` ≤ 7).
-    #[must_use]
-    pub fn bch_15_7(data_bits: usize) -> Self {
-        Self::new(4, 2, data_bits)
-    }
-
     /// A DIMM-scale double-error-correcting code: BCH over GF(2^7)
     /// (n = 127), t = 2, shortened to 64 data bits.
     #[must_use]
@@ -87,12 +81,6 @@ impl Bch {
     #[must_use]
     pub fn t(&self) -> usize {
         self.t
-    }
-
-    /// Full (unshortened) code length.
-    #[must_use]
-    pub fn full_length(&self) -> usize {
-        self.n
     }
 
     /// Packs `(data, checks)` into the unshortened codeword polynomial
@@ -298,15 +286,15 @@ mod tests {
 
     #[test]
     fn bch_15_7_parameters() {
-        let c = Bch::bch_15_7(7);
-        assert_eq!(c.full_length(), 15);
+        let c = Bch::new(4, 2, 7);
+        assert_eq!(c.n, 15);
         assert_eq!(c.check_bits(), 8);
         assert_eq!(c.t(), 2);
     }
 
     #[test]
     fn roundtrip_no_errors() {
-        let c = Bch::bch_15_7(7);
+        let c = Bch::new(4, 2, 7);
         let data = pattern(7, 2);
         let checks = c.checks(&data);
         assert!(c.is_consistent(&data, &checks));
@@ -314,7 +302,7 @@ mod tests {
 
     #[test]
     fn corrects_all_single_and_double_errors_bch15() {
-        let c = Bch::bch_15_7(7);
+        let c = Bch::new(4, 2, 7);
         let data = pattern(7, 3);
         let checks = c.checks(&data);
         let n_total = 7 + c.check_bits();
@@ -348,7 +336,7 @@ mod tests {
         // not claim success with wrong data... BCH can miscorrect to a
         // different codeword; we only require it never panics and that a
         // returned Some() leaves a consistent codeword.
-        let c = Bch::bch_15_7(7);
+        let c = Bch::new(4, 2, 7);
         let data = pattern(7, 2);
         let checks = c.checks(&data);
         let mut d = data.clone();

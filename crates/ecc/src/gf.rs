@@ -216,21 +216,6 @@ pub fn gf2_poly_deg(p: u64) -> u32 {
     }
 }
 
-/// Remainder of GF(2)\[x\] division `a mod b`.
-///
-/// # Panics
-///
-/// Panics if `b` is zero.
-#[must_use]
-pub fn gf2_poly_rem(mut a: u64, b: u64) -> u64 {
-    assert!(b != 0, "division by zero polynomial");
-    let db = gf2_poly_deg(b);
-    while a != 0 && gf2_poly_deg(a) >= db {
-        a ^= b << (gf2_poly_deg(a) - db);
-    }
-    a
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -297,7 +282,5 @@ mod tests {
         // (x+1)(x+1) = x^2+1 over GF(2)
         assert_eq!(gf2_poly_mul(0b11, 0b11), 0b101);
         assert_eq!(gf2_poly_deg(0b101), 2);
-        assert_eq!(gf2_poly_rem(0b101, 0b11), 0); // x^2+1 = (x+1)^2
-        assert_eq!(gf2_poly_rem(0b100, 0b11), 1); // x^2 mod (x+1) = 1
     }
 }

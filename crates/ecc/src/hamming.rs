@@ -51,14 +51,6 @@ impl Hamming {
         }
     }
 
-    /// The (72,64) data payload configuration: Hamming over 64 bits
-    /// (7 check bits) — see [`Secded::secded_72_64`] for the full DIMM
-    /// code with the 8th (overall-parity) bit.
-    #[must_use]
-    pub fn h_64() -> Self {
-        Self::new(64)
-    }
-
     fn syndrome_value(&self, data: &[bool], checks: &[bool]) -> usize {
         let mut syn = 0usize;
         for (i, &d) in data.iter().enumerate() {
@@ -213,7 +205,7 @@ mod tests {
 
     #[test]
     fn h64_parameters() {
-        let h = Hamming::h_64();
+        let h = Hamming::new(64);
         assert_eq!(h.data_bits(), 64);
         assert_eq!(h.check_bits(), 7);
         let s = Secded::secded_72_64();

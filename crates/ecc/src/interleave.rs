@@ -14,24 +14,25 @@
 //! `j` lives on chip `i mod 8`). Interleaving converts a full-chip
 //! failure into at most ⌈codeword/8⌉ symbols per codeword — within a
 //! Reed–Solomon code's reach — which is exactly how chipkill-class DIMM
-//! protection works.
+//! protection works. No figure runs this model, so the module compiles
+//! only with its tests.
 
 use crate::code::LinearCode;
 use serde::{Deserialize, Serialize};
 
 /// Layout constants of the Table 2 rank.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub struct RankLayout {
+struct RankLayout {
     /// Data chips in lockstep.
-    pub data_chips: usize,
+    data_chips: usize,
     /// Bits each chip contributes per beat.
-    pub bits_per_chip: usize,
+    bits_per_chip: usize,
 }
 
 impl RankLayout {
     /// Table 2: 8 data chips, 8 bits each (a 64-bit beat + 8 ECC bits).
     #[must_use]
-    pub fn ddr5_8x8() -> Self {
+    fn ddr5_8x8() -> Self {
         Self {
             data_chips: 8,
             bits_per_chip: 8,
@@ -40,24 +41,24 @@ impl RankLayout {
 
     /// Logical beat width (data bits per transfer).
     #[must_use]
-    pub fn beat_bits(&self) -> usize {
+    fn beat_bits(&self) -> usize {
         self.data_chips * self.bits_per_chip
     }
 }
 
 /// A rank-wide stored row: data beats plus the ECC chip's check bits.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-pub struct StoredRow {
+struct StoredRow {
     /// Data bits, beat-major (`beat * beat_bits + position`).
-    pub data: Vec<bool>,
+    data: Vec<bool>,
     /// Check bits, one codeword's worth per beat group.
-    pub checks: Vec<bool>,
+    checks: Vec<bool>,
 }
 
 /// Check-bit manager for one rank: encodes logical rows into
 /// chip-interleaved codewords of the supplied linear code.
 #[derive(Debug, Clone)]
-pub struct EccRank<C: LinearCode> {
+struct EccRank<C: LinearCode> {
     layout: RankLayout,
     code: C,
 }
@@ -69,7 +70,7 @@ impl<C: LinearCode> EccRank<C> {
     ///
     /// Panics unless the code's data width is a whole number of beats.
     #[must_use]
-    pub fn new(layout: RankLayout, code: C) -> Self {
+    fn new(layout: RankLayout, code: C) -> Self {
         assert!(
             code.data_bits().is_multiple_of(layout.beat_bits()),
             "codeword data ({}) must be a whole number of {}-bit beats",
@@ -81,14 +82,14 @@ impl<C: LinearCode> EccRank<C> {
 
     /// Beats covered by one codeword.
     #[must_use]
-    pub fn beats_per_codeword(&self) -> usize {
+    fn beats_per_codeword(&self) -> usize {
         self.code.data_bits() / self.layout.beat_bits()
     }
 
     /// Chip that stores logical data bit `i` under interleaving: bits
     /// rotate across data chips byte by byte.
     #[must_use]
-    pub fn chip_of_bit(&self, i: usize) -> usize {
+    fn chip_of_bit(&self, i: usize) -> usize {
         (i / self.layout.bits_per_chip) % self.layout.data_chips
     }
 
@@ -98,7 +99,7 @@ impl<C: LinearCode> EccRank<C> {
     ///
     /// Panics if `data` is not a whole number of codewords.
     #[must_use]
-    pub fn encode(&self, data: &[bool]) -> StoredRow {
+    fn encode(&self, data: &[bool]) -> StoredRow {
         assert!(
             data.len().is_multiple_of(self.code.data_bits()),
             "row must be a whole number of codewords"
@@ -115,7 +116,7 @@ impl<C: LinearCode> EccRank<C> {
 
     /// Verifies and corrects a stored row in place. Returns the total
     /// corrected bit count, or `None` if any codeword is uncorrectable.
-    pub fn scrub(&self, row: &mut StoredRow) -> Option<usize> {
+    fn scrub(&self, row: &mut StoredRow) -> Option<usize> {
         let dlen = self.code.data_bits();
         let clen = self.code.check_bits();
         let mut fixed = 0usize;
@@ -127,7 +128,7 @@ impl<C: LinearCode> EccRank<C> {
 
     /// Kills an entire data chip (stuck-at-zero), the chipkill fault
     /// model. Returns how many stored bits changed.
-    pub fn fail_chip(&self, row: &mut StoredRow, chip: usize) -> usize {
+    fn fail_chip(&self, row: &mut StoredRow, chip: usize) -> usize {
         let mut flipped = 0;
         for (i, bit) in row.data.iter_mut().enumerate() {
             if self.chip_of_bit(i) == chip && *bit {
@@ -141,7 +142,7 @@ impl<C: LinearCode> EccRank<C> {
     /// Worst-case symbols-per-codeword a single chip failure can touch
     /// when the code's symbols are `symbol_bits` wide.
     #[must_use]
-    pub fn chip_failure_symbols(&self, symbol_bits: usize) -> usize {
+    fn chip_failure_symbols(&self, symbol_bits: usize) -> usize {
         // A chip owns bits_per_chip bits of every beat; per codeword it
         // owns beats_per_codeword * bits_per_chip bits, grouped into
         // symbols of symbol_bits.

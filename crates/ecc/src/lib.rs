@@ -19,8 +19,8 @@
 //! * [`rs`] — Reed–Solomon over GF(2^8): symbol-level burst correction
 //!   with Berlekamp–Massey / Chien / Forney decoding, plus a bit-level
 //!   [`LinearCode`] adapter.
-//! * [`interleave`] — the Table 2 "8 devices + ECC" rank layout:
-//!   chip-interleaved codewords, scrubbing, chipkill analysis.
+//! * `interleave` (test-only) — the Table 2 "8 devices + ECC" rank
+//!   layout: chip-interleaved codewords, scrubbing, chipkill analysis.
 //! * [`tmr`] — triple-modular-redundancy baseline (§3: ~4× op overhead,
 //!   worse error rate than single-error-correcting schemes).
 //! * [`protect`] — the XOR-embedding protection scheme: protected AND/OR
@@ -35,7 +35,8 @@ pub mod bch;
 pub mod code;
 pub mod gf;
 pub mod hamming;
-pub mod interleave;
+#[cfg(test)]
+mod interleave;
 pub mod parity;
 pub mod protect;
 pub mod rs;
@@ -43,7 +44,6 @@ pub mod tmr;
 
 pub use code::LinearCode;
 pub use hamming::{Hamming, Secded};
-pub use interleave::{EccRank, RankLayout};
 pub use parity::ParityCode;
 pub use protect::{EccProtection, ProtectionAnalysis, ProtectionKind};
 pub use rs::{ReedSolomon, RsLinear};

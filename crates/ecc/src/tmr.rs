@@ -7,11 +7,12 @@
 //! faults out-vote the correct result, and the vote operation adds its own
 //! exposure.
 
+#[cfg(test)]
 use c2m_cim::{FaultModel, Row};
 use serde::{Deserialize, Serialize};
 
-/// TMR execution helper: runs a row-level computation three times and
-/// votes, tracking the op-count multiplier.
+/// TMR cost model: the op-count multiplier and the residual error rate
+/// of three replicas and a vote (its tests run the vote itself on rows).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct TmrVoter;
 
@@ -22,7 +23,8 @@ impl TmrVoter {
 
     /// Executes `compute` three times and returns the columnwise majority.
     /// The vote itself is a CIM MAJ3 and is perturbed by `vote_faults`.
-    pub fn vote_rows(mut compute: impl FnMut() -> Row, vote_faults: &mut FaultModel) -> Row {
+    #[cfg(test)]
+    fn vote_rows(mut compute: impl FnMut() -> Row, vote_faults: &mut FaultModel) -> Row {
         let a = compute();
         let b = compute();
         let c = compute();
@@ -45,12 +47,6 @@ impl TmrVoter {
         let triple = e * e * e;
         let vote = p * (1.0 - double - triple);
         (double + triple + vote).min(1.0)
-    }
-
-    /// Residual error of voting a single operation (chain length 1).
-    #[must_use]
-    pub fn residual_error_rate(p: f64) -> f64 {
-        Self::residual_error_rate_chain(p, 1)
     }
 
     /// Effective *per-operation* undetected error rate when TMR wraps the
@@ -92,7 +88,7 @@ mod tests {
     #[test]
     fn residual_error_exceeds_p_squared_due_to_vote() {
         let p = 1e-3;
-        let r = TmrVoter::residual_error_rate(p);
+        let r = TmrVoter::residual_error_rate_chain(p, 1);
         assert!(r > 3.0 * p * p * 0.9);
         // Dominated by the unprotected vote op at small p.
         assert!(r > 0.5 * p);
@@ -123,7 +119,7 @@ mod tests {
             },
             &mut vote_faults,
         );
-        let err = out.hamming_distance(&truth) as f64 / width as f64;
+        let err = out.xor(&truth).count_ones() as f64 / width as f64;
         assert!(err < p, "TMR error {err} should beat raw rate {p}");
     }
 }

@@ -186,8 +186,8 @@ pub fn lower_step(layout: &CounterLayout, pattern: &TransitionPattern) -> MicroP
 /// Command count of [`lower_step`] for an increment by `k` on an n-bit
 /// digit: `θ saves + 7n + (6 or 10)`. A unit increment saves one row and
 /// uses the small flag rule, landing exactly on the paper's `7n + 7`.
-#[must_use]
-pub fn lowered_ops(n: usize, k: usize) -> usize {
+#[cfg(test)]
+fn lowered_ops(n: usize, k: usize) -> usize {
     // θ saves: sources consumed after their row is overwritten. For
     // k < n the inverted-feedback window {n−k..n−1} needs saving (k rows,
     // including the MSB); k = n maps every bit onto itself so only the

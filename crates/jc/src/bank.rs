@@ -56,7 +56,6 @@ pub struct CounterBank {
     onext: Vec<Row>,
     protection: ProtectionKind,
     faults: FaultModel,
-    effective_rate: f64,
     stats: BankStats,
     /// The rows a digit step computes into.
     step: StepRows,
@@ -202,7 +201,6 @@ impl CounterBank {
             onext: vec![Row::zeros(width); digits],
             protection,
             faults: effective,
-            effective_rate,
             stats: BankStats::default(),
             step: StepRows::new(n, width),
             spare_flag: Row::zeros(width),
@@ -243,12 +241,6 @@ impl CounterBank {
     #[must_use]
     pub fn stats(&self) -> &BankStats {
         &self.stats
-    }
-
-    /// The effective per-op undetected fault rate in force.
-    #[must_use]
-    pub fn effective_fault_rate(&self) -> f64 {
-        self.effective_rate
     }
 
     /// Host-writes counter `col` to `value` (no pending flags).
@@ -603,7 +595,7 @@ mod tests {
     #[test]
     fn effective_rate_zero_when_fault_free() {
         let b = CounterBank::new(10, 2, 4);
-        assert_eq!(b.effective_fault_rate(), 0.0);
+        assert_eq!(b.faults.rate(), 0.0);
     }
 
     #[test]
@@ -621,7 +613,7 @@ mod tests {
         use crate::iarm::CounterAction;
 
         fn faulty(bank: &mut CounterBank, mut r: Row) -> Row {
-            if bank.effective_rate > 0.0 {
+            if bank.faults.rate() > 0.0 {
                 bank.faults.perturb(&mut r);
             }
             r

@@ -142,12 +142,6 @@ impl IarmPlanner {
         self.radix
     }
 
-    /// Worst-case virtual digit values (for tests / introspection).
-    #[must_use]
-    pub fn virtual_digits(&self) -> &[i64] {
-        &self.virt
-    }
-
     /// Plans the accumulation of `value`, emitting resolutions only where
     /// a digit could otherwise need a second pending overflow. Digits of
     /// `value` at or above the counter's digit count are dropped (a debug
@@ -554,7 +548,7 @@ mod tests {
         let mut planner = IarmPlanner::new(radix, 5);
         for x in [9u128, 99, 999, 9999, 9, 9, 9, 99999, 9, 9] {
             let _ = planner.plan_add(x);
-            for &v in planner.virtual_digits() {
+            for &v in &planner.virt {
                 assert!(v < 2 * radix as i64, "virtual digit {v} overflow");
             }
         }

@@ -146,12 +146,6 @@ impl TransitionPattern {
         self.k
     }
 
-    /// True for decrement patterns.
-    #[must_use]
-    pub fn is_decrement(&self) -> bool {
-        self.decrement
-    }
-
     /// Per-bit sources (index = destination bit).
     #[must_use]
     pub fn sources(&self) -> &[BitSource] {
@@ -162,13 +156,6 @@ impl TransitionPattern {
     #[must_use]
     pub fn flag_rule(&self) -> FlagRule {
         self.flag
-    }
-
-    /// Number of inverted-feedback steps (the rest are forward shifts) —
-    /// Fig. 7's lower-arrow count.
-    #[must_use]
-    pub fn inverted_steps(&self) -> usize {
-        self.sources.iter().filter(|s| s.invert).count()
     }
 
     /// Applies the pattern to a bit-packed JC state (all columns masked).
@@ -188,8 +175,8 @@ impl TransitionPattern {
     }
 
     /// Whether the flag fires for an `old → new` masked transition.
-    #[must_use]
-    pub fn flag_fires(&self, old_bits: u64, new_bits: u64) -> bool {
+    #[cfg(test)]
+    fn flag_fires(&self, old_bits: u64, new_bits: u64) -> bool {
         let msb = |b: u64| (b >> (self.n - 1)) & 1 == 1;
         match self.flag {
             FlagRule::IncSmall => msb(old_bits) && !msb(new_bits),
@@ -252,7 +239,7 @@ mod tests {
             let c = JohnsonCode::new(n);
             for k in 1..2 * n {
                 let p = TransitionPattern::decrement(n, k);
-                assert!(p.is_decrement());
+                assert!(p.decrement);
                 for v in 0..2 * n {
                     assert_eq!(
                         p.apply_bits(c.encode(v)),
@@ -302,7 +289,8 @@ mod tests {
             for k in 1..2 * n {
                 let p = TransitionPattern::increment(n, k);
                 assert_eq!(p.sources().len(), n);
-                let inv = p.inverted_steps();
+                // Inverted feedbacks: Fig. 7's lower arrows.
+                let inv = p.sources().iter().filter(|s| s.invert).count();
                 // Increment by k <= n has exactly k inverted feedbacks
                 // (Fig. 7's lower arrows); k > n has n - (k - n).
                 let expect = if k <= n { k } else { 2 * n - k };

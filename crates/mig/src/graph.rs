@@ -52,12 +52,6 @@ impl Signal {
     pub fn is_complemented(self) -> bool {
         self.0 & 1 == 1
     }
-
-    /// True if this is one of the two constant signals.
-    #[must_use]
-    pub fn is_constant(self) -> bool {
-        self.node() == 0
-    }
 }
 
 impl Not for Signal {
@@ -226,20 +220,13 @@ impl Mig {
         self.or(p, q)
     }
 
-    /// Two-input multiplexer `s ? t : e`.
-    pub fn mux(&mut self, s: Signal, t: Signal, e: Signal) -> Signal {
-        let p = self.and(s, t);
-        let q = self.and(!s, e);
-        self.or(p, q)
-    }
-
     /// Evaluates a signal for one assignment of the primary inputs.
     ///
     /// # Panics
     ///
     /// Panics if `inputs.len() != num_pis()`.
-    #[must_use]
-    pub fn eval(&self, s: Signal, inputs: &[bool]) -> bool {
+    #[cfg(test)]
+    pub(crate) fn eval(&self, s: Signal, inputs: &[bool]) -> bool {
         assert_eq!(inputs.len(), self.num_pis, "wrong number of inputs");
         let mut values: Vec<bool> = Vec::with_capacity(self.nodes.len());
         for node in &self.nodes {
@@ -391,9 +378,10 @@ mod tests {
         let mut mig = Mig::new();
         let a = mig.pi();
         assert_eq!(mig.num_pis(), 1);
-        assert!(Signal::FALSE.is_constant());
-        assert!(Signal::TRUE.is_constant());
-        assert!(!a.is_constant());
+        // Both constants are node 0; an input is not.
+        assert_eq!(Signal::FALSE.node(), 0);
+        assert_eq!(Signal::TRUE.node(), 0);
+        assert_ne!(a.node(), 0);
         assert!(!mig.eval(Signal::FALSE, &[true]));
         assert!(mig.eval(Signal::TRUE, &[false]));
     }
@@ -419,7 +407,9 @@ mod tests {
         let b = mig.pi();
         let s = mig.pi();
         let x = mig.xor(a, b);
-        let m = mig.mux(s, a, b);
+        // The multiplexer `s ? a : b`.
+        let (p, q) = (mig.and(s, a), mig.and(!s, b));
+        let m = mig.or(p, q);
         for row in 0..8 {
             let ins = [(row & 1) == 1, (row & 2) == 2, (row & 4) == 4];
             assert_eq!(mig.eval(x, &ins), ins[0] ^ ins[1]);

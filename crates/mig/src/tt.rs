@@ -42,12 +42,6 @@ impl TruthTable {
         Self { bits: 0, vars }
     }
 
-    /// The constant-true function of `vars` variables.
-    #[must_use]
-    pub fn constant_true(vars: usize) -> Self {
-        !Self::constant_false(vars)
-    }
-
     /// The projection function of variable `v` among `vars` variables.
     ///
     /// # Panics
@@ -151,18 +145,6 @@ impl TruthTable {
             vars: self.vars,
         }
     }
-
-    /// True if the function is constant false.
-    #[must_use]
-    pub fn is_false(self) -> bool {
-        self.bits == 0
-    }
-
-    /// True if the function is constant true.
-    #[must_use]
-    pub fn is_true(self) -> bool {
-        self.bits == Self::mask(self.vars)
-    }
 }
 
 impl std::ops::Not for TruthTable {
@@ -211,10 +193,9 @@ mod tests {
     #[test]
     fn constants() {
         let f = TruthTable::constant_false(3);
-        let t = TruthTable::constant_true(3);
-        assert!(f.is_false());
-        assert!(t.is_true());
-        assert_eq!(!f, t);
+        let t = !f;
+        assert_eq!(f.bits, 0);
+        assert_eq!(t.bits, 0xFF);
     }
 
     #[test]
@@ -235,7 +216,7 @@ mod tests {
         let a = TruthTable::var(0, 2);
         let b = TruthTable::var(1, 2);
         let f = TruthTable::constant_false(2);
-        let t = TruthTable::constant_true(2);
+        let t = !f;
         assert_eq!(TruthTable::maj(a, b, f), a.and(b));
         assert_eq!(TruthTable::maj(a, b, t), a.or(b));
     }

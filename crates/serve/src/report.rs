@@ -228,16 +228,6 @@ fn percentiles_ns(mut lat: Vec<f64>, ps: &[f64]) -> Vec<f64> {
 }
 
 impl ServeReport {
-    /// Fraction of priced-batch cache lookups that hit, in [0, 1]
-    /// (0.0 when the cache is disabled or never consulted).
-    #[must_use]
-    pub fn batch_cache_hit_rate(&self) -> f64 {
-        c2m_dram::hit_fraction(
-            self.batch_cache_hits,
-            self.batch_cache_hits + self.batch_cache_misses,
-        )
-    }
-
     /// One request's end-to-end latency decomposed against its batch's
     /// pipeline record: planning, mask reload, engine occupancy
     /// (dispatch + launch), and — subtractively, so the parts sum to
@@ -845,19 +835,6 @@ mod tests {
         assert!((rows[1].p99.exec_ns - 60.0).abs() < 1e-12);
         assert!(rep.latency_breakdown().len() == 2);
         assert!(ServeReport::default().latency_breakdown().is_empty());
-    }
-
-    #[test]
-    fn batch_cache_hit_rate_is_zero_when_never_consulted() {
-        let rep = ServeReport::default();
-        assert_eq!(rep.batch_cache_hit_rate(), 0.0);
-        assert!(!rep.batch_cache_hit_rate().is_nan());
-        let warm = ServeReport {
-            batch_cache_hits: 3,
-            batch_cache_misses: 1,
-            ..ServeReport::default()
-        };
-        assert!((warm.batch_cache_hit_rate() - 0.75).abs() < 1e-12);
     }
 
     #[test]

@@ -1,7 +1,6 @@
 //! Serving-layer request types: what the multi-tenant ingest layer
 //! accepts and what the runtime batches.
 
-use c2m_core::engine::doubled_ternary;
 use serde::{Deserialize, Serialize};
 
 /// SLO class of a request: how urgent it is and how important its
@@ -83,36 +82,11 @@ impl ServeRequest {
     pub fn deadline_ns(&self) -> f64 {
         self.arrival_ns + self.class.deadline_ns
     }
-
-    /// The doubled ternary command stream (`x` then `−x`): the +1-plane
-    /// accumulation pass followed by the −1-plane subtraction pass,
-    /// built by the engine's canonical
-    /// [`doubled_ternary`](c2m_core::engine::doubled_ternary) so the
-    /// serving path can never diverge from the kernel paths.
-    #[must_use]
-    pub fn ternary_stream(&self) -> Vec<i64> {
-        doubled_ternary(&self.x)
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn ternary_stream_doubles_and_negates() {
-        let r = ServeRequest {
-            id: 0,
-            arrival_ns: 0.0,
-            tenant: 0,
-            class: ServiceClass::BEST_EFFORT,
-            n: 4,
-            x: vec![1, -2, 3],
-        };
-        assert_eq!(r.k(), 3);
-        assert_eq!(r.ternary_stream(), vec![1, -2, 3, -1, 2, -3]);
-        assert_eq!(r.deadline_ns(), f64::INFINITY);
-    }
 
     #[test]
     fn deadlines_are_arrival_relative() {
@@ -126,6 +100,14 @@ mod tests {
         };
         assert_eq!(r.deadline_ns(), 1_500.0);
         assert_eq!(r.class.priority, 3);
+        // A best-effort request never expires; `k` is its input length.
+        let best_effort = ServeRequest {
+            class: ServiceClass::BEST_EFFORT,
+            x: vec![1, -2, 3],
+            ..r
+        };
+        assert_eq!(best_effort.k(), 3);
+        assert_eq!(best_effort.deadline_ns(), f64::INFINITY);
     }
 
     #[test]

@@ -1850,7 +1850,8 @@ mod tests {
             rep.batch_cache_hits,
             rep.batch_cache_misses
         );
-        assert!(rep.batch_cache_hit_rate() > 0.5);
+        // More than half of the lookups hit.
+        assert!(rep.batch_cache_hits > rep.batch_cache_misses);
         // The engine-level caches warm too: the plan pass and the exec
         // pass share per-request stream entries.
         assert!(rep.engine_cache.stream_hits > 0);

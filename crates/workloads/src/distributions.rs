@@ -152,7 +152,7 @@ const fn int8_cdf() -> [u64; 168] {
 }
 
 /// One value of the Fig. 3b law from one uniform 64-bit word, by
-/// inverse transform through [`INT8_CDF`]: the number of thresholds at
+/// inverse transform through the `INT8_CDF` table: the number of thresholds at
 /// or below `word`, less 84.
 ///
 /// A uniform word draws each value v with probability within 2⁻⁶⁴ of

@@ -7,9 +7,6 @@
 //! `A·X` is precisely the sparse integer-binary matmul Count2Multiply
 //! accelerates by skipping zeros (§7.2.3).
 
-use crate::llama::GemmShape;
-use c2m_core::engine::{C2mEngine, EngineConfig};
-use c2m_dram::ExecutionReport;
 use rand::Rng;
 use rand::SeedableRng;
 use rand_chacha::ChaCha12Rng;
@@ -30,40 +27,6 @@ pub mod pubmed {
     pub fn adjacency_sparsity() -> f64 {
         1.0 - (2.0 * EDGES as f64) / (NODES as f64 * NODES as f64)
     }
-
-    /// Mean node degree (neighbours aggregated per output row).
-    #[must_use]
-    pub fn mean_degree() -> usize {
-        2 * EDGES / NODES
-    }
-}
-
-/// The `A·X` aggregation as a GEMM: one output row per node, features
-/// wide, mean-degree deep (the zero-skipped reduction each node pays).
-#[must_use]
-pub fn aggregation_shape() -> GemmShape {
-    GemmShape {
-        id: "pubmed_agg",
-        model: "GCN",
-        m: pubmed::NODES,
-        n: pubmed::FEATURES,
-        k: pubmed::mean_degree(),
-    }
-}
-
-/// Projects the PubMed aggregation layer on `cfg`'s engine.
-/// Topology-aware: node rows shard across the config's channels/ranks.
-/// Adjacency is *binary* (no −1 plane), so each neighbour contributes
-/// its feature row exactly once: the per-row input stream is all-ones
-/// of mean-degree length (§7.2.3's zero-skipping leaves exactly the
-/// edges) priced through the single-plane `binary_gemm` path.
-#[must_use]
-pub fn sweep_aggregation(cfg: &EngineConfig) -> (GemmShape, ExecutionReport) {
-    let shape = aggregation_shape();
-    let engine = C2mEngine::builder(cfg.clone()).build();
-    let ones = vec![1i64; shape.k];
-    let report = engine.binary_gemm(shape.m, shape.n, &ones);
-    (shape, report)
 }
 
 /// A synthetic power-law graph in adjacency-list form.
@@ -151,19 +114,6 @@ mod tests {
     #[test]
     fn pubmed_constants() {
         assert!(pubmed::adjacency_sparsity() > 0.999);
-        assert!(pubmed::mean_degree() >= 8);
-    }
-
-    #[test]
-    fn aggregation_sweep_scales_with_channels() {
-        let base = EngineConfig::c2m(16);
-        let mut quad = base.clone();
-        quad.dram.channels = 4;
-        let (shape, one) = sweep_aggregation(&base);
-        let (_, four) = sweep_aggregation(&quad);
-        assert_eq!(shape.m, pubmed::NODES);
-        assert!(four.elapsed_ns < one.elapsed_ns);
-        assert!(four.elapsed_ns > one.elapsed_ns / 4.0);
     }
 
     #[test]

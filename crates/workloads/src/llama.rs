@@ -1,8 +1,5 @@
 //! Table 3 — GEMV and GEMM dimensions from LLaMA and LLaMA-2.
 
-use crate::distributions::int8_embeddings;
-use c2m_core::engine::{C2mEngine, EngineConfig};
-use c2m_dram::ExecutionReport;
 use serde::{Deserialize, Serialize};
 
 /// One GEMM problem: `Y[M×N] = X[M×K] · Z[K×N]`.
@@ -122,28 +119,6 @@ pub fn all_shapes() -> Vec<GemmShape> {
         .collect()
 }
 
-/// Projects every Table 3 shape on `cfg`'s engine. The sweep is
-/// topology-aware: the config's `dram.channels`/`dram.ranks` shard each
-/// kernel across the system (GEMVs over K with cross-unit merges, GEMMs
-/// over output rows), so the same call prices a 1-channel paper run or
-/// an 8-channel module.
-#[must_use]
-pub fn sweep_table3(cfg: &EngineConfig) -> Vec<(GemmShape, ExecutionReport)> {
-    let engine = C2mEngine::builder(cfg.clone()).build();
-    all_shapes()
-        .into_iter()
-        .map(|shape| {
-            let x = int8_embeddings(shape.k, 0x7AB1E3 + shape.k as u64);
-            let report = if shape.is_gemv() {
-                engine.ternary_gemv(&x, shape.n)
-            } else {
-                engine.ternary_gemm(shape.m, shape.n, &x)
-            };
-            (shape, report)
-        })
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -161,28 +136,6 @@ mod tests {
         let v0 = GEMV_SHAPES[0];
         assert_eq!((v0.m, v0.n, v0.k), (1, 22016, 8192));
         assert_eq!(v0.useful_ops(), 2 * 22016 * 8192);
-    }
-
-    #[test]
-    fn table3_sweep_scales_with_channels() {
-        let base = EngineConfig::c2m(16);
-        let mut quad = base.clone();
-        quad.dram.channels = 4;
-        let r1 = sweep_table3(&base);
-        let r4 = sweep_table3(&quad);
-        assert_eq!(r1.len(), 10);
-        for ((shape, one), (_, four)) in r1.iter().zip(&r4) {
-            assert!(
-                four.elapsed_ns < one.elapsed_ns,
-                "{} should speed up",
-                shape.id
-            );
-            assert!(
-                four.elapsed_ns > one.elapsed_ns / 4.0,
-                "{} speedup must be sublinear",
-                shape.id
-            );
-        }
     }
 
     #[test]

@@ -41,9 +41,9 @@ pub fn sparse_int8_stream(len: usize, sparsity: f64, seed: u64) -> Vec<i64> {
     v
 }
 
-/// Measured sparsity of a stream.
-#[must_use]
-pub fn measured_sparsity(v: &[i64]) -> f64 {
+/// Measured sparsity of a stream: the reference the generator is held to.
+#[cfg(test)]
+fn measured_sparsity(v: &[i64]) -> f64 {
     v.iter().filter(|&&x| x == 0).count() as f64 / v.len() as f64
 }
 

@@ -4,10 +4,7 @@
 //! `K = in_ch·kh·kw`, `N = out_ch`. These shapes drive the Fig. 18
 //! full-workload comparison.
 
-use crate::distributions::int8_embeddings;
 use crate::llama::GemmShape;
-use c2m_core::engine::{C2mEngine, EngineConfig};
-use c2m_dram::ExecutionReport;
 
 /// Conv layer descriptor.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -136,25 +133,6 @@ pub fn vgg13() -> Vec<ConvLayer> {
     ]
 }
 
-/// Projects every layer of a ternary conv net on `cfg`'s engine via
-/// im2col GEMM. Topology-aware: the config's channels/ranks shard each
-/// layer's output rows across the system.
-#[must_use]
-pub fn sweep_network(
-    layers: &[ConvLayer],
-    cfg: &EngineConfig,
-) -> Vec<(GemmShape, ExecutionReport)> {
-    let engine = C2mEngine::builder(cfg.clone()).build();
-    layers
-        .iter()
-        .map(|layer| {
-            let g = layer.gemm();
-            let x = int8_embeddings(g.k, 0x7317 + g.k as u64);
-            (g, engine.ternary_gemm(g.m, g.n, &x))
-        })
-        .collect()
-}
-
 /// VGG-16 conv layers.
 #[must_use]
 pub fn vgg16() -> Vec<ConvLayer> {
@@ -211,19 +189,5 @@ mod tests {
         let ops13: u64 = vgg13().iter().map(|l| l.gemm().useful_ops()).sum();
         let ops16: u64 = vgg16().iter().map(|l| l.gemm().useful_ops()).sum();
         assert!(ops16 > ops13);
-    }
-
-    #[test]
-    fn lenet_sweep_scales_with_channels() {
-        let base = EngineConfig::c2m(16);
-        let mut dual = base.clone();
-        dual.dram.channels = 2;
-        let r1 = sweep_network(&lenet(), &base);
-        let r2 = sweep_network(&lenet(), &dual);
-        assert_eq!(r1.len(), 2);
-        for ((g, one), (_, two)) in r1.iter().zip(&r2) {
-            assert!(two.elapsed_ns < one.elapsed_ns, "{}", g.id);
-            assert!(two.elapsed_ns > one.elapsed_ns / 2.0, "{}", g.id);
-        }
     }
 }

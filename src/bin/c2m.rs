@@ -42,10 +42,21 @@ fn parse_flags(args: &[String]) -> Result<BTreeMap<String, String>, String> {
         let value = args
             .get(i + 1)
             .ok_or_else(|| format!("--{key} needs a value"))?;
-        flags.insert(key.to_string(), value.clone());
+        if flags.insert(key.to_string(), value.clone()).is_some() {
+            return Err(format!("--{key} given twice"));
+        }
         i += 2;
     }
     Ok(flags)
+}
+
+/// Rejects any flag that `cmd` does not read, so a misspelt flag is an
+/// error instead of a run on the default it meant to replace.
+fn reads_only(flags: &BTreeMap<String, String>, cmd: &str, reads: &[&str]) -> Result<(), String> {
+    match flags.keys().find(|k| !reads.contains(&k.as_str())) {
+        None => Ok(()),
+        Some(unread) => Err(format!("`{cmd}` does not read --{unread}")),
+    }
 }
 
 fn get<T: std::str::FromStr>(
@@ -83,6 +94,11 @@ fn get_dim(flags: &BTreeMap<String, String>, key: &str, default: usize) -> Resul
 }
 
 fn cmd_plan(flags: &BTreeMap<String, String>) -> Result<(), String> {
+    reads_only(
+        flags,
+        "plan",
+        &["radix", "capacity", "k", "n", "subarrays", "encoding"],
+    )?;
     let radix = get_radix(flags, "radix", 4)?;
     let capacity: u32 = get(flags, "capacity", 64)?;
     if !(1..=cost::MAX_CAPACITY_BITS).contains(&capacity) {
@@ -169,6 +185,7 @@ fn cmd_plan(flags: &BTreeMap<String, String>) -> Result<(), String> {
 const GEMV_MAX_CELLS: usize = 1 << 24;
 
 fn cmd_gemv(flags: &BTreeMap<String, String>) -> Result<(), String> {
+    reads_only(flags, "gemv", &["k", "n", "sparsity", "radix", "seed"])?;
     let k = get_dim(flags, "k", 128)?;
     let n = get_dim(flags, "n", 64)?;
     if k.checked_mul(n).is_none_or(|cells| cells > GEMV_MAX_CELLS) {
@@ -222,10 +239,11 @@ fn cmd_gemv(flags: &BTreeMap<String, String>) -> Result<(), String> {
 }
 
 fn cmd_radix_sweep(flags: &BTreeMap<String, String>) -> Result<(), String> {
+    reads_only(flags, "radix-sweep", &["max-radix"])?;
     let max_radix: usize = get(flags, "max-radix", 20)?;
-    if max_radix > JohnsonCode::MAX_RADIX {
+    if !(2..=JohnsonCode::MAX_RADIX).contains(&max_radix) {
         return Err(format!(
-            "--max-radix must be at most {}, got {max_radix}",
+            "--max-radix must be in 2..={}, got {max_radix}",
             JohnsonCode::MAX_RADIX
         ));
     }
@@ -247,6 +265,7 @@ fn cmd_radix_sweep(flags: &BTreeMap<String, String>) -> Result<(), String> {
 /// `c2m trace --check FILE [--expect dram,core,serve]`: validate an
 /// existing Chrome-trace JSON (the CI smoke path).
 fn cmd_trace_check(flags: &BTreeMap<String, String>, path: &str) -> Result<(), String> {
+    reads_only(flags, "trace --check", &["check", "expect"])?;
     let json = std::fs::read_to_string(path).map_err(|e| format!("--check {path}: {e}"))?;
     let check = validate_chrome_trace(&json)?;
     if let Some(expect) = flags.get("expect") {
@@ -277,6 +296,7 @@ fn cmd_trace(flags: &BTreeMap<String, String>) -> Result<(), String> {
     if let Some(path) = flags.get("check") {
         return cmd_trace_check(flags, path);
     }
+    reads_only(flags, "trace", &["out", "metrics", "requests", "tenants"])?;
     let out = flags
         .get("out")
         .ok_or("trace needs --out FILE (record) or --check FILE (validate)")?;
@@ -342,7 +362,8 @@ fn cmd_trace(flags: &BTreeMap<String, String>) -> Result<(), String> {
     Ok(())
 }
 
-fn cmd_experiments() {
+fn cmd_experiments(flags: &BTreeMap<String, String>) -> Result<(), String> {
+    reads_only(flags, "experiments", &[])?;
     println!("paper-artefact bench binaries (cargo run -p c2m-bench --bin <id>):\n");
     for (id, what) in [
         ("fig3", "input value distributions (DNA, BERT embeddings)"),
@@ -372,6 +393,7 @@ fn cmd_experiments() {
     ] {
         println!("  {id:<9} {what}");
     }
+    Ok(())
 }
 
 fn usage() -> &'static str {
@@ -397,10 +419,7 @@ fn main() -> ExitCode {
         "gemv" => cmd_gemv(&flags),
         "radix-sweep" => cmd_radix_sweep(&flags),
         "trace" => cmd_trace(&flags),
-        "experiments" => {
-            cmd_experiments();
-            Ok(())
-        }
+        "experiments" => cmd_experiments(&flags),
         other => Err(format!("unknown command `{other}`\n{}", usage())),
     };
     match result {

@@ -15,7 +15,14 @@ fn c2m(args: &[&str]) -> Output {
 
 #[test]
 fn malformed_flags_exit_with_an_error_line() {
-    let cases: [&[&str]; 15] = [
+    // A valid export, so `trace --check` has only its stray flag to
+    // reject.
+    let export = std::env::temp_dir().join(format!("c2m-flags-{}.json", std::process::id()));
+    std::fs::write(&export, small_export()).expect("the temp dir is writable");
+    let export_path = export.to_str().expect("a UTF-8 temp path");
+    let out_path = std::env::temp_dir().join(format!("c2m-flags-out-{}.json", std::process::id()));
+    let out_path = out_path.to_str().expect("a UTF-8 temp path");
+    let cases: [&[&str]; 23] = [
         &["gemv", "--radix", "3"],
         &["gemv", "--radix", "0"],
         &["gemv", "--radix", "66"],
@@ -33,10 +40,21 @@ fn malformed_flags_exit_with_an_error_line() {
         &["plan", "--capacity", "2147483648"],
         &["plan", "--capacity", "4000000000"],
         &["radix-sweep", "--max-radix", "66"],
+        &["radix-sweep", "--max-radix", "1"],
+        &["radix-sweep", "--max-radix", "0"],
+        // A flag the command does not read, and a flag given twice.
+        &["gemv", "--sparsty", "0.9", "--k", "8", "--n", "8"],
+        &["gemv", "--k", "8", "--k", "16"],
+        &["plan", "--sparsity", "0.5"],
+        &["trace", "--check", export_path, "--out", out_path],
+        &["trace", "--out", out_path, "--expect", "core"],
+        &["experiments", "--k", "8"],
     ];
     for args in cases {
         assert_error_exit(&format!("c2m {args:?}"), &c2m(args));
     }
+    let _ = std::fs::remove_file(&export);
+    let _ = std::fs::remove_file(out_path);
 }
 
 #[test]
