@@ -16,8 +16,6 @@
 
 pub mod ambit_rca;
 pub mod gpu;
-#[cfg(test)]
-mod multiplier;
 pub mod rca;
 pub mod simdram;
 

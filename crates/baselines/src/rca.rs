@@ -154,15 +154,6 @@ impl RcaAccumulator {
     }
 }
 
-/// Device-operation cost of one W-bit ripple-carry addition in this
-/// implementation (6 gates per bit at Ambit generic costs).
-#[must_use]
-pub fn rca_add_ops(width_bits: usize) -> u64 {
-    // Per bit: maj3(4) + not(2) + not(2) + maj3(4) + maj3(4) + copy(1)
-    // = 17; our closed-form models round to 15/bit (see c2m-jc::cost).
-    17 * width_bits as u64
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

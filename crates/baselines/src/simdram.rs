@@ -47,10 +47,11 @@ impl SimdramEngine {
     }
 
     /// AAP commands per adder bit in SIMDRAM's framework-optimised
-    /// majority addition. Our generic MAJ lowering costs 17/bit
-    /// ([`crate::rca::rca_add_ops`]); SIMDRAM's synthesised μPrograms
-    /// amortise operand staging, which we credit at 12/bit — the value
-    /// that reproduces the paper's C2M-vs-SIMDRAM speedup band.
+    /// majority addition. Our generic MAJ lowering
+    /// ([`crate::rca::RcaAccumulator`]) costs 17/bit at Ambit's generic
+    /// gate costs; SIMDRAM's synthesised μPrograms amortise operand
+    /// staging, which we credit at 12/bit — the value that reproduces
+    /// the paper's C2M-vs-SIMDRAM speedup band.
     pub const OPS_PER_BIT: u64 = 12;
 
     /// AAP-equivalent ops for one masked accumulation of any value.

@@ -38,52 +38,122 @@ fn fig_serves_store_loads() {
     assert_store_loads("fig_serve", env!("CARGO_BIN_EXE_fig_serve"));
 }
 
-/// A store file's text in the current format, rewritten into version
-/// 4's layout: there each report's eleven words (elapsed time, energy,
-/// useful operations, area, seven command counts) were followed by five
-/// energy-breakdown floats (dynamic, host, busy and idle background,
-/// total) and a length-prefixed list of per-shard entries, here empty.
-fn as_format_4(text: &str) -> String {
-    let head = |version: u64| {
-        format!("{{\"magic\":\"c2m-cache\",\"format_version\":{version},\"words\":[")
-    };
-    let body = text
-        .strip_prefix(&head(CacheStore::FORMAT_VERSION))
+/// The words of a store file's text written at `version`.
+fn words_of(text: &str, version: u64) -> Vec<i64> {
+    text.strip_prefix(&head(version))
         .and_then(|t| t.strip_suffix("]}"))
-        .expect("a store in the current layout");
-    let words: Vec<i64> = body
+        .expect("a store in that version's layout")
         .split(',')
         .map(|w| w.parse().expect("a word"))
-        .collect();
-    let mut v4 = Vec::with_capacity(words.len());
-    let mut at = 0;
-    // Copies the next `n` words into `v4` and returns them.
-    let mut copy = |n: usize, v4: &mut Vec<i64>| {
-        v4.extend_from_slice(&words[at..at + n]);
-        at += n;
-        &words[at - n..at]
-    };
-    let streams = copy(1, &mut v4)[0];
-    for _ in 0..streams {
-        let key_len = copy(1, &mut v4)[0] as usize;
-        copy(key_len + 1, &mut v4);
-    }
-    let reports = copy(1, &mut v4)[0];
-    for _ in 0..reports {
-        let key_len = copy(1, &mut v4)[0] as usize;
-        copy(key_len, &mut v4);
-        let total_nj = copy(11, &mut v4)[1];
-        v4.extend([0, 0, 0, 0, total_nj, 0]);
-    }
-    assert_eq!(at, words.len(), "the whole store was walked");
-    let v4: Vec<String> = v4.iter().map(i64::to_string).collect();
-    format!("{}{}]}}", head(4), v4.join(","))
+        .collect()
 }
 
-#[test]
-fn a_format_4_store_loads_cold_and_the_run_prints_golden_bytes() {
+/// A store file's text before its first word.
+fn head(version: u64) -> String {
+    format!("{{\"magic\":\"c2m-cache\",\"format_version\":{version},\"words\":[")
+}
+
+/// The text of a store file holding `words` at `version`.
+fn text_of(version: u64, words: &[i64]) -> String {
+    let words: Vec<String> = words.iter().map(i64::to_string).collect();
+    format!("{}{}]}}", head(version), words.join(","))
+}
+
+/// Rewrites a store's words entry by entry: each stream key through
+/// `stream_key`, each report key through `report_key` and each report's
+/// value words through `report`.
+fn rewrite(
+    words: &[i64],
+    stream_key: &dyn Fn(&[i64]) -> Vec<i64>,
+    report_key: &dyn Fn(&[i64]) -> Vec<i64>,
+    report: &dyn Fn(&[i64]) -> Vec<i64>,
+) -> Vec<i64> {
+    let mut out = Vec::with_capacity(words.len());
+    let mut at = 0;
+    let keep: &dyn Fn(&[i64]) -> Vec<i64> = &<[i64]>::to_vec;
+    let tiers = [(stream_key, 1, keep), (report_key, 11, report)];
+    for (key, value_len, value) in tiers {
+        let entries = words[at];
+        out.push(entries);
+        at += 1;
+        for _ in 0..entries {
+            let key_len = words[at] as usize;
+            let new_key = key(&words[at + 1..at + 1 + key_len]);
+            out.push(new_key.len() as i64);
+            out.extend(new_key);
+            at += 1 + key_len;
+            out.extend(value(&words[at..at + value_len]));
+            at += value_len;
+        }
+    }
+    assert_eq!(at, words.len(), "the whole store was walked");
+    out
+}
+
+/// `key` with `words` inserted before position `at`.
+fn insert(key: &[i64], at: usize, words: &[i64]) -> Vec<i64> {
+    [&key[..at], words, &key[at..]].concat()
+}
+
+/// A store file's text in the current format, rewritten into version
+/// 5's layout: there a stream key held an IARM word (always 1) after its
+/// radix and digit count, and a report key's configuration words held
+/// the ECC row-segment width (always 512) and the IARM word after the
+/// fault rate.
+fn as_format_5(text: &str) -> String {
+    // A report key is the kernel's head (a tag and its shape), its
+    // length-prefixed inputs, then the configuration words: radix,
+    // capacity, banks, subarrays, three protection words, fault rate.
+    let report_key = |key: &[i64]| {
+        let (head_len, inputs) = match key[0] {
+            0 => (2, 1),
+            1 => (3, key[2] as usize),
+            2 => (4, 1),
+            tag => {
+                assert_eq!(tag, 3, "a kernel tag");
+                (3 + key[2] as usize, 1)
+            }
+        };
+        let mut cfg = head_len;
+        for _ in 0..inputs {
+            cfg += 1 + key[cfg] as usize;
+        }
+        insert(key, cfg + 8, &[512, 1])
+    };
+    let words = words_of(text, CacheStore::FORMAT_VERSION);
+    let v5 = rewrite(
+        &words,
+        &|key| insert(key, 2, &[1]),
+        &report_key,
+        &<[i64]>::to_vec,
+    );
+    text_of(5, &v5)
+}
+
+/// A store file's text in the current format, rewritten into version
+/// 4's layout: version 5's keys, and each report's eleven words (elapsed
+/// time, energy, useful operations, area, seven command counts) followed
+/// by five energy-breakdown floats (dynamic, host, busy and idle
+/// background, total) and a length-prefixed list of per-shard entries,
+/// here empty.
+fn as_format_4(text: &str) -> String {
+    let words = words_of(&as_format_5(text), 5);
+    let v4 = rewrite(&words, &<[i64]>::to_vec, &<[i64]>::to_vec, &|report| {
+        let total_nj = report[1];
+        [report, &[0, 0, 0, 0, total_nj, 0]].concat()
+    });
+    text_of(4, &v4)
+}
+
+/// Rewrites `fig_scaling`'s store with `stale` and asserts that the
+/// rewritten store loads cold, that a run over it prints the golden
+/// bytes and that the store that run saves loads.
+fn assert_stale_store_loads_cold(version: u64, stale: fn(&str) -> String) {
     let exe = env!("CARGO_BIN_EXE_fig_scaling");
-    let dir = std::env::temp_dir().join(format!("c2m_stores_format_4_{}", std::process::id()));
+    let dir = std::env::temp_dir().join(format!(
+        "c2m_stores_format_{version}_{}",
+        std::process::id()
+    ));
     let store = dir.join("fig_scaling.c2mcache.json");
     let run = || {
         let out = Command::new(exe)
@@ -102,10 +172,10 @@ fn a_format_4_store_loads_cold_and_the_run_prints_golden_bytes() {
     };
     run();
     let current = std::fs::read_to_string(&store).expect("the run writes its store");
-    std::fs::write(&store, as_format_4(&current)).expect("temp dir is writable");
+    std::fs::write(&store, stale(&current)).expect("temp dir is writable");
     assert!(
         !CacheStore::load_into(&store, &PlanCache::default()),
-        "a format-4 store must load cold"
+        "a format-{version} store must load cold"
     );
     let stdout = run();
     let resaved = CacheStore::load_into(&store, &PlanCache::default());
@@ -113,7 +183,17 @@ fn a_format_4_store_loads_cold_and_the_run_prints_golden_bytes() {
     let golden = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../golden/fig_scaling.json");
     assert!(
         stdout == std::fs::read(golden).expect("golden file"),
-        "fig_scaling over a format-4 store moved from golden/fig_scaling.json"
+        "fig_scaling over a format-{version} store moved from golden/fig_scaling.json"
     );
     assert!(resaved, "the cold run saves a store that loads");
+}
+
+#[test]
+fn a_format_4_store_loads_cold_and_the_run_prints_golden_bytes() {
+    assert_stale_store_loads_cold(4, as_format_4);
+}
+
+#[test]
+fn a_format_5_store_loads_cold_and_the_run_prints_golden_bytes() {
+    assert_stale_store_loads_cold(5, as_format_5);
 }

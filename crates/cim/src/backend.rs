@@ -57,9 +57,11 @@ impl Backend {
 
     /// Device operations for one generic masked unit increment (with
     /// overflow check) of an `n`-bit Johnson counter on this backend —
-    /// the §4.6 ablation, measured by running the Fig. 10a-style gate
-    /// program on a [`crate::machine::LogicMachine`] with this backend's
-    /// [`CostModel`].
+    /// the §4.6 ablation, measured by running the Fig. 10a gate program
+    /// on a [`crate::machine::LogicMachine`] with this backend's
+    /// [`CostModel`], after one `not` that stages the mask complement
+    /// `!m` (so Pinatubo reads `3n + 6`: the program's `3n + 5` plus
+    /// that staging op).
     ///
     /// This is the *generic* gate-network lowering. For Ambit the
     /// hand-scheduled Fig. 6b μProgram (`7n + 7`, see
@@ -73,38 +75,17 @@ impl Backend {
     #[must_use]
     pub fn increment_ops(self, n: usize) -> u64 {
         use crate::machine::LogicMachine;
+        use crate::programs::{pinatubo_unit_increment, CountingLayout};
         use crate::row::Row;
 
         assert!(n > 0, "a counter needs at least one bit");
         let width = 1; // op counts are width-independent
-                       // Rows: bits 0..n | mask | onext | t0 | t1 | o1 | o2 | !mask.
-        let mut m = LogicMachine::new(self, width, n + 7);
-        let mask = n;
-        let onext = n + 1;
-        let t0 = n + 2;
-        let t1 = n + 3;
-        let o1 = n + 4;
-        let o2 = n + 5;
-        let notm = n + 6;
-        m.write(mask, &Row::ones(width));
-        // Setup: save the MSB, its complement, and the mask complement.
-        m.copy(n - 1, t0);
-        m.not(n - 1, t1);
-        m.not(mask, notm);
-        // Forward shifts (MSB-1 down to 1): b_j = (m & b_{j-1}) | (!m & b_j).
-        for i in (1..n).rev() {
-            m.and(mask, i - 1, o1);
-            m.and(notm, i, o2);
-            m.or(o1, o2, i);
-        }
-        // Inverted feedback into bit 0.
-        m.and(notm, 0, o1);
-        m.and(mask, t1, o2);
-        m.or(o1, o2, 0);
-        // Overflow check: O <- O | (old_msb & !new_msb).
-        m.not(n - 1, t1);
-        m.and(t0, t1, o1);
-        m.or(onext, o1, onext);
+        let lay = CountingLayout::dense(n, 0);
+        let mut m = LogicMachine::new(self, width, CountingLayout::rows_needed(n));
+        m.write(lay.mask, &Row::ones(width));
+        // Stage the mask complement `!m`, charged to every increment.
+        m.not(lay.mask, lay.not_mask);
+        pinatubo_unit_increment(&mut m, &lay);
         m.ops()
     }
 }

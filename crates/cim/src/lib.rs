@@ -29,7 +29,6 @@ pub mod fault;
 #[cfg(test)]
 mod fcdram;
 pub mod machine;
-#[cfg(test)]
 mod programs;
 pub mod row;
 

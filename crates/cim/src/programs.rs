@@ -5,9 +5,9 @@
 //! logic (Fig. 10b). This module holds both as bit-accurate routines over
 //! a [`LogicMachine`], and its tests hold them to the op counts the paper
 //! quotes: `3n + 4` (+3 overflow) for Pinatubo-style and `6n + 4` for the
-//! specialised MAGIC schedule. No figure runs them (the §4.6 ablation
-//! prices backends with [`Backend::increment_ops`]), so the module
-//! compiles only with the tests.
+//! specialised MAGIC schedule. [`Backend::increment_ops`] prices every
+//! backend by running the Fig. 10a routine; no figure runs the Fig. 10b
+//! one, so it compiles only with the tests.
 //!
 //! [`Backend::increment_ops`]: crate::backend::Backend::increment_ops
 
@@ -15,14 +15,14 @@ use crate::machine::{LogicMachine, RowId};
 
 /// Row-register layout shared by the counting programs.
 #[derive(Debug, Clone, PartialEq, Eq)]
-struct CountingLayout {
+pub(crate) struct CountingLayout {
     /// Counter bit rows, LSB first (length n).
     bits: Vec<RowId>,
     /// Mask row m.
-    mask: RowId,
-    /// Pre-computed complement row `!m` (staged once per mask load, not
-    /// charged to the per-increment cost — Fig. 10a's `!m` operand).
-    not_mask: RowId,
+    pub(crate) mask: RowId,
+    /// Pre-computed complement row `!m` (Fig. 10a's `!m` operand; the
+    /// routines read it and never write it).
+    pub(crate) not_mask: RowId,
     /// Pending-overflow row `O_next`.
     onext: RowId,
     /// Scratch rows (need at least 4).
@@ -32,7 +32,7 @@ struct CountingLayout {
 impl CountingLayout {
     /// Dense layout starting at row `base` for an n-bit counter.
     #[must_use]
-    fn dense(n: usize, base: usize) -> Self {
+    pub(crate) fn dense(n: usize, base: usize) -> Self {
         Self {
             bits: (base..base + n).collect(),
             mask: base + n,
@@ -44,7 +44,7 @@ impl CountingLayout {
 
     /// Rows needed beyond `base`.
     #[must_use]
-    fn rows_needed(n: usize) -> usize {
+    pub(crate) fn rows_needed(n: usize) -> usize {
         n + 7
     }
 }
@@ -55,15 +55,9 @@ impl CountingLayout {
 /// an OR, each a single sense-amplifier operation; the inverted feedback
 /// reuses the saved `!b_n`; overflow adds NOT + AND + OR. Total device
 /// ops (on the Pinatubo cost model): `3n + 4` for counting plus 3 for
-/// overflow.
-///
-/// # Panics
-///
-/// Panics if the machine's backend prices gates differently than 1 op
-/// (use [`crate::backend::Backend::Pinatubo`]) only when op-count
-/// assertions are enabled by the caller; the routine itself runs on any
-/// backend.
-fn pinatubo_unit_increment(m: &mut LogicMachine, lay: &CountingLayout) {
+/// overflow. The routine runs on any backend, each gate at that
+/// backend's cost.
+pub(crate) fn pinatubo_unit_increment(m: &mut LogicMachine, lay: &CountingLayout) {
     let n = lay.bits.len();
     let [t0, t1, o1, o2] = [
         lay.scratch[0],
@@ -98,6 +92,7 @@ fn pinatubo_unit_increment(m: &mut LogicMachine, lay: &CountingLayout) {
 /// `x OR y = !NOR(x, y)`. The specialised schedule reuses complement
 /// rows so the whole increment needs ~`6n + 4` NOR pulses (the generic
 /// gate network would take ~10n).
+#[cfg(test)]
 fn magic_unit_increment(m: &mut LogicMachine, lay: &CountingLayout) {
     let n = lay.bits.len();
     let [t0, t1, o1, o2] = [
@@ -214,7 +209,7 @@ mod tests {
     }
 
     #[test]
-    fn pinatubo_program_is_correct_and_3n_plus_7_ops() {
+    fn pinatubo_program_is_correct_and_3n_plus_5_ops() {
         for n in [2usize, 4, 5, 8] {
             let ops = check_increment(Backend::Pinatubo, n, pinatubo_unit_increment);
             // Setup (LD + NOT) + 3 per bit + 3 overflow = 3n + 5 gates

@@ -14,10 +14,10 @@
 //!   backend policy, sizing)` — the [`PlanKey`]. The cache builds a
 //!   missing [`ShardPlan`] from the key alone and hands it out behind
 //!   an `Arc` on repeats.
-//! * **Stream counts** (the IARM/full-ripple sequence count of
+//! * **Stream counts** (the IARM sequence count of
 //!   [`crate::engine::C2mEngine::sequences_for_stream`]) are keyed on
-//!   the words `[radix, digits, iarm, doubled]` followed by the stream
-//!   values, and a miss is computed from exactly those.
+//!   the words `[radix, digits, doubled]` followed by the stream values,
+//!   and a miss is computed from exactly those.
 //! * **Launch reports** are keyed on the kernel's words — a tag, its
 //!   shape, then its length-prefixed inputs — followed by
 //!   [`C2mEngine::report_key_words`](crate::engine::C2mEngine::report_key_words),
@@ -50,7 +50,6 @@
 
 use crate::shard::{BackendPolicy, ShardAxis, ShardPlan, ShardPlanner, ShardSizing};
 use c2m_dram::{CacheCounters, ExecutionReport, Topology};
-use c2m_jc::digits::Digits;
 use c2m_jc::iarm;
 use std::borrow::Borrow;
 use std::collections::BTreeMap;
@@ -254,27 +253,25 @@ impl PlanKey {
 }
 
 /// Identity of a priced stream, and everything its count depends on
-/// besides the values: the Johnson radix and digit count, whether IARM
-/// planning is on, and whether the stream is the doubled ternary form
-/// of the stored values (`x` then `−x`), so ternary callers can key on
-/// the undoubled input and skip materialising the doubled copy on a hit.
+/// besides the values: the Johnson radix and digit count, and whether
+/// the stream is the doubled ternary form of the stored values (`x` then
+/// `−x`), so ternary callers can key on the undoubled input and skip
+/// materialising the doubled copy on a hit.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) struct StreamParams {
     pub(crate) radix: usize,
     pub(crate) digits: usize,
-    pub(crate) iarm: bool,
     pub(crate) doubled: bool,
 }
 
 impl StreamParams {
-    /// The stream-tier key of `xs`: `[radix, digits, iarm, doubled]`,
-    /// then the values.
+    /// The stream-tier key of `xs`: `[radix, digits, doubled]`, then the
+    /// values.
     fn key(self, xs: &[i64]) -> Box<[u64]> {
-        let mut key = Vec::with_capacity(4 + xs.len());
+        let mut key = Vec::with_capacity(3 + xs.len());
         key.extend([
             self.radix as u64,
             self.digits as u64,
-            u64::from(self.iarm),
             u64::from(self.doubled),
         ]);
         key.extend(xs.iter().map(|&x| x as u64));
@@ -284,29 +281,11 @@ impl StreamParams {
     /// Broadcast command *sequences* needed to accumulate the signed
     /// stream `xs` (zeros skipped, §7.2.3), or its doubled ternary form
     /// ([`doubled_ternary`](crate::engine::doubled_ternary)) when
-    /// `self.doubled`, without building that copy. With IARM on, this is
-    /// the length of the plan the host-side IARM planner hands a counter
-    /// bank for the reordered stream (adds, subtractions, flush),
-    /// counted one digit column at a time by [`iarm::count_actions`];
-    /// with it off, the oblivious full-ripple chain, one [`Digits`] step
-    /// per digit up to each value's most significant non-zero one.
+    /// `self.doubled`, without building that copy: the length of the
+    /// plan the host-side IARM planner hands a counter bank for the
+    /// reordered stream (adds, subtractions, flush), counted one digit
+    /// column at a time by [`iarm::count_actions`].
     pub(crate) fn count(self, xs: &[i64]) -> u64 {
-        if !self.iarm {
-            // k-ary with per-increment carry rippling (§4.5.1): each
-            // non-zero digit pays its increment plus one rippling
-            // command sequence — the paper's 2·(7n+7)-per-digit model.
-            // Every digit of the value counts, however many the counter
-            // has, and the doubled stream holds each magnitude twice.
-            let nonzero: usize = xs
-                .iter()
-                .map(|&x| {
-                    Digits::new(u128::from(x.unsigned_abs()), self.radix)
-                        .filter(|&k| k != 0)
-                        .count()
-                })
-                .sum();
-            return 2 * (1 + u64::from(self.doubled)) * nonzero as u64;
-        }
         let positive = magnitudes(xs, |x| x > 0);
         let negative = magnitudes(xs, |x| x < 0);
         // Addition pass, then subtraction pass (host reordering), from
@@ -426,7 +405,6 @@ mod tests {
     const PARAMS: StreamParams = StreamParams {
         radix: 4,
         digits: 32,
-        iarm: true,
         doubled: false,
     };
 
@@ -539,54 +517,51 @@ mod tests {
         let a = c.sequences(PARAMS, &xs);
         assert_eq!(a, PARAMS.count(&xs));
         assert_eq!(c.sequences(PARAMS, &xs), a);
-        // Different values, params, or doubling flag must all miss.
+        // Different values, radix, digits or doubling flag must all miss.
         let mut ys = xs.clone();
         ys[4] = 6;
-        let no_iarm = StreamParams {
-            iarm: false,
+        let radix = StreamParams { radix: 6, ..PARAMS };
+        let digits = StreamParams {
+            digits: 31,
             ..PARAMS
         };
         let doubled = StreamParams {
             doubled: true,
             ..PARAMS
         };
-        for (params, values) in [(PARAMS, &ys), (no_iarm, &xs), (doubled, &xs)] {
+        for (params, values) in [(PARAMS, &ys), (radix, &xs), (digits, &xs), (doubled, &xs)] {
             assert_eq!(c.sequences(params, values), params.count(values));
         }
         let t = c.counters();
-        assert_eq!((t.stream_hits, t.stream_misses), (1, 4));
+        assert_eq!((t.stream_hits, t.stream_misses), (1, 5));
     }
 
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(128))]
-        /// An IARM count is the length of the plan the `Vec` planner
-        /// builds for the stream (adds, then subtractions, then the
-        /// flush), and counting the doubled form in place agrees with
-        /// counting the materialised `x ++ −x` stream, IARM on or off.
+        /// A count is the length of the plan the `Vec` planner builds
+        /// for the stream (adds, then subtractions, then the flush), and
+        /// counting the doubled form in place agrees with counting the
+        /// materialised `x ++ −x` stream.
         #[test]
         fn counts_match_the_plan_and_the_materialised_doubling(
             half in 1usize..=8,
-            iarm in any::<bool>(),
             xs in prop::collection::vec(-300i64..300, 0..40),
         ) {
             let single = StreamParams {
                 radix: 2 * half,
-                iarm,
                 ..PARAMS
             };
-            if iarm {
-                let mut planner = IarmPlanner::new(single.radix, single.digits);
-                planner.assume_zero();
-                let mut len = 0;
-                for &x in xs.iter().filter(|&&x| x > 0) {
-                    len += planner.plan_add(x as u128).len();
-                }
-                for &x in xs.iter().filter(|&&x| x < 0) {
-                    len += planner.plan_sub(u128::from(x.unsigned_abs())).len();
-                }
-                len += planner.flush().len();
-                prop_assert_eq!(single.count(&xs), len as u64);
+            let mut planner = IarmPlanner::new(single.radix, single.digits);
+            planner.assume_zero();
+            let mut len = 0;
+            for &x in xs.iter().filter(|&&x| x > 0) {
+                len += planner.plan_add(x as u128).len();
             }
+            for &x in xs.iter().filter(|&&x| x < 0) {
+                len += planner.plan_sub(u128::from(x.unsigned_abs())).len();
+            }
+            len += planner.flush().len();
+            prop_assert_eq!(single.count(&xs), len as u64);
             let doubled = StreamParams {
                 doubled: true,
                 ..single

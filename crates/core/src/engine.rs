@@ -103,6 +103,10 @@ impl TraceHandle {
     }
 }
 
+/// ECC recompute granularity in bits: §7.3.2 prices the detected-fault
+/// recomputation per 512-bit row segment.
+const ECC_ROW_BITS: usize = 512;
+
 /// Engine configuration.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct EngineConfig {
@@ -126,11 +130,6 @@ pub struct EngineConfig {
     /// Assumed inherent CIM fault rate (drives the detected-fault
     /// recompute overhead when protection is ECC; §7.3.2 uses 10⁻⁴).
     pub fault_rate: f64,
-    /// ECC recompute granularity in bits (§7.3.2 prices recomputation
-    /// per 512-bit row segment).
-    pub ecc_row_bits: usize,
-    /// Use IARM planning (otherwise full rippling).
-    pub iarm: bool,
     /// DRAM geometry.
     pub dram: DramConfig,
     /// Timing parameters.
@@ -143,7 +142,7 @@ pub struct EngineConfig {
 
 impl EngineConfig {
     /// The paper's C2M:X configuration: radix 4, 64-bit capacity,
-    /// unprotected, IARM on.
+    /// unprotected.
     #[must_use]
     pub fn c2m(banks: usize) -> Self {
         Self {
@@ -153,8 +152,6 @@ impl EngineConfig {
             subarrays: 1,
             protection: ProtectionKind::None,
             fault_rate: 0.0,
-            ecc_row_bits: 512,
-            iarm: true,
             dram: DramConfig::ddr5_4400(),
             timing: TimingParams::ddr5_4400(),
             energy: EnergyModel::ddr5_4400(),
@@ -594,7 +591,7 @@ impl C2mEngine {
                     fault_rate: self.cfg.fault_rate,
                     fr_checks,
                 };
-                base * (1.0 + a.expected_recomputes_per_row(self.cfg.ecc_row_bits))
+                base * (1.0 + a.expected_recomputes_per_row(ECC_ROW_BITS))
             }
             _ => base,
         }
@@ -603,8 +600,7 @@ impl C2mEngine {
     /// Broadcast command *sequences* needed to accumulate the signed
     /// input stream `xs` (zeros skipped, §7.2.3): the length of the
     /// host-side IARM plan, counted one digit column at a time by
-    /// [`c2m_jc::iarm::count_actions`] (or the oblivious full-ripple
-    /// chain when IARM is off).
+    /// [`c2m_jc::iarm::count_actions`].
     #[must_use]
     pub fn sequences_for_stream(&self, xs: &[i64]) -> u64 {
         self.stream_params(false).count(xs)
@@ -616,7 +612,6 @@ impl C2mEngine {
         StreamParams {
             radix: self.cfg.radix,
             digits: self.digits,
-            iarm: self.cfg.iarm,
             doubled,
         }
     }
@@ -698,8 +693,6 @@ impl C2mEngine {
             subarrays,
             protection,
             fault_rate,
-            ecc_row_bits,
-            iarm,
             dram,
             timing,
             energy,
@@ -754,8 +747,6 @@ impl C2mEngine {
             } => w.extend([2, u64::from(fr_checks), u64::from(fuse_inverted_feedback)]),
         }
         w.push(fault_rate.to_bits());
-        w.push(*ecc_row_bits as u64);
-        w.push(u64::from(*iarm));
         w.extend([
             *channels as u64,
             *ranks as u64,
@@ -1561,6 +1552,7 @@ pub fn doubled_ternary(x: &[i64]) -> Vec<i64> {
 mod tests {
     use super::*;
     use c2m_dram::scheduler::steady_state_aap_interval;
+    use c2m_jc::cost::kary_full_ripple_ops;
     use rand::{Rng, SeedableRng};
     use rand_chacha::ChaCha12Rng;
 
@@ -1599,16 +1591,17 @@ mod tests {
 
     #[test]
     fn iarm_reduces_sequences() {
-        let mut with = EngineConfig::c2m(1);
-        with.iarm = true;
-        let mut without = EngineConfig::c2m(1);
-        without.iarm = false;
+        // The engine's IARM count prices below the §4.5.1 full-ripple
+        // model fig8 plots (an increment plus a ripple sequence per
+        // non-zero digit) on the same stream.
+        let e = C2mEngine::builder(EngineConfig::c2m(1)).build();
         let xs = int8_stream(2048, 2);
-        let a = C2mEngine::builder(with).build().sequences_for_stream(&xs);
-        let b = C2mEngine::builder(without)
-            .build()
-            .sequences_for_stream(&xs);
-        assert!(a < b, "IARM {a} vs full ripple {b}");
+        let iarm = e.sequences_for_stream(&xs) as f64 * e.ops_per_sequence();
+        let ripple: u64 = xs
+            .iter()
+            .map(|&x| kary_full_ripple_ops(u128::from(x.unsigned_abs()), 4, e.digits()))
+            .sum();
+        assert!(iarm < ripple as f64, "IARM {iarm} vs full ripple {ripple}");
     }
 
     #[test]

@@ -34,13 +34,11 @@ pub struct KernelConfig {
     pub fault_rate: f64,
     /// RNG seed for fault injection.
     pub seed: u64,
-    /// Use IARM (delayed rippling) rather than full rippling.
-    pub iarm: bool,
 }
 
 impl KernelConfig {
     /// The paper's evaluation configuration: radix 4, 64-bit capacity,
-    /// no protection, fault-free, IARM on.
+    /// no protection, fault-free.
     #[must_use]
     pub fn paper_default() -> Self {
         Self {
@@ -49,7 +47,6 @@ impl KernelConfig {
             protection: ProtectionKind::None,
             fault_rate: 0.0,
             seed: 0x5EED,
-            iarm: true,
         }
     }
 
@@ -93,35 +90,27 @@ struct Job<'a> {
     mask: &'a Row,
 }
 
-/// Runs a set of signed accumulation jobs on a fresh bank: additions
-/// first, then subtractions (IARM-friendly ordering), then a flush.
+/// Runs a set of signed accumulation jobs on a fresh bank through the
+/// IARM planner: additions first, then subtractions (IARM-friendly
+/// ordering), then a flush.
 fn run_jobs(cfg: &KernelConfig, width: usize, jobs: &[Job<'_>]) -> (CounterBank, BankStats) {
     let mut bank = cfg.bank(width);
     let capacity = bank.capacity();
     let clamp = |v: i128| -> u128 { (v.unsigned_abs()) % capacity };
-    if cfg.iarm {
-        let mut planner = IarmPlanner::new(cfg.radix, bank.digits());
-        planner.assume_zero();
-        for job in jobs.iter().filter(|j| j.value > 0) {
-            let actions = planner.plan_add(clamp(job.value));
-            apply_plan(&mut bank, &actions, job.mask);
-        }
-        for job in jobs.iter().filter(|j| j.value < 0) {
-            let actions = planner.plan_sub(clamp(job.value));
-            apply_plan(&mut bank, &actions, job.mask);
-        }
-        let actions = planner.flush();
-        // The flush is mask-independent (it consumes O_next rows).
-        let all = Row::ones(width);
-        apply_plan(&mut bank, &actions, &all);
-    } else {
-        for job in jobs.iter().filter(|j| j.value > 0) {
-            bank.accumulate_ripple(clamp(job.value), job.mask);
-        }
-        for job in jobs.iter().filter(|j| j.value < 0) {
-            bank.subtract_ripple(clamp(job.value), job.mask);
-        }
+    let mut planner = IarmPlanner::new(cfg.radix, bank.digits());
+    planner.assume_zero();
+    for job in jobs.iter().filter(|j| j.value > 0) {
+        let actions = planner.plan_add(clamp(job.value));
+        apply_plan(&mut bank, &actions, job.mask);
     }
+    for job in jobs.iter().filter(|j| j.value < 0) {
+        let actions = planner.plan_sub(clamp(job.value));
+        apply_plan(&mut bank, &actions, job.mask);
+    }
+    let actions = planner.flush();
+    // The flush is mask-independent (it consumes O_next rows).
+    let all = Row::ones(width);
+    apply_plan(&mut bank, &actions, &all);
     let stats = *bank.stats();
     (bank, stats)
 }
@@ -415,25 +404,17 @@ mod tests {
 
     #[test]
     fn iarm_config_is_cheaper_than_full_ripple() {
+        // The kernel's IARM pass against the same masked additions, each
+        // rippled in full on a bank of the same configuration.
         let mut rng = ChaCha12Rng::seed_from_u64(29);
         let z = BinaryMatrix::random(64, 8, 0.5, &mut rng);
         let x: Vec<i64> = (0..64).map(|_| rng.gen_range(1..256)).collect();
-        let with = int_binary_gemv(
-            &KernelConfig {
-                iarm: true,
-                ..cfg()
-            },
-            &x,
-            &z,
-        );
-        let without = int_binary_gemv(
-            &KernelConfig {
-                iarm: false,
-                ..cfg()
-            },
-            &x,
-            &z,
-        );
+        let with = int_binary_gemv(&cfg(), &x, &z);
+        let mut ripple = cfg().bank(z.n());
+        for (i, &v) in x.iter().enumerate() {
+            ripple.accumulate_ripple(v as u128, z.mask(i));
+        }
+        let without = collect(&ripple, *ripple.stats());
         assert_eq!(with.y, without.y, "results must agree");
         assert!(
             with.stats.ambit_ops < without.stats.ambit_ops,

@@ -15,7 +15,7 @@
 //! # Format
 //!
 //! A store file is one line of JSON text in a fixed layout:
-//! `{"magic":"c2m-cache","format_version":5,"words":[`, then each word
+//! `{"magic":"c2m-cache","format_version":6,"words":[`, then each word
 //! in decimal, separated by commas, then `]}`. These are the bytes a JSON
 //! writer gives the object with these three keys, so any JSON reader
 //! reads a store, but [`CacheStore`] reads and writes the text directly,
@@ -84,8 +84,10 @@ impl CacheStore {
     /// value. Version 3 stored every entry as its opaque key words plus
     /// its value, each word in unsigned decimal; version 4 wrote the
     /// same words as signed decimal; version 5 drops the per-shard energy
-    /// breakdown that followed each report's command counts.
-    pub const FORMAT_VERSION: u64 = 5;
+    /// breakdown that followed each report's command counts; version 6
+    /// drops the IARM word from stream keys and the ECC row-segment and
+    /// IARM words from report keys.
+    pub const FORMAT_VERSION: u64 = 6;
 
     /// Writes `cache`'s entries to `path` (creating parent directories),
     /// replacing any existing file. Tallies are not persisted — they
@@ -456,8 +458,10 @@ mod tests {
         // A real store under a newer or an older (version 2, with typed
         // kernel keys) format version must also be cold, and so must
         // its words under version 3, which wrote them unsigned. (A
-        // version 4 store, whose reports carried an energy breakdown, is
-        // `crates/bench/tests/stores.rs`'s case.)
+        // version 4 store, whose reports carried an energy breakdown,
+        // and a version 5 one, whose keys carried the IARM and ECC
+        // row-segment words, are `crates/bench/tests/stores.rs`'s
+        // cases.)
         let path = temp_store("stale");
         let cache = warm_cache();
         CacheStore::save(&path, &cache).expect("save");

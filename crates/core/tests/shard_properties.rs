@@ -1,7 +1,7 @@
 //! Property tests for topology-aware sharded execution: sharded reports
 //! must stay consistent with the single-channel model they generalise.
 
-use c2m_core::engine::{C2mEngine, EngineConfig};
+use c2m_core::engine::{doubled_ternary, C2mEngine, EngineConfig};
 use c2m_core::shard::ShardPlanner;
 use c2m_dram::{CommandKind, Topology};
 use proptest::prelude::*;
@@ -19,18 +19,11 @@ fn stream(k: usize, seed: u64) -> Vec<i64> {
     (0..k).map(|_| rng.gen_range(-128i64..128)).collect()
 }
 
-fn salp_engine(
-    channels: usize,
-    ranks: usize,
-    banks: usize,
-    subarrays: usize,
-    iarm: bool,
-) -> C2mEngine {
+fn salp_engine(channels: usize, ranks: usize, banks: usize, subarrays: usize) -> C2mEngine {
     let mut cfg = EngineConfig::c2m(banks);
     cfg.dram.channels = channels;
     cfg.dram.ranks = ranks;
     cfg.subarrays = subarrays;
-    cfg.iarm = iarm;
     C2mEngine::builder(cfg).build()
 }
 
@@ -113,7 +106,7 @@ proptest! {
     ) {
         let xs = stream(k, seed);
         let flat = engine(channels, ranks, 16);
-        let one = salp_engine(channels, ranks, 16, 1, true);
+        let one = salp_engine(channels, ranks, 16, 1);
         for (a, b) in [
             (flat.ternary_gemv(&xs, n), one.ternary_gemv(&xs, n)),
             (flat.ternary_gemm(8, n, &xs), one.ternary_gemm(8, n, &xs)),
@@ -133,10 +126,12 @@ proptest! {
     }
 
     /// Subarray sharding moves accumulation work, it does not create or
-    /// destroy it: with per-shard replanning disabled (`iarm = false`,
-    /// so sequence counts are additive over any K split) the AAP count
-    /// net of the deeper intra-unit merge tree is invariant in the
-    /// stream count (±1 for the aggregate integer rounding).
+    /// destroy it: each split's AAP count net of its intra-unit merge
+    /// tree is the sum of what its K-slices cost on their own (each
+    /// slice's IARM sequences for its doubled stream × the ops per
+    /// sequence; ±1 for the aggregate integer rounding). IARM replans
+    /// every slice, so that sum, not the flat count, is what a split
+    /// must reproduce.
     #[test]
     fn accumulation_aap_count_invariant_under_subarray_sharding(
         k in 512usize..4096,
@@ -144,17 +139,24 @@ proptest! {
         seed in 0u64..1000,
     ) {
         let xs = stream(k, seed);
-        let flat = salp_engine(1, 1, 16, 1, false);
-        let base = flat.ternary_gemv(&xs, n);
-        let base_accum = base.stats.count(CommandKind::Aap) as f64 - flat.reduction_ops_salp(1);
-        for subarrays in [2usize, 4, 8, 32] {
-            let eng = salp_engine(1, 1, 16, subarrays, false);
+        for subarrays in [1usize, 2, 4, 8, 32] {
+            let eng = salp_engine(1, 1, 16, subarrays);
             let r = eng.ternary_gemv(&xs, n);
             let accum = r.stats.count(CommandKind::Aap) as f64
                 - eng.reduction_ops_salp(eng.salp_streams());
+            let slices: f64 = eng
+                .planner()
+                .plan_inner(k)
+                .shards
+                .iter()
+                .map(|s| {
+                    let seqs = eng.sequences_for_stream(&doubled_ternary(&xs[s.start..s.end()]));
+                    seqs as f64 * eng.ops_per_sequence()
+                })
+                .sum();
             prop_assert!(
-                (accum - base_accum).abs() <= 1.0,
-                "subarrays={}: accumulation AAPs {} vs flat {}", subarrays, accum, base_accum
+                (accum - slices).abs() <= 1.0,
+                "subarrays={}: accumulation AAPs {} vs its slices' {}", subarrays, accum, slices
             );
         }
     }
@@ -172,7 +174,7 @@ proptest! {
         let xs = stream(k, seed);
         let mut prev = f64::INFINITY;
         for subarrays in [1usize, 2, 4, 8, 16, 32] {
-            let r = salp_engine(1, 1, 16, subarrays, false).ternary_gemv(&xs, n);
+            let r = salp_engine(1, 1, 16, subarrays).ternary_gemv(&xs, n);
             prop_assert!(
                 r.elapsed_ns <= prev,
                 "subarrays={} elapsed {} > prev {}", subarrays, r.elapsed_ns, prev

@@ -19,8 +19,6 @@
 //! * [`rs`] — Reed–Solomon over GF(2^8): symbol-level burst correction
 //!   with Berlekamp–Massey / Chien / Forney decoding, plus a bit-level
 //!   [`LinearCode`] adapter.
-//! * `interleave` (test-only) — the Table 2 "8 devices + ECC" rank
-//!   layout: chip-interleaved codewords, scrubbing, chipkill analysis.
 //! * [`tmr`] — triple-modular-redundancy baseline (§3: ~4× op overhead,
 //!   worse error rate than single-error-correcting schemes).
 //! * [`protect`] — the XOR-embedding protection scheme: protected AND/OR
@@ -35,8 +33,6 @@ pub mod bch;
 pub mod code;
 pub mod gf;
 pub mod hamming;
-#[cfg(test)]
-mod interleave;
 pub mod parity;
 pub mod protect;
 pub mod rs;

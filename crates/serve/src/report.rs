@@ -200,7 +200,7 @@ pub struct ServeReport {
     /// (`p_static_w × channels × ranks`), burned between batches, W.
     pub idle_floor_w: f64,
     /// The rolling window the power timeline (and any power cap)
-    /// averages over, ns.
+    /// averages over, ns: always 1 ms.
     pub power_window_ns: f64,
     /// Priced-batch lookups this run served from the memo (this run
     /// only, like `engine_cache`; zero when the tier is disabled).

@@ -151,12 +151,10 @@ pub struct ServeConfig {
     /// slot's share. 1 (the default) keeps the footprint unrounded.
     /// Ignored when `residency_rows` is `None`.
     pub residency_slots: usize,
-    /// Rolling window the power timeline (and the power cap) averages
-    /// over, ns.
-    pub power_window_ns: f64,
     /// Power-capped admission: `Some(cap)` defers or shrinks a batch
-    /// whenever the rolling-window average power at its completion
-    /// would exceed `cap` watts. Must sit above the module's static
+    /// whenever the average power over the 1 ms window before its
+    /// completion ([`ServeReport::power_window_ns`]) would exceed `cap`
+    /// watts. Must sit above the module's static
     /// idle floor
     /// ([`c2m_dram::EnergyModel::system_background_power_w`]) — below
     /// it no schedule complies. A cap that even a *lone* request
@@ -192,7 +190,6 @@ impl Default for ServeConfig {
     /// | `policy` | [`SchedPolicy::Fifo`] | oldest arrival first |
     /// | `residency_rows` | `None` | tenants stay resident for free |
     /// | `residency_slots` | `1` | one flat module-wide budget |
-    /// | `power_window_ns` | `1e6` | rolling power window, 1 ms |
     /// | `power_budget_w` | `None` | no power cap |
     /// | `batch_cache` | `true` | memoise pure batch pricing |
     fn default() -> Self {
@@ -206,7 +203,6 @@ impl Default for ServeConfig {
             policy: SchedPolicy::Fifo,
             residency_rows: None,
             residency_slots: 1,
-            power_window_ns: 1e6,
             power_budget_w: None,
             batch_cache: true,
         }
@@ -221,6 +217,9 @@ impl ServeConfig {
         }
         if self.window_ns.is_nan() || self.window_ns < 0.0 {
             return Err("window must be non-negative".into());
+        }
+        if self.max_wait_ns.is_nan() || self.max_wait_ns < 0.0 {
+            return Err("starvation cap must be non-negative (+∞ for no cap)".into());
         }
         if !self.host_ns_per_seq.is_finite() || self.host_ns_per_seq < 0.0 {
             return Err("host planning cost per sequence must be finite and non-negative".into());
@@ -242,12 +241,13 @@ impl ServeConfig {
                 ));
             }
         }
-        if self.power_window_ns <= 0.0 || !self.power_window_ns.is_finite() {
-            return Err("power window must be positive and finite".into());
-        }
         Ok(())
     }
 }
+
+/// The rolling window the power timeline and the power cap average
+/// over: 1 ms, ns.
+const POWER_WINDOW_NS: f64 = 1e6;
 
 /// Entries the priced-batch memo holds before it clears (epoch
 /// eviction; a full epoch is far larger than any steady-state working
@@ -336,21 +336,20 @@ struct Priced {
     accesses: u64,
 }
 
-/// Average power over the rolling window `[t−window, t]`: committed
-/// busy intervals (plus an optional uncommitted candidate) contribute
-/// their energy pro-rata to the overlap, everything else — including
-/// the pre-trace history before t = 0, when the module sat powered but
-/// idle — burns the idle floor. The window is always full-width, so
-/// compliance means the same thing at the start of a trace as in
-/// steady state.
+/// Average power over the rolling window `[t − POWER_WINDOW_NS, t]`:
+/// committed busy intervals (plus an optional uncommitted candidate)
+/// contribute their energy pro-rata to the overlap, everything else —
+/// including the pre-trace history before t = 0, when the module sat
+/// powered but idle — burns the idle floor. The window is always
+/// full-width, so compliance means the same thing at the start of a
+/// trace as in steady state.
 fn window_avg_power_w(
     busy: &[(f64, f64, f64)],
     candidate: Option<(f64, f64, f64)>,
     idle_floor_w: f64,
-    window_ns: f64,
     t: f64,
 ) -> f64 {
-    let lo = t - window_ns;
+    let lo = t - POWER_WINDOW_NS;
     let mut energy = 0.0;
     let mut busy_in = 0.0;
     for &(s, d, e) in busy.iter().chain(candidate.iter()) {
@@ -360,7 +359,7 @@ fn window_avg_power_w(
             busy_in += ov;
         }
     }
-    (energy + idle_floor_w * (window_ns - busy_in).max(0.0)) / window_ns
+    (energy + idle_floor_w * (POWER_WINDOW_NS - busy_in).max(0.0)) / POWER_WINDOW_NS
 }
 
 impl ServeRuntime {
@@ -368,10 +367,10 @@ impl ServeRuntime {
     ///
     /// # Panics
     ///
-    /// Panics on a zero batch cap, negative window, negative or
-    /// non-finite host planning cost or dispatch overhead, zero
-    /// residency budget or slot count, a residency budget that is not a
-    /// multiple of the slot count, non-positive power window, or a
+    /// Panics on a zero batch cap, negative window, NaN or negative
+    /// starvation cap, negative or non-finite host planning cost or
+    /// dispatch overhead, zero residency budget or slot count, a
+    /// residency budget that is not a multiple of the slot count, or a
     /// power cap at or below the module's static idle floor (no
     /// schedule can comply: the ranks burn that much doing nothing).
     #[must_use]
@@ -642,7 +641,7 @@ impl ServeRuntime {
     fn report_shell(&self) -> ServeReport {
         ServeReport {
             idle_floor_w: self.idle_floor_w(),
-            power_window_ns: self.cfg.power_window_ns,
+            power_window_ns: POWER_WINDOW_NS,
             ..ServeReport::default()
         }
     }
@@ -686,7 +685,6 @@ impl ServeRuntime {
         pipe: &mut Pipeline,
         report: &mut ServeReport,
     ) -> Vec<ServeRequest> {
-        let window = self.cfg.power_window_ns;
         loop {
             let t_free = pipe.planner_free.max(pipe.defer_until);
             let (mut batch, formed, mut seed_at) = self.form_batch(q, t_free);
@@ -701,14 +699,17 @@ impl ServeRuntime {
                     let energy = self.batch_energy_nj(&priced);
                     let candidate = Some((exec_start, exec_done, energy));
                     let idle_w = self.idle_floor_w();
-                    window_avg_power_w(&pipe.busy, candidate, idle_w, window, exec_done) <= cap
+                    window_avg_power_w(&pipe.busy, candidate, idle_w, exec_done) <= cap
                 });
                 // Once the window has slid past every committed burst,
                 // no amount of waiting lowers it further: a lone
                 // request that still breaches runs anyway (the cap is
                 // infeasible for this workload, and stalling forever
                 // serves no one).
-                let drained = pipe.busy.last().is_none_or(|b| exec_done - window >= b.1);
+                let drained = pipe
+                    .busy
+                    .last()
+                    .is_none_or(|b| exec_done - POWER_WINDOW_NS >= b.1);
                 if complies || (batch.len() == 1 && drained) {
                     *fetch_q = trial_fetch;
                     pipe.residency = trial_res;
@@ -729,7 +730,7 @@ impl ServeRuntime {
                 for r in batch {
                     q.insert(r);
                 }
-                pipe.defer_until = formed + window / 8.0;
+                pipe.defer_until = formed + POWER_WINDOW_NS / 8.0;
                 break;
             }
         }
@@ -886,17 +887,11 @@ impl ServeRuntime {
         // zero overlap to every future query (commit times are
         // monotone), so drop them — the scan stays bounded by the
         // window occupancy instead of the whole dispatch history.
-        let horizon = exec_done - self.cfg.power_window_ns;
+        let horizon = exec_done - POWER_WINDOW_NS;
         let expired = pipe.busy.partition_point(|&(_, end, _)| end <= horizon);
         pipe.busy.drain(..expired);
         pipe.busy.push((exec_start, exec_done, energy_nj));
-        let power_w = window_avg_power_w(
-            &pipe.busy,
-            None,
-            self.idle_floor_w(),
-            self.cfg.power_window_ns,
-            exec_done,
-        );
+        let power_w = window_avg_power_w(&pipe.busy, None, self.idle_floor_w(), exec_done);
         report.power_timeline.push(PowerSample {
             t_ns: exec_done,
             power_w,
@@ -1624,18 +1619,16 @@ mod tests {
 
     #[test]
     fn uncapped_config_is_unaffected_by_power_plumbing() {
-        // power_budget_w: None must leave latency/throughput identical
-        // to the default pipeline (the acceptance bar for the ledger
-        // refactor). With no cap the governor commits every batch as
-        // first formed, whatever the power window; pinned so a
-        // regression screams.
+        // Uncapped and capped dispatch share the governor loop: a cap
+        // that never binds must leave latency/throughput identical to
+        // the uncapped pipeline, because the governor then commits
+        // every batch as first formed; pinned so a regression screams.
         let reqs = trace(24, 2);
         let a = ServeRuntime::new(engine(1), cfg(4, 1e6)).run(&reqs);
         let b = ServeRuntime::new(
             engine(1),
             ServeConfig {
-                power_budget_w: None,
-                power_window_ns: 5e5,
+                power_budget_w: Some(f64::MAX),
                 ..cfg(4, 1e6)
             },
         )
@@ -1659,18 +1652,6 @@ mod tests {
             e,
             ServeConfig {
                 power_budget_w: Some(floor * 0.5),
-                ..ServeConfig::default()
-            },
-        );
-    }
-
-    #[test]
-    #[should_panic(expected = "power window")]
-    fn non_positive_power_window_is_rejected() {
-        let _ = ServeRuntime::new(
-            engine(1),
-            ServeConfig {
-                power_window_ns: 0.0,
                 ..ServeConfig::default()
             },
         );
@@ -1715,18 +1696,33 @@ mod tests {
                 },
                 "not a multiple",
             ),
+            // Unchecked, a NaN starvation cap turns the cap off in both
+            // the ready set and the fetch queue, and a negative one
+            // makes every request overdue.
             (
                 ServeConfig {
-                    power_window_ns: 0.0,
+                    max_wait_ns: f64::NAN,
                     ..ServeConfig::default()
                 },
-                "power window",
+                "starvation cap",
+            ),
+            (
+                ServeConfig {
+                    max_wait_ns: -1.0,
+                    ..ServeConfig::default()
+                },
+                "starvation cap",
             ),
         ];
         for (config, needle) in cases {
             let err = config.validate().expect_err("must be rejected");
             assert!(err.contains(needle), "{err} should mention {needle:?}");
         }
+        let uncapped = ServeConfig {
+            max_wait_ns: f64::INFINITY,
+            ..ServeConfig::default()
+        };
+        assert!(uncapped.validate().is_ok(), "+∞ means no starvation cap");
     }
 
     #[test]

@@ -364,7 +364,7 @@ fn cmd_trace(flags: &BTreeMap<String, String>) -> Result<(), String> {
 
 fn cmd_experiments(flags: &BTreeMap<String, String>) -> Result<(), String> {
     reads_only(flags, "experiments", &[])?;
-    println!("paper-artefact bench binaries (cargo run -p c2m-bench --bin <id>):\n");
+    println!("paper-artefact bench binaries (cargo run --release -p c2m_bench --bin <id>):\n");
     for (id, what) in [
         ("fig3", "input value distributions (DNA, BERT embeddings)"),
         ("fig4", "fault-rate motivation: RMSE + DNA filter F1"),

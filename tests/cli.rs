@@ -58,6 +58,36 @@ fn malformed_flags_exit_with_an_error_line() {
 }
 
 #[test]
+fn experiments_names_the_bench_package_and_every_figure_binary() {
+    let out = c2m(&["experiments"]);
+    assert_eq!(out.status.code(), Some(0));
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    let (head, list) = stdout.split_once('\n').expect("a header line");
+    // The package is `c2m_bench`; cargo rejects `-p c2m-bench`.
+    assert!(head.contains("-p c2m_bench "), "{head}");
+    let mut listed: Vec<&str> = list
+        .lines()
+        .filter_map(|l| l.split_whitespace().next())
+        .collect();
+    listed.sort_unstable();
+    let bins = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("crates/bench/src/bin");
+    let mut binaries: Vec<String> = std::fs::read_dir(&bins)
+        .expect("the bench binaries' directory")
+        .map(|e| e.expect("a directory entry").path())
+        .filter(|p| p.extension().is_some_and(|x| x == "rs"))
+        .map(|p| {
+            p.file_stem()
+                .expect("a file name")
+                .to_string_lossy()
+                .into_owned()
+        })
+        .collect();
+    binaries.sort_unstable();
+    assert_eq!(binaries.len(), 15);
+    assert_eq!(listed, binaries);
+}
+
+#[test]
 fn a_valid_call_exits_zero() {
     let out = c2m(&["gemv", "--k", "16", "--n", "8", "--radix", "10"]);
     assert_eq!(
